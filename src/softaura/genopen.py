@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionUnmet
-from .operators import CECH, KURATOWSKI, aura_closure, aura_interior, kuratowski_closure
+from .operators import CECH, _closure_fn, aura_interior
 from .softset import SoftSet
 from .space import SoftAuraSpace
 
@@ -49,14 +49,6 @@ class OpennessProfile:
             "b": self.b_open,
             "beta": self.beta_open,
         }[openness_class]
-
-
-def _closure_fn(space: SoftAuraSpace, kind: str):
-    if kind == CECH:
-        return lambda s: aura_closure(space, s)
-    if kind == KURATOWSKI:
-        return lambda s: kuratowski_closure(space, s).closure
-    raise ValueError(f"unknown closure kind {kind!r}")
 
 
 def classify(space: SoftAuraSpace, g: SoftSet, kind: str = CECH) -> OpennessProfile:

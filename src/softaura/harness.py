@@ -3,7 +3,9 @@
 The engine enumerates every scope function over the discrete topology for
 each universe/parameter shape up to the requested bounds, builds per-space
 lookup tables by calling the public operators once per soft set, and then
-evaluates every law as comparisons of those library-produced values.  Set
+evaluates every law as comparisons of those library-produced values.  Each
+law is defined once, as a predicate over the tables; replay_witness
+evaluates the same predicate on tables built for the witness space.  Set
 ranks, pair ranks, scope ranks and shape ranks are all canonical, so every
 reported witness is the first one in canonical order and every report is
 byte-reproducible.
@@ -19,6 +21,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, SizeGuard
@@ -29,10 +32,9 @@ from .operators import (
     aura_closure,
     aura_interior,
     enumerate_aura_topology,
-    is_aura_open,
     kuratowski_closure,
 )
-from .rough import accuracy, boundary, lower_approx, upper_approx
+from .rough import accuracy, lower_approx, upper_approx
 from .separation import separation_report, t1_singleton_closure, t1_via_singleton_scopes
 from .softset import Context, SoftSet, make_soft_set
 from .space import (
@@ -100,6 +102,13 @@ def _family_context(n: int, m: int) -> Context:
     )
 
 
+def _admissible_members(topology: SoftTopology, xi: int) -> list[SoftSet]:
+    """Members of an extensional topology containing point xi in every slice, in canonical order."""
+    bit = 1 << xi
+    members = [s for _, s in topology if all(mk & bit for mk in s.masks)]
+    return sorted(members, key=lambda s: tuple(reversed(s.masks)))
+
+
 def enumerate_scope_functions(
     context: Context,
     topology: SoftTopology,
@@ -125,11 +134,7 @@ def enumerate_scope_functions(
             ]
             per_point.append(choices)
     else:
-        for xi in range(n):
-            bit = 1 << xi
-            members = [s for _, s in topology if all(mk & bit for mk in s.masks)]
-            members.sort(key=lambda s: tuple(reversed(s.masks)))
-            per_point.append(members)
+        per_point = [_admissible_members(topology, xi) for xi in range(n)]
 
     total = 1
     for choices in per_point:
@@ -162,10 +167,7 @@ def _sample_scope(context: Context, topology: SoftTopology, rng: random.Random) 
             assignment.append(SoftSet(context, tuple(masks)))
     else:
         for xi in range(n):
-            bit = 1 << xi
-            members = [s for _, s in topology if all(mk & bit for mk in s.masks)]
-            members.sort(key=lambda s: tuple(reversed(s.masks)))
-            assignment.append(rng.choice(members))
+            assignment.append(rng.choice(_admissible_members(topology, xi)))
     return ScopeFunction(context, tuple(assignment))
 
 
@@ -324,191 +326,112 @@ def witness_from_json(d: Mapping) -> Witness:
     )
 
 
+# -- per-space operator tables -----------------------------------------------
+
+
+def _pack(masks: Sequence[int], n: int) -> int:
+    out = 0
+    for i, m in enumerate(masks):
+        out |= m << (i * n)
+    return out
+
+
+def _unpack(ctx: Context, g: int) -> SoftSet:
+    n = ctx.n_points
+    return SoftSet(ctx, tuple((g >> (i * n)) & ctx.full_mask for i in range(ctx.n_params)))
+
+
+class _Lazy(dict):
+    """A table whose entry for a key is computed by `fill` on first lookup."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _openness_row(cl, int_, g: int) -> tuple[bool, ...]:
+    """(open, alpha, semi, pre, b, beta) of packed g, read off closure/interior tables."""
+    ig = int_[g]
+    cl_ig = cl[ig]
+    i_cl_g = int_[cl[g]]
+    return (
+        ig == g,
+        g & ~int_[cl_ig] == 0,
+        g & ~cl_ig == 0,
+        g & ~i_cl_g == 0,
+        g & ~(cl_ig | i_cl_g) == 0,
+        g & ~cl[i_cl_g] == 0,
+    )
+
+
+class _Tables:
+    """Packed operator tables of one space, keyed by packed soft set.
+
+    A soft set packs into one integer with slice i shifted by i*|X|.  `sets`
+    unpacks; `cl`, `int_` and `fix` hold the packed one-step closure,
+    interior and fixpoint closure; `fix_result` the fixpoint closure with its
+    iteration counts; `rows[kind]` the six openness flags of each set under
+    a closure kind and `cols[kind]` the same flags as six per-flag tables.
+    Every entry comes from one public-operator call.  Given a shape's full
+    set list the tables are lists filled up front; without one they are
+    dicts filled on first lookup.  Tables belong to one space and are
+    dropped with it.
+    """
+
+    def __init__(self, space: SoftAuraSpace, sets: Sequence[SoftSet] | None = None):
+        ctx = space.context
+        n = ctx.n_points
+        eager = sets is not None
+        if sets is None:
+            sets = _Lazy(lambda g: _unpack(ctx, g))
+
+        def table(fill):
+            return [fill(g) for g in range(len(sets))] if eager else _Lazy(fill)
+
+        self.space = space
+        self.full = _pack((ctx.full_mask,) * ctx.n_params, n)
+        self.sets = sets
+        self.cl = table(lambda g: _pack(aura_closure(space, sets[g]).masks, n))
+        self.int_ = table(lambda g: _pack(aura_interior(space, sets[g]).masks, n))
+        self.fix_result = table(lambda g: kuratowski_closure(space, sets[g]))
+        self.fix = table(lambda g: _pack(self.fix_result[g].closure.masks, n))
+        self.rows = {
+            kind: table(lambda g, cl=cl: _openness_row(cl, self.int_, g))
+            for kind, cl in ((CECH, self.cl), (KURATOWSKI, self.fix))
+        }
+        self.cols = {
+            kind: tuple(zip(*rows))
+            if eager
+            else tuple(_Lazy(lambda g, rows=rows, j=j: rows[g][j]) for j in range(6))
+            for kind, rows in self.rows.items()
+        }
+
+    @cached_property
+    def separation(self):
+        return separation_report(self.space)
+
+
 # -- law registry ------------------------------------------------------------
+#
+# Every law is one predicate over the tables of a space: space laws take the
+# tables alone, set laws one packed set, pair laws a packed pair.  The suite
+# and replay_witness evaluate the same predicate.
 
 
-def _law_closure_grounding(space, sets):
-    return aura_closure(space, SoftSet.null(space.context)).is_null()
+def _closure_grounding(t):
+    return t.cl[0] == 0
 
 
-def _law_interior_absolute(space, sets):
-    return aura_interior(space, SoftSet.absolute(space.context)).is_absolute()
+def _interior_absolute(t):
+    return t.int_[t.full] == t.full
 
 
-def _law_closure_enlargement(space, sets):
-    (g,) = sets
-    return g.is_subset_of(aura_closure(space, g))
-
-
-def _law_interior_contraction(space, sets):
-    (g,) = sets
-    return aura_interior(space, g).is_subset_of(g)
-
-
-def _law_duality(space, sets):
-    (g,) = sets
-    return (
-        aura_closure(space, g.complement()) == aura_interior(space, g).complement()
-        and aura_interior(space, g.complement()) == aura_closure(space, g).complement()
-    )
-
-
-def _law_closure_monotonicity(space, sets):
-    g, h = sets
-    if not g.is_subset_of(h):
-        return True
-    return aura_closure(space, g).is_subset_of(aura_closure(space, h))
-
-
-def _law_interior_monotonicity(space, sets):
-    g, h = sets
-    if not g.is_subset_of(h):
-        return True
-    return aura_interior(space, g).is_subset_of(aura_interior(space, h))
-
-
-def _law_closure_additivity(space, sets):
-    g, h = sets
-    return aura_closure(space, g.union(h)) == aura_closure(space, g).union(aura_closure(space, h))
-
-
-def _law_interior_meet(space, sets):
-    g, h = sets
-    return aura_interior(space, g.intersect(h)) == aura_interior(space, g).intersect(
-        aura_interior(space, h)
-    )
-
-
-def _law_aura_open_family(space, sets):
-    g, h = sets
-    if not (is_aura_open(space, g) and is_aura_open(space, h)):
-        return True
-    return is_aura_open(space, g.union(h)) and is_aura_open(space, g.intersect(h))
-
-
-def _law_kuratowski_fixpoint(space, sets):
-    (g,) = sets
-    res = kuratowski_closure(space, g)
-    k = res.closure
-    n = space.context.n_points
-    return (
-        kuratowski_closure(space, k).closure == k
-        and aura_closure(space, k) == k
-        and aura_closure(space, g).is_subset_of(k)
-        and g.is_subset_of(k)
-        and all(1 <= it <= n for it in res.iterations.values())
-    )
-
-
-def _law_kuratowski_additivity(space, sets):
-    g, h = sets
-    return kuratowski_closure(space, g.union(h)).closure == kuratowski_closure(
-        space, g
-    ).closure.union(kuratowski_closure(space, h).closure)
-
-
-def _law_tau_infinity_in_tau(space, sets):
-    (g,) = sets
-    comp = g.complement()
-    if kuratowski_closure(space, comp).closure != comp:
-        return True
-    return is_aura_open(space, g)
-
-
-def _chain_holds(p) -> bool:
-    return (
-        (not p.a_open or p.alpha_open)
-        and (not p.alpha_open or (p.semi_open and p.pre_open))
-        and (not (p.semi_open or p.pre_open) or p.b_open)
-        and (not p.b_open or p.beta_open)
-    )
-
-
-def _law_hierarchy_cech(space, sets):
-    (g,) = sets
-    return _chain_holds(classify(space, g, CECH))
-
-
-def _law_hierarchy_kuratowski(space, sets):
-    (g,) = sets
-    return _chain_holds(classify(space, g, KURATOWSKI))
-
-
-def _law_classify_consistency(space, sets):
-    (g,) = sets
-    for kind in (CECH, KURATOWSKI):
-        p = classify(space, g, kind)
-        cl = (
-            (lambda s: aura_closure(space, s))
-            if kind == CECH
-            else (lambda s: kuratowski_closure(space, s).closure)
-        )
-        ig = aura_interior(space, g)
-        checks = (
-            p.a_open == (ig == g),
-            p.semi_open == g.is_subset_of(cl(ig)),
-            p.pre_open == g.is_subset_of(aura_interior(space, cl(g))),
-            p.alpha_open == g.is_subset_of(aura_interior(space, cl(ig))),
-            p.b_open == g.is_subset_of(cl(ig).union(aura_interior(space, cl(g)))),
-            p.beta_open == g.is_subset_of(cl(aura_interior(space, cl(g)))),
-        )
-        if not all(checks):
-            return False
-    return True
-
-
-def _law_decomposition_set_kuratowski(space, sets):
-    (g,) = sets
-    p = classify(space, g, KURATOWSKI)
-    return p.alpha_open == (p.semi_open and p.pre_open)
-
-
-def _union_closure_law(openness_class):
-    def law(space, sets):
-        g, h = sets
-        pg = classify(space, g, CECH).flag(openness_class)
-        ph = classify(space, h, CECH).flag(openness_class)
-        if not (pg and ph):
-            return True
-        return classify(space, g.union(h), CECH).flag(openness_class)
-
-    return law
-
-
-def _law_t1_iff_t2(space, sets):
-    rep = separation_report(space)
-    return rep.t1 == rep.t2
-
-
-def _law_t1_iff_singleton_scopes(space, sets):
-    rep = separation_report(space)
-    return rep.t1 == t1_via_singleton_scopes(space)
-
-
-def _law_t1_implies_t0(space, sets):
-    rep = separation_report(space)
-    return rep.t0 or not rep.t1
-
-
-def _law_t1_singleton_closure(space, sets):
-    return t1_singleton_closure(space).holds
-
-
-def _law_rough_delegation(space, sets):
-    (g,) = sets
-    return lower_approx(space, g) == aura_interior(space, g) and upper_approx(
-        space, g
-    ) == aura_closure(space, g)
-
-
-def _law_rough_sandwich(space, sets):
-    (g,) = sets
-    return lower_approx(space, g).is_subset_of(g) and g.is_subset_of(upper_approx(space, g))
-
-
-def _law_rough_fixed_points(space, sets):
-    null = SoftSet.null(space.context)
-    absolute = SoftSet.absolute(space.context)
+def _rough_fixed_points(t):
+    space, null, absolute = t.space, t.sets[0], t.sets[t.full]
     return (
         lower_approx(space, null).is_null()
         and upper_approx(space, null).is_null()
@@ -517,96 +440,168 @@ def _law_rough_fixed_points(space, sets):
     )
 
 
-def _law_rough_duality(space, sets):
-    (g,) = sets
+def _t1_iff_t2(t):
+    return t.separation.t1 == t.separation.t2
+
+
+def _t1_iff_singleton_scopes(t):
+    return t.separation.t1 == t1_via_singleton_scopes(t.space)
+
+
+def _t1_implies_t0(t):
+    return t.separation.t0 or not t.separation.t1
+
+
+def _t1_singleton_closure(t):
+    return t1_singleton_closure(t.space).holds
+
+
+def _closure_enlargement(t, g):
+    return g & ~t.cl[g] == 0
+
+
+def _interior_contraction(t, g):
+    return t.int_[g] & ~g == 0
+
+
+def _duality(t, g):
+    comp = t.full & ~g
+    return t.cl[comp] == t.full & ~t.int_[g] and t.int_[comp] == t.full & ~t.cl[g]
+
+
+def _kuratowski_fixpoint(t, g):
+    k = t.fix[g]
+    n = t.space.context.n_points
     return (
-        lower_approx(space, g.complement()) == upper_approx(space, g).complement()
-        and upper_approx(space, g.complement()) == lower_approx(space, g).complement()
+        t.cl[g] & ~k == 0
+        and g & ~k == 0
+        and t.fix[k] == k
+        and t.cl[k] == k
+        and all(1 <= it <= n for it in t.fix_result[g].iterations.values())
     )
 
 
-def _law_rough_monotonicity(space, sets):
-    g, h = sets
-    if not g.is_subset_of(h):
-        return True
-    return lower_approx(space, g).is_subset_of(lower_approx(space, h)) and upper_approx(
-        space, g
-    ).is_subset_of(upper_approx(space, h))
+def _tau_infinity_in_tau(t, g):
+    comp = t.full & ~g
+    return t.fix[comp] != comp or t.int_[g] == g
 
 
-def _law_rough_upper_join(space, sets):
-    g, h = sets
-    return upper_approx(space, g.union(h)) == upper_approx(space, g).union(
-        upper_approx(space, h)
+def _hierarchy(kind: str):
+    def law(t, g):
+        opn, alpha, semi, pre, b, beta = t.rows[kind][g]
+        return (
+            (not opn or alpha)
+            and (not alpha or (semi and pre))
+            and (not (semi or pre) or b)
+            and (not b or beta)
+        )
+
+    return law
+
+
+def _classify_consistency(t, g):
+    for kind in (CECH, KURATOWSKI):
+        p = classify(t.space, t.sets[g], kind)
+        flags = (p.a_open, p.alpha_open, p.semi_open, p.pre_open, p.b_open, p.beta_open)
+        if flags != t.rows[kind][g]:
+            return False
+    return True
+
+
+def _alpha_decomposes(kind: str):
+    def law(t, g):
+        _, alpha, semi, pre, _, _ = t.rows[kind][g]
+        return alpha == (semi and pre)
+
+    return law
+
+
+def _rough_delegation(t, g):
+    n = t.space.context.n_points
+    s = t.sets[g]
+    return (
+        _pack(lower_approx(t.space, s).masks, n) == t.int_[g]
+        and _pack(upper_approx(t.space, s).masks, n) == t.cl[g]
     )
 
 
-def _law_rough_lower_meet(space, sets):
-    g, h = sets
-    return lower_approx(space, g.intersect(h)) == lower_approx(space, g).intersect(
-        lower_approx(space, h)
+def _rough_sandwich(t, g):
+    return t.int_[g] & ~g == 0 and g & ~t.cl[g] == 0
+
+
+def _rough_accuracy(t, g):
+    acc = accuracy(t.space, t.sets[g])
+    return (
+        0 <= acc.value <= 1
+        and (acc.value == 1) == (t.cl[g] == t.int_[g])
+        and acc.convention_applied == (t.cl[g] == 0)
     )
 
 
-def _law_rough_accuracy(space, sets):
-    (g,) = sets
-    acc = accuracy(space, g)
-    if not 0 <= acc.value <= 1:
-        return False
-    if (acc.value == 1) != boundary(space, g).is_null():
-        return False
-    return acc.convention_applied == upper_approx(space, g).is_null()
+def _oracle_equivalence(t, g):
+    n = t.space.context.n_points
+    s = t.sets[g]
+    return (
+        _pack(oracle_closure(t.space, s).masks, n) == t.cl[g]
+        and _pack(oracle_interior(t.space, s).masks, n) == t.int_[g]
+    )
 
 
-def _law_oracle_equivalence(space, sets):
-    (g,) = sets
-    return oracle_closure(space, g) == aura_closure(space, g) and oracle_interior(
-        space, g
-    ) == aura_interior(space, g)
+def _pair_row(t, g: int, hs, hit: Callable) -> None:
+    """Every pair law and alpha-meet report on the pairs (g, h), h in hs.
+
+    `hit(name, a, b)` receives each failing law and each report finding,
+    with (a, b) in witness order.  The suite calls this once per g with
+    hs = range(g, size), so the body below is the innermost loop of a run.
+    """
+    cl, int_, fix = t.cl, t.int_, t.fix
+    opn, alp, sem, pre, _, bet = t.cols[CECH]
+    alp_k = t.cols[KURATOWSKI][1]
+    clg, ing, fixg = cl[g], int_[g], fix[g]
+    og, ag, sg, pg, eg, akg = opn[g], alp[g], sem[g], pre[g], bet[g], alp_k[g]
+    for h in hs:
+        u = g | h
+        w = g & h
+        if cl[u] != clg | cl[h]:
+            hit("closure-additivity", g, h)
+        if int_[w] != ing & int_[h]:
+            hit("interior-meet", g, h)
+        if fix[u] != fixg | fix[h]:
+            hit("kuratowski-additivity", g, h)
+        if g & ~h == 0:
+            if clg & ~cl[h]:
+                hit("closure-monotonicity", g, h)
+            if ing & ~int_[h]:
+                hit("interior-monotonicity", g, h)
+        elif h & ~g == 0:
+            if cl[h] & ~clg:
+                hit("closure-monotonicity", h, g)
+            if int_[h] & ~ing:
+                hit("interior-monotonicity", h, g)
+        if sg and sem[h] and not sem[u]:
+            hit("union-closure-semi", g, h)
+        if pg and pre[h] and not pre[u]:
+            hit("union-closure-pre", g, h)
+        if eg and bet[h] and not bet[u]:
+            hit("union-closure-beta", g, h)
+        if og and opn[h] and not (opn[u] and opn[w]):
+            hit("aura-open-family", g, h)
+        if akg and alp_k[h] and not alp_k[w]:
+            hit("alpha-meet-kuratowski", g, h)
+        if ag and alp[h] and not alp[w]:
+            hit("alpha-meet-cech", g, h)
 
 
-@dataclass(frozen=True)
-class LawSpec:
-    arity: str  # "space" | "set" | "pair"
-    evaluator: Callable
-    description: str
+def _pair_law(*names: str):
+    """The pair predicate: `_pair_row` on the one pair (g, h) flags none of `names`."""
 
+    def law(t, g, h):
+        found: set[str] = set()
+        _pair_row(t, g, (h,), lambda name, a, b: found.add(name))
+        return found.isdisjoint(names)
 
-LAWS: dict[str, LawSpec] = {
-    "closure-grounding": LawSpec("space", _law_closure_grounding, "closure of null is null"),
-    "closure-enlargement": LawSpec("set", _law_closure_enlargement, "G inside cl(G)"),
-    "closure-monotonicity": LawSpec("pair", _law_closure_monotonicity, "G inside H implies cl(G) inside cl(H)"),
-    "closure-additivity": LawSpec("pair", _law_closure_additivity, "cl(G or H) = cl(G) or cl(H)"),
-    "interior-absolute": LawSpec("space", _law_interior_absolute, "interior of absolute is absolute"),
-    "interior-contraction": LawSpec("set", _law_interior_contraction, "int(G) inside G"),
-    "interior-monotonicity": LawSpec("pair", _law_interior_monotonicity, "G inside H implies int(G) inside int(H)"),
-    "interior-meet": LawSpec("pair", _law_interior_meet, "int(G and H) = int(G) and int(H)"),
-    "duality": LawSpec("set", _law_duality, "cl and int are complement-dual"),
-    "aura-open-family": LawSpec("pair", _law_aura_open_family, "aura-open sets are closed under union and intersection"),
-    "kuratowski-fixpoint": LawSpec("set", _law_kuratowski_fixpoint, "fixpoint closure is idempotent, contains one-step closure, stabilises within |X| steps"),
-    "kuratowski-additivity": LawSpec("pair", _law_kuratowski_additivity, "fixpoint closure is additive"),
-    "tau-infinity-in-tau": LawSpec("set", _law_tau_infinity_in_tau, "complements of fixpoint-closed sets are aura-open"),
-    "hierarchy-cech": LawSpec("set", _law_hierarchy_cech, "open => alpha => semi,pre => b => beta (one-step closure)"),
-    "hierarchy-kuratowski": LawSpec("set", _law_hierarchy_kuratowski, "open => alpha => semi,pre => b => beta (fixpoint closure)"),
-    "classify-consistency": LawSpec("set", _law_classify_consistency, "classify flags match direct operator composition"),
-    "decomposition-set-kuratowski": LawSpec("set", _law_decomposition_set_kuratowski, "alpha = semi and pre under the fixpoint closure"),
-    "union-closure-semi": LawSpec("pair", _union_closure_law("semi"), "semi-open sets are union-closed"),
-    "union-closure-pre": LawSpec("pair", _union_closure_law("pre"), "pre-open sets are union-closed"),
-    "union-closure-beta": LawSpec("pair", _union_closure_law("beta"), "beta-open sets are union-closed"),
-    "t1-iff-t2": LawSpec("space", _law_t1_iff_t2, "T1 and T2 coincide"),
-    "t1-iff-singleton-scopes": LawSpec("space", _law_t1_iff_singleton_scopes, "T1 iff every scope slice is a singleton"),
-    "t1-implies-t0": LawSpec("space", _law_t1_implies_t0, "T1 implies T0"),
-    "t1-singleton-closure": LawSpec("space", _law_t1_singleton_closure, "in a T1 space soft points are closed"),
-    "rough-delegation": LawSpec("set", _law_rough_delegation, "lower/upper approximations equal interior/closure"),
-    "rough-sandwich": LawSpec("set", _law_rough_sandwich, "lower inside target inside upper"),
-    "rough-fixed-points": LawSpec("space", _law_rough_fixed_points, "null and absolute approximate to themselves"),
-    "rough-duality": LawSpec("set", _law_rough_duality, "approximations are complement-dual"),
-    "rough-monotonicity": LawSpec("pair", _law_rough_monotonicity, "approximations are monotone"),
-    "rough-upper-join": LawSpec("pair", _law_rough_upper_join, "upper approximation distributes over union"),
-    "rough-lower-meet": LawSpec("pair", _law_rough_lower_meet, "lower approximation distributes over intersection"),
-    "rough-accuracy": LawSpec("set", _law_rough_accuracy, "accuracy in [0,1]; 1 exactly when the boundary is null; convention flagged on null upper"),
-    "oracle-equivalence": LawSpec("set", _law_oracle_equivalence, "bitmask operators equal the literal oracles"),
-}
+    return law
+
 
 #: Rows whose pair evaluations coincide extensionally with a base row given
 #: rough delegation; the engine shares the evaluations and mirrors counts.
@@ -616,60 +611,88 @@ _SHARED_ROUGH_PAIR_ROWS = {
     "rough-lower-meet": ("interior-meet",),
 }
 
+
+@dataclass(frozen=True)
+class LawSpec:
+    arity: str  # "space" | "set" | "pair"
+    evaluator: Callable  # (tables, *packed sets) -> True when the law holds
+    description: str
+
+
+LAWS: dict[str, LawSpec] = {
+    "closure-grounding": LawSpec("space", _closure_grounding, "closure of null is null"),
+    "closure-enlargement": LawSpec("set", _closure_enlargement, "G inside cl(G)"),
+    "closure-monotonicity": LawSpec("pair", _pair_law("closure-monotonicity"), "G inside H implies cl(G) inside cl(H)"),
+    "closure-additivity": LawSpec("pair", _pair_law("closure-additivity"), "cl(G or H) = cl(G) or cl(H)"),
+    "interior-absolute": LawSpec("space", _interior_absolute, "interior of absolute is absolute"),
+    "interior-contraction": LawSpec("set", _interior_contraction, "int(G) inside G"),
+    "interior-monotonicity": LawSpec("pair", _pair_law("interior-monotonicity"), "G inside H implies int(G) inside int(H)"),
+    "interior-meet": LawSpec("pair", _pair_law("interior-meet"), "int(G and H) = int(G) and int(H)"),
+    "duality": LawSpec("set", _duality, "cl and int are complement-dual"),
+    "aura-open-family": LawSpec("pair", _pair_law("aura-open-family"), "aura-open sets are closed under union and intersection"),
+    "kuratowski-fixpoint": LawSpec("set", _kuratowski_fixpoint, "fixpoint closure is idempotent, contains one-step closure, stabilises within |X| steps"),
+    "kuratowski-additivity": LawSpec("pair", _pair_law("kuratowski-additivity"), "fixpoint closure is additive"),
+    "tau-infinity-in-tau": LawSpec("set", _tau_infinity_in_tau, "complements of fixpoint-closed sets are aura-open"),
+    "hierarchy-cech": LawSpec("set", _hierarchy(CECH), "open => alpha => semi,pre => b => beta (one-step closure)"),
+    "hierarchy-kuratowski": LawSpec("set", _hierarchy(KURATOWSKI), "open => alpha => semi,pre => b => beta (fixpoint closure)"),
+    "classify-consistency": LawSpec("set", _classify_consistency, "classify flags match direct operator composition"),
+    "decomposition-set-kuratowski": LawSpec("set", _alpha_decomposes(KURATOWSKI), "alpha = semi and pre under the fixpoint closure"),
+    "union-closure-semi": LawSpec("pair", _pair_law("union-closure-semi"), "semi-open sets are union-closed"),
+    "union-closure-pre": LawSpec("pair", _pair_law("union-closure-pre"), "pre-open sets are union-closed"),
+    "union-closure-beta": LawSpec("pair", _pair_law("union-closure-beta"), "beta-open sets are union-closed"),
+    "t1-iff-t2": LawSpec("space", _t1_iff_t2, "T1 and T2 coincide"),
+    "t1-iff-singleton-scopes": LawSpec("space", _t1_iff_singleton_scopes, "T1 iff every scope slice is a singleton"),
+    "t1-implies-t0": LawSpec("space", _t1_implies_t0, "T1 implies T0"),
+    "t1-singleton-closure": LawSpec("space", _t1_singleton_closure, "in a T1 space soft points are closed"),
+    "rough-delegation": LawSpec("set", _rough_delegation, "lower/upper approximations equal interior/closure"),
+    "rough-sandwich": LawSpec("set", _rough_sandwich, "lower inside target inside upper"),
+    "rough-fixed-points": LawSpec("space", _rough_fixed_points, "null and absolute approximate to themselves"),
+    "rough-duality": LawSpec("set", _duality, "approximations are complement-dual"),
+    "rough-monotonicity": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-monotonicity"]), "approximations are monotone"),
+    "rough-upper-join": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-upper-join"]), "upper approximation distributes over union"),
+    "rough-lower-meet": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-lower-meet"]), "lower approximation distributes over intersection"),
+    "rough-accuracy": LawSpec("set", _rough_accuracy, "accuracy in [0,1]; 1 exactly when the boundary is null; convention flagged on null upper"),
+    "oracle-equivalence": LawSpec("set", _oracle_equivalence, "bitmask operators equal the literal oracles"),
+}
+
+#: classify-consistency re-derives all twelve flags through classify(), so
+#: the suite checks it on every 7th set of a space only.
+_SET_STRIDE = {"classify-consistency": 7}
+
 #: Witness-producing findings (never build-blocking): alpha meets can fail
 #: under both closure kinds because the interior stays one-step, and the
 #: one-step closure can break the per-set alpha = semi+pre identity.
 REPORT_ROWS = ("alpha-meet-cech", "alpha-meet-kuratowski", "decomposition-set-cech")
 
+_cech_decomposes = _alpha_decomposes(CECH)
+
 #: Hierarchy edges, each witnessed by a set where the right class holds and
-#: the left does not.
-STRICTNESS_EDGES = (
-    "open=>alpha",
-    "alpha=>semi",
-    "alpha=>pre",
-    "semi|pre=>b",
-    "b=>beta",
-)
-
-
-def _edge_condition(edge: str, flags) -> bool:
-    opn, alpha, semi, pre, b, beta = flags
-    if edge == "open=>alpha":
-        return alpha and not opn
-    if edge == "alpha=>semi":
-        return semi and not alpha
-    if edge == "alpha=>pre":
-        return pre and not alpha
-    if edge == "semi|pre=>b":
-        return b and not (semi or pre)
-    if edge == "b=>beta":
-        return beta and not b
-    raise ValueError(f"unknown edge {edge!r}")
+#: the left does not: a condition on its flags (open, alpha, semi, pre, b, beta).
+_EDGE_CONDITIONS = {
+    "open=>alpha": lambda opn, alpha, semi, pre, b, beta: alpha and not opn,
+    "alpha=>semi": lambda opn, alpha, semi, pre, b, beta: semi and not alpha,
+    "alpha=>pre": lambda opn, alpha, semi, pre, b, beta: pre and not alpha,
+    "semi|pre=>b": lambda opn, alpha, semi, pre, b, beta: b and not (semi or pre),
+    "b=>beta": lambda opn, alpha, semi, pre, b, beta: beta and not b,
+}
+STRICTNESS_EDGES = tuple(_EDGE_CONDITIONS)
 
 
 def replay_witness(w: Witness) -> bool:
-    """Rebuild the witness instance and re-derive its verdict from the public API."""
+    """Rebuild the witness space and re-evaluate its finding on that space's tables."""
     space = replay_space(w.space)
     ctx = space.context
-    sets = [SoftSet.from_slices(ctx, slices) for slices in w.sets]
+    t = _Tables(space)
+    gs = [_pack(SoftSet.from_slices(ctx, slices).masks, ctx.n_points) for slices in w.sets]
     if w.kind == "law":
-        return not LAWS[w.name].evaluator(space, sets)
-    if w.kind == "strictness":
-        p = classify(space, sets[0], CECH)
-        flags = (p.a_open, p.alpha_open, p.semi_open, p.pre_open, p.b_open, p.beta_open)
-        return _edge_condition(w.name, flags)
+        return not LAWS[w.name].evaluator(t, *gs)
+    if w.kind == "strictness" and w.name in _EDGE_CONDITIONS:
+        return _EDGE_CONDITIONS[w.name](*t.rows[CECH][gs[0]])
     if w.kind == "report":
         if w.name in ("alpha-meet-cech", "alpha-meet-kuratowski"):
-            g, h = sets
-            kind = CECH if w.name.endswith("cech") else KURATOWSKI
-            return (
-                classify(space, g, kind).alpha_open
-                and classify(space, h, kind).alpha_open
-                and not classify(space, g.intersect(h), kind).alpha_open
-            )
+            return not _pair_law(w.name)(t, *gs)
         if w.name == "decomposition-set-cech":
-            p = classify(space, sets[0], CECH)
-            return p.alpha_open != (p.semi_open and p.pre_open)
+            return not _cech_decomposes(t, gs[0])
     raise ValueError(f"cannot replay witness kind {w.kind!r} name {w.name!r}")
 
 
@@ -733,52 +756,20 @@ class SuiteResult:
         )
 
 
-def _pack(masks: Sequence[int], n: int) -> int:
-    out = 0
-    for i, m in enumerate(masks):
-        out |= m << (i * n)
-    return out
-
-
-class _ShapeCache:
-    """Per-(n, m) soft set list shared by every space of that shape."""
-
-    def __init__(self):
-        self._sets: dict[tuple[int, int], list[SoftSet]] = {}
-
-    def sets_for(self, ctx: Context) -> list[SoftSet]:
-        key = (ctx.n_points, ctx.n_params)
-        if key not in self._sets:
-            n, m = key
-            slice_mask = (1 << n) - 1
-            self._sets[key] = [
-                SoftSet(ctx, tuple((c >> (i * n)) & slice_mask for i in range(m)))
-                for c in range(1 << (n * m))
-            ]
-        return self._sets[key]
-
-
-def _set_list_for(space: SoftAuraSpace, spec: SpaceFamilySpec, cache: _ShapeCache, rng_key: int) -> list[SoftSet]:
-    ctx = space.context
-    bits = ctx.n_points * ctx.n_params
-    if bits <= EXHAUSTIVE_GUARD:
-        return cache.sets_for(ctx)
-    # sampled big shapes: a seeded spread of soft sets instead of 2^bits
-    rng = random.Random((spec.seed or 0) ^ rng_key)
-    n, m = ctx.n_points, ctx.n_params
-    full = ctx.full_mask
-    return [
-        SoftSet(ctx, tuple(rng.randrange(full + 1) for _ in range(m)))
-        for _ in range(256)
-    ]
+def _sampled_sets(ctx: Context, seed: int) -> list[int]:
+    """A seeded spread of 256 packed soft sets, for shapes too big to enumerate."""
+    rng = random.Random(seed)
+    n, m, full = ctx.n_points, ctx.n_params, ctx.full_mask
+    return [_pack([rng.randrange(full + 1) for _ in range(m)], n) for _ in range(256)]
 
 
 def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> SuiteResult:
     """Evaluate the law registry over the family and collect a deterministic report.
 
-    Per space, closure/interior/fixpoint tables are built by one public
-    operator call per soft set; law checks are then comparisons of those
-    library-produced values.  Scan order is canonical everywhere, so
+    Per space, the operator tables are filled by public operator calls; law
+    checks are then comparisons of those library-produced values.  Shapes
+    with n*m <= 12 check every soft set and every pair; larger shapes check
+    256 seeded sets and no pairs.  Scan order is canonical everywhere, so
     witnesses are canonically minimal and reports byte-reproducible.
     """
     if laws is not None:
@@ -788,313 +779,85 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     selected = set(laws) if laws is not None else set(LAWS)
 
     results = {name: LawResult() for name in LAWS if name in selected}
+    checks = [(name, LAWS[name]) for name in results if LAWS[name].arity != "pair"]
+    pair_rows = [
+        name
+        for name in results
+        if LAWS[name].arity == "pair" and name not in _SHARED_ROUGH_PAIR_ROWS
+    ]
     reports: dict[str, dict] = {
         name: {"found": 0, "first": None} for name in REPORT_ROWS
     }
     strictness: dict[str, Witness | None] = {e: None for e in STRICTNESS_EDGES}
-    cache = _ShapeCache()
+    shape_sets: dict[tuple[int, int], list[SoftSet]] = {}
     spaces_checked = 0
     sets_max = 0
-
-    def want(name: str) -> bool:
-        return name in selected
-
-    def fail(name: str, space, rank, sets):
-        r = results.get(name)
-        if r is None:
-            return
-        r.failures += 1
-        if len(r.witnesses) < WITNESS_LIMIT:
-            r.witnesses.append(_witness("law", name, space, rank, sets))
 
     for rank3, space in iter_family_spaces(spec):
         spaces_checked += 1
         ctx = space.context
         n, m = ctx.n_points, ctx.n_params
-        sets = _set_list_for(space, spec, cache, hash(rank3) & 0xFFFF)
-        size = len(sets)
+        exhaustive = n * m <= EXHAUSTIVE_GUARD
+        if exhaustive:
+            packed: Sequence[int] = range(1 << (n * m))
+            if (n, m) not in shape_sets:
+                shape_sets[n, m] = [_unpack(ctx, g) for g in packed]
+            t = _Tables(space, shape_sets[n, m])
+        else:
+            t = _Tables(space)
+            packed = _sampled_sets(ctx, (spec.seed or 0) ^ (hash(rank3) & 0xFFFF))
+        size = len(packed)
         sets_max = max(sets_max, size)
-        exhaustive_sets = size == 1 << (n * m)
 
-        cl_t = [_pack(aura_closure(space, s).masks, n) for s in sets]
-        in_t = [_pack(aura_interior(space, s).masks, n) for s in sets]
-        kur_results = [kuratowski_closure(space, s) for s in sets]
-        ku_t = [_pack(r.closure.masks, n) for r in kur_results]
-        packed = [_pack(s.masks, n) for s in sets]
-        pack_index = {p: i for i, p in enumerate(packed)}
-        full_packed = _pack((ctx.full_mask,) * m, n)
-
-        def flags_from(cl_tab):
-            opn, sem, pre_, alp, bb, bet = [], [], [], [], [], []
-            for i, g in enumerate(packed):
-                ig = in_t[i]
-                cl_ig = cl_tab[pack_index[ig]] if ig in pack_index else None
-                cl_g = cl_tab[i]
-                i_cl_g = in_t[pack_index[cl_g]] if cl_g in pack_index else None
-                # non-exhaustive set lists may miss intermediate values;
-                # fall back to direct operator calls there
-                if cl_ig is None or i_cl_g is None:
-                    kind = CECH if cl_tab is cl_t else KURATOWSKI
-                    p = classify(space, sets[i], kind)
-                    row = (p.a_open, p.semi_open, p.pre_open, p.alpha_open, p.b_open, p.beta_open)
-                else:
-                    i_cl_ig = in_t[pack_index[cl_ig]] if cl_ig in pack_index else None
-                    cl_i_cl_g = cl_tab[pack_index[i_cl_g]] if i_cl_g in pack_index else None
-                    if i_cl_ig is None or cl_i_cl_g is None:
-                        kind = CECH if cl_tab is cl_t else KURATOWSKI
-                        p = classify(space, sets[i], kind)
-                        row = (p.a_open, p.semi_open, p.pre_open, p.alpha_open, p.b_open, p.beta_open)
-                    else:
-                        row = (
-                            ig == g,
-                            g & ~cl_ig == 0,
-                            g & ~i_cl_g == 0,
-                            g & ~i_cl_ig == 0,
-                            g & ~(cl_ig | i_cl_g) == 0,
-                            g & ~cl_i_cl_g == 0,
-                        )
-                opn.append(row[0])
-                sem.append(row[1])
-                pre_.append(row[2])
-                alp.append(row[3])
-                bb.append(row[4])
-                bet.append(row[5])
-            return opn, sem, pre_, alp, bb, bet
-
-        opn, sem, pre_, alp, bb, bet = flags_from(cl_t)
-        opn_k, sem_k, pre_k, alp_k, bb_k, bet_k = flags_from(ku_t)
-
-        # --- per-space laws
-        if want("closure-grounding"):
-            results["closure-grounding"].checked += 1
-            if not _law_closure_grounding(space, ()):
-                fail("closure-grounding", space, rank3, ())
-        if want("interior-absolute"):
-            results["interior-absolute"].checked += 1
-            if not _law_interior_absolute(space, ()):
-                fail("interior-absolute", space, rank3, ())
-        if want("rough-fixed-points"):
-            results["rough-fixed-points"].checked += 1
-            if not _law_rough_fixed_points(space, ()):
-                fail("rough-fixed-points", space, rank3, ())
-        sep_laws = ("t1-iff-t2", "t1-iff-singleton-scopes", "t1-implies-t0", "t1-singleton-closure")
-        if any(want(l) for l in sep_laws):
-            rep = separation_report(space)
-            if want("t1-iff-t2"):
-                results["t1-iff-t2"].checked += 1
-                if rep.t1 != rep.t2:
-                    fail("t1-iff-t2", space, rank3, ())
-            if want("t1-iff-singleton-scopes"):
-                results["t1-iff-singleton-scopes"].checked += 1
-                if rep.t1 != t1_via_singleton_scopes(space):
-                    fail("t1-iff-singleton-scopes", space, rank3, ())
-            if want("t1-implies-t0"):
-                results["t1-implies-t0"].checked += 1
-                if rep.t1 and not rep.t0:
-                    fail("t1-implies-t0", space, rank3, ())
-            if want("t1-singleton-closure"):
-                results["t1-singleton-closure"].checked += 1
-                if not t1_singleton_closure(space).holds:
-                    fail("t1-singleton-closure", space, rank3, ())
-
-        # --- per-set laws
-        for i, g in enumerate(packed):
-            rank = rank3 + (i,)
-            one = (sets[i],)
-            if want("closure-enlargement"):
-                results["closure-enlargement"].checked += 1
-                if g & ~cl_t[i]:
-                    fail("closure-enlargement", space, rank, one)
-            if want("interior-contraction"):
-                results["interior-contraction"].checked += 1
-                if in_t[i] & ~g:
-                    fail("interior-contraction", space, rank, one)
-            if want("duality") or want("rough-duality"):
-                comp = full_packed & ~g
-                ok = True
-                if comp in pack_index:
-                    ci = pack_index[comp]
-                    ok = cl_t[ci] == full_packed & ~in_t[i] and in_t[ci] == full_packed & ~cl_t[i]
-                else:
-                    ok = _law_duality(space, one)
-                if want("duality"):
-                    results["duality"].checked += 1
-                    if not ok:
-                        fail("duality", space, rank, one)
-                if want("rough-duality"):
-                    results["rough-duality"].checked += 1
-                    if not ok:
-                        fail("rough-duality", space, rank, one)
-            if want("kuratowski-fixpoint"):
-                results["kuratowski-fixpoint"].checked += 1
-                k = ku_t[i]
-                ok = cl_t[i] & ~k == 0 and g & ~k == 0
-                if ok and k in pack_index:
-                    ok = ku_t[pack_index[k]] == k and cl_t[pack_index[k]] == k
-                elif ok:
-                    kk = kuratowski_closure(space, kur_results[i].closure).closure
-                    ok = _pack(kk.masks, n) == k
-                if ok:
-                    ok = all(1 <= it <= n for it in kur_results[i].iterations.values())
-                if not ok:
-                    fail("kuratowski-fixpoint", space, rank, one)
-            if want("tau-infinity-in-tau"):
-                results["tau-infinity-in-tau"].checked += 1
-                comp = full_packed & ~g
-                if comp in pack_index:
-                    closed = ku_t[pack_index[comp]] == comp
-                else:
-                    cc = sets[i].complement()
-                    closed = kuratowski_closure(space, cc).closure == cc
-                if closed and in_t[i] != g:
-                    fail("tau-infinity-in-tau", space, rank, one)
-            if want("hierarchy-cech"):
-                results["hierarchy-cech"].checked += 1
-                if not (
-                    (not opn[i] or alp[i])
-                    and (not alp[i] or (sem[i] and pre_[i]))
-                    and (not (sem[i] or pre_[i]) or bb[i])
-                    and (not bb[i] or bet[i])
-                ):
-                    fail("hierarchy-cech", space, rank, one)
-            if want("hierarchy-kuratowski"):
-                results["hierarchy-kuratowski"].checked += 1
-                if not (
-                    (not opn_k[i] or alp_k[i])
-                    and (not alp_k[i] or (sem_k[i] and pre_k[i]))
-                    and (not (sem_k[i] or pre_k[i]) or bb_k[i])
-                    and (not bb_k[i] or bet_k[i])
-                ):
-                    fail("hierarchy-kuratowski", space, rank, one)
-            if want("classify-consistency") and i % 7 == 0:
-                results["classify-consistency"].checked += 1
-                pc = classify(space, sets[i], CECH)
-                pk = classify(space, sets[i], KURATOWSKI)
-                ok = (
-                    (pc.a_open, pc.semi_open, pc.pre_open, pc.alpha_open, pc.b_open, pc.beta_open)
-                    == (opn[i], sem[i], pre_[i], alp[i], bb[i], bet[i])
-                    and (pk.a_open, pk.semi_open, pk.pre_open, pk.alpha_open, pk.b_open, pk.beta_open)
-                    == (opn_k[i], sem_k[i], pre_k[i], alp_k[i], bb_k[i], bet_k[i])
-                )
-                if not ok:
-                    fail("classify-consistency", space, rank, one)
-            if want("decomposition-set-kuratowski"):
-                results["decomposition-set-kuratowski"].checked += 1
-                if alp_k[i] != (sem_k[i] and pre_k[i]):
-                    fail("decomposition-set-kuratowski", space, rank, one)
-            if alp[i] != (sem[i] and pre_[i]):
-                rep_row = reports["decomposition-set-cech"]
-                rep_row["found"] += 1
-                if rep_row["first"] is None:
-                    rep_row["first"] = _witness(
-                        "report", "decomposition-set-cech", space, rank, one
+        def record(name: str, rank: tuple[int, ...], gs: Sequence[int]) -> None:
+            """Count one finding; keep the witnesses its row keeps."""
+            row = reports.get(name)
+            if row is not None:
+                row["found"] += 1
+                if row["first"] is None:
+                    row["first"] = _witness(
+                        "report", name, space, rank, [t.sets[g] for g in gs]
                     ).to_json_dict()
-            if want("rough-delegation"):
-                results["rough-delegation"].checked += 1
-                if (
-                    _pack(lower_approx(space, sets[i]).masks, n) != in_t[i]
-                    or _pack(upper_approx(space, sets[i]).masks, n) != cl_t[i]
-                ):
-                    fail("rough-delegation", space, rank, one)
-            if want("rough-sandwich"):
-                results["rough-sandwich"].checked += 1
-                if in_t[i] & ~g or g & ~cl_t[i]:
-                    fail("rough-sandwich", space, rank, one)
-            if want("rough-accuracy"):
-                results["rough-accuracy"].checked += 1
-                acc = accuracy(space, sets[i])
-                ok = (
-                    0 <= acc.value <= 1
-                    and (acc.value == 1) == (cl_t[i] == in_t[i])
-                    and acc.convention_applied == (cl_t[i] == 0)
-                )
-                if not ok:
-                    fail("rough-accuracy", space, rank, one)
-            if want("oracle-equivalence"):
-                results["oracle-equivalence"].checked += 1
-                if (
-                    _pack(oracle_closure(space, sets[i]).masks, n) != cl_t[i]
-                    or _pack(oracle_interior(space, sets[i]).masks, n) != in_t[i]
-                ):
-                    fail("oracle-equivalence", space, rank, one)
-            for edge in STRICTNESS_EDGES:
-                if strictness[edge] is None and _edge_condition(
-                    edge, (opn[i], alp[i], sem[i], pre_[i], bb[i], bet[i])
-                ):
-                    strictness[edge] = _witness("strictness", edge, space, rank, one)
+                return
+            r = results.get(name)
+            if r is None:
+                return
+            r.failures += 1
+            if len(r.witnesses) < WITNESS_LIMIT:
+                r.witnesses.append(_witness("law", name, space, rank, [t.sets[g] for g in gs]))
 
-        # --- pair laws (lookups only); requires the full set lattice
-        pair_names = (
-            "closure-monotonicity",
-            "closure-additivity",
-            "interior-monotonicity",
-            "interior-meet",
-            "kuratowski-additivity",
-            "aura-open-family",
-            "union-closure-semi",
-            "union-closure-pre",
-            "union-closure-beta",
-        )
-        if exhaustive_sets and any(want(p) for p in pair_names):
-            amc = reports["alpha-meet-cech"]
-            amk = reports["alpha-meet-kuratowski"]
-            for gi in range(size):
-                clg = cl_t[gi]
-                ing = in_t[gi]
-                kug = ku_t[gi]
-                og, sg, pg, ag, bg, eg = opn[gi], sem[gi], pre_[gi], alp[gi], bb[gi], bet[gi]
-                akg = alp_k[gi]
-                for hi in range(gi, size):
-                    u = gi | hi
-                    w = gi & hi
-                    if cl_t[u] != clg | cl_t[hi]:
-                        fail("closure-additivity", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                    if in_t[w] != ing & in_t[hi]:
-                        fail("interior-meet", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                    if ku_t[u] != kug | ku_t[hi]:
-                        fail("kuratowski-additivity", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                    if gi & ~hi == 0:
-                        if clg & ~cl_t[hi]:
-                            fail("closure-monotonicity", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                        if ing & ~in_t[hi]:
-                            fail("interior-monotonicity", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                    elif hi & ~gi == 0:
-                        if cl_t[hi] & ~clg:
-                            fail("closure-monotonicity", space, rank3 + (hi, gi), (sets[hi], sets[gi]))
-                        if in_t[hi] & ~ing:
-                            fail("interior-monotonicity", space, rank3 + (hi, gi), (sets[hi], sets[gi]))
-                    if sg and sem[hi] and not sem[u]:
-                        fail("union-closure-semi", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                    if pg and pre_[hi] and not pre_[u]:
-                        fail("union-closure-pre", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                    if eg and bet[hi] and not bet[u]:
-                        fail("union-closure-beta", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                    if og and opn[hi] and not (opn[u] and opn[w]):
-                        fail("aura-open-family", space, rank3 + (gi, hi), (sets[gi], sets[hi]))
-                    if akg and alp_k[hi] and not alp_k[w]:
-                        amk["found"] += 1
-                        if amk["first"] is None:
-                            amk["first"] = _witness(
-                                "report",
-                                "alpha-meet-kuratowski",
-                                space,
-                                rank3 + (gi, hi),
-                                (sets[gi], sets[hi]),
-                            ).to_json_dict()
-                    if ag and alp[hi] and not alp[w]:
-                        amc["found"] += 1
-                        if amc["first"] is None:
-                            amc["first"] = _witness(
-                                "report",
-                                "alpha-meet-cech",
-                                space,
-                                rank3 + (gi, hi),
-                                (sets[gi], sets[hi]),
-                            ).to_json_dict()
-            pairs = size * (size + 1) // 2
-            for p in pair_names:
-                if want(p):
-                    results[p].checked += pairs
+        # space and set laws: one evaluation per (rank tail, packed sets) instance
+        instances = {
+            "space": [((), ())],
+            "set": [((i,), (g,)) for i, g in enumerate(packed)],
+        }
+        for name, law in checks:
+            chosen = instances[law.arity][:: _SET_STRIDE.get(name, 1)]
+            results[name].checked += len(chosen)
+            for tail, gs in chosen:
+                if not law.evaluator(t, *gs):
+                    record(name, rank3 + tail, gs)
+
+        cech = t.rows[CECH]
+        for edge, condition in _EDGE_CONDITIONS.items():
+            if strictness[edge] is None:
+                for i, g in enumerate(packed):
+                    if condition(*cech[g]):
+                        rank = rank3 + (i,)
+                        strictness[edge] = _witness("strictness", edge, space, rank, (t.sets[g],))
+                        break
+        for i, g in enumerate(packed):
+            if not _cech_decomposes(t, g):
+                record("decomposition-set-cech", rank3 + (i,), (g,))
+
+        # pair laws need the full set lattice: every union and meet is a row
+        if exhaustive and pair_rows:
+            hit = lambda name, a, b: record(name, rank3 + (a, b), (a, b))
+            for g in packed:
+                _pair_row(t, g, range(g, size), hit)
+            for name in pair_rows:
+                results[name].checked += size * (size + 1) // 2
+
     # rough pair rows coincide with the base rows once delegation holds;
     # counts are mirrored rather than re-scanned (see rough-delegation)
     for rough_name, base_names in _SHARED_ROUGH_PAIR_ROWS.items():
@@ -1105,25 +868,12 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                     results[rough_name].failures += results[base].failures
                     results[rough_name].witnesses.extend(results[base].witnesses)
 
-    ordered = {name: results[name] for name in LAWS if name in selected}
-    rep_counts = {
-        name: {"found": row["found"], "first": row["first"]}
-        for name, row in reports.items()
-    }
-    return SuiteResult(
-        spec,
-        ordered,
-        rep_counts,
-        strictness,
-        spaces_checked,
-        sets_max,
-    )
+    return SuiteResult(spec, results, reports, strictness, spaces_checked, sets_max)
 
 
 def find_strictness_witnesses(spec: SpaceFamilySpec) -> dict[str, Witness | None]:
     """First witness per hierarchy edge in canonical family order (one-step closure)."""
-    result = run_law_suite(spec, laws=["hierarchy-cech"])
-    return result.strictness
+    return run_law_suite(spec, laws=["hierarchy-cech"]).strictness
 
 
 # -- mapping decomposition scan ----------------------------------------------
@@ -1164,16 +914,21 @@ def _family_space_selection(per_shape: int) -> list[SoftAuraSpace]:
     return spaces
 
 
+def _mapping_tables(src: SoftAuraSpace, tgt: SoftAuraSpace, u: tuple[int, ...], p: tuple[int, ...]) -> tuple[dict, dict]:
+    """The point map and parameter map given by target index tuples u and p."""
+    return (
+        {x: tgt.context.universe[u[xi]] for xi, x in enumerate(src.context.universe)},
+        {e: tgt.context.parameters[p[ei]] for ei, e in enumerate(src.context.parameters)},
+    )
+
+
 def _mapping_desc(src: SoftAuraSpace, tgt: SoftAuraSpace, u: tuple[int, ...], p: tuple[int, ...]) -> dict:
+    point_map, param_map = _mapping_tables(src, tgt, u, p)
     return {
         "source": _space_desc(src),
         "target": _space_desc(tgt),
-        "pointMap": {
-            x: tgt.context.universe[u[xi]] for xi, x in enumerate(src.context.universe)
-        },
-        "paramMap": {
-            e: tgt.context.parameters[p[ei]] for ei, e in enumerate(src.context.parameters)
-        },
+        "pointMap": point_map,
+        "paramMap": param_map,
     }
 
 
@@ -1203,10 +958,9 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
         key = id(space)
         if key not in flags_cache:
             n, m = space.context.n_points, space.context.n_params
-            slice_mask = (1 << n) - 1
             rows = []
             for c in range(1 << (n * m)):
-                s = SoftSet(space.context, tuple((c >> (i * n)) & slice_mask for i in range(m)))
+                s = _unpack(space.context, c)
                 pc = classify(space, s, CECH)
                 pk = classify(space, s, KURATOWSKI)
                 rows.append(
@@ -1266,24 +1020,8 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
                             h |= slice_pre[vm] << (ei * nx)
                         evals += 1
                         if evals % cross_check_every == 0:
-                            mapping = SoftMapping(
-                                src,
-                                tgt,
-                                {
-                                    x: tgt.context.universe[u[xi]]
-                                    for xi, x in enumerate(src.context.universe)
-                                },
-                                {
-                                    e: tgt.context.parameters[p[ei]]
-                                    for ei, e in enumerate(src.context.parameters)
-                                },
-                            )
-                            v_set = SoftSet(
-                                tgt.context,
-                                tuple(
-                                    (v >> (i * ny)) & tgt_slice for i in range(nk)
-                                ),
-                            )
+                            mapping = SoftMapping(src, tgt, *_mapping_tables(src, tgt, u, p))
+                            v_set = _unpack(tgt.context, v)
                             if _pack(inverse_image(mapping, v_set).masks, nx) != h:
                                 raise AssertionError(
                                     "packed preimage kernel disagrees with inverse_image"

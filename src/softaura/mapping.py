@@ -30,7 +30,7 @@ from .genopen import classify
 from .operators import (
     CECH,
     KURATOWSKI,
-    aura_closure,
+    _closure_fn,
     enumerate_aura_topology,
     kuratowski_closure,
 )
@@ -211,18 +211,14 @@ def verify_closure_characterization(
     With samples=None every target soft set is enumerated (cap-guarded, so
     the biconditional is decided exactly); otherwise `samples` random target
     sets are drawn from the given seed.  Returns (biconditional held, first
-    G violating the containment or None).
+    G violating the containment or None).  An unknown `kind` raises
+    ValueError before any target set is enumerated or the cap is checked.
     """
     import random
 
     tgt_ctx = m.target.context
-
-    def cl_src(s: SoftSet) -> SoftSet:
-        return aura_closure(m.source, s) if kind == CECH else kuratowski_closure(m.source, s).closure
-
-    def cl_tgt(s: SoftSet) -> SoftSet:
-        return aura_closure(m.target, s) if kind == CECH else kuratowski_closure(m.target, s).closure
-
+    cl_src = _closure_fn(m.source, kind)
+    cl_tgt = _closure_fn(m.target, kind)
     if samples is None:
         total = 1 << (tgt_ctx.n_points * tgt_ctx.n_params)
         if total > cap:

@@ -32,6 +32,15 @@ CECH = "cech"
 KURATOWSKI = "kuratowski"
 
 
+def _closure_fn(space: SoftAuraSpace, kind: str):
+    """The closure operator of `space` named by `kind`; ValueError for any other kind."""
+    if kind == CECH:
+        return lambda s: aura_closure(space, s)
+    if kind == KURATOWSKI:
+        return lambda s: kuratowski_closure(space, s).closure
+    raise ValueError(f"unknown closure kind {kind!r}")
+
+
 def _closure_slice(scope_masks, n: int, ei: int, g: int) -> int:
     out = 0
     for xi in range(n):

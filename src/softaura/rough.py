@@ -31,11 +31,13 @@ def upper_approx(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     return aura_closure(space, g)
 
 
+def _difference(up: SoftSet, low: SoftSet) -> SoftSet:
+    return SoftSet(up.context, tuple(u & ~l for u, l in zip(up.masks, low.masks)))
+
+
 def boundary(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     """Upper minus lower, slice by slice."""
-    up = upper_approx(space, g)
-    low = lower_approx(space, g)
-    return SoftSet(space.context, tuple(u & ~l for u, l in zip(up.masks, low.masks)))
+    return _difference(upper_approx(space, g), lower_approx(space, g))
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,10 @@ class Accuracy:
 
 
 def accuracy(space: SoftAuraSpace, g: SoftSet) -> Accuracy:
-    low = lower_approx(space, g)
-    up = upper_approx(space, g)
+    return _accuracy(lower_approx(space, g), upper_approx(space, g))
+
+
+def _accuracy(low: SoftSet, up: SoftSet) -> Accuracy:
     lower_total = sum(m.bit_count() for m in low.masks)
     upper_total = sum(m.bit_count() for m in up.masks)
     if upper_total == 0:
@@ -87,13 +91,11 @@ class ApproximationReport:
 def approximation_report(space: SoftAuraSpace, g: SoftSet) -> ApproximationReport:
     low = lower_approx(space, g)
     up = upper_approx(space, g)
-    bnd = SoftSet(space.context, tuple(u & ~l for u, l in zip(up.masks, low.masks)))
-    acc = accuracy(space, g)
     rows = tuple(
         (e, low.masks[ei].bit_count(), up.masks[ei].bit_count())
         for ei, e in enumerate(space.context.parameters)
     )
-    return ApproximationReport(g, low, up, bnd, acc, rows)
+    return ApproximationReport(g, low, up, _difference(up, low), _accuracy(low, up), rows)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
@@ -230,6 +230,19 @@ class ScopeFunction:
         return iter(zip(self.context.universe, self.assignment))
 
 
+def _check_scope(context: Context, topology: SoftTopology, assignment: Sequence[SoftSet]) -> None:
+    """Raise ScopeViolations with every violation, in validate_scope's order."""
+    violations: list = []
+    for xi, (x, s) in enumerate(zip(context.universe, assignment)):
+        if not topology.contains(s):
+            violations.append(NotOpen(x))
+        for ei, e in enumerate(context.parameters):
+            if not s.masks[ei] >> xi & 1:
+                violations.append(MembershipViolation(x, e))
+    if violations:
+        raise ScopeViolations(violations)
+
+
 def validate_scope(context: Context, topology: SoftTopology, assignment: Mapping[str, SoftSet]) -> ScopeFunction:
     """Check a point -> soft set table and certify it as a scope function.
 
@@ -245,18 +258,11 @@ def validate_scope(context: Context, topology: SoftTopology, assignment: Mapping
     if extra:
         raise ValueError(f"assignment names unknown points: {extra}")
 
-    violations: list = []
-    for xi, x in enumerate(context.universe):
-        s = assignment[x]
+    ordered = tuple(assignment[x] for x in context.universe)
+    for s in ordered:
         _require_same_context(context, s.context)
-        if not topology.contains(s):
-            violations.append(NotOpen(x))
-        for ei, e in enumerate(context.parameters):
-            if not s.masks[ei] >> xi & 1:
-                violations.append(MembershipViolation(x, e))
-    if violations:
-        raise ScopeViolations(violations)
-    return ScopeFunction(context, tuple(assignment[x] for x in context.universe))
+    _check_scope(context, topology, ordered)
+    return ScopeFunction(context, ordered)
 
 
 def trivial_scope(topology: SoftTopology) -> ScopeFunction:
@@ -276,16 +282,7 @@ class SoftAuraSpace:
     def __post_init__(self):
         if self.topology.context != self.context or self.scope.context != self.context:
             raise ContextMismatch("topology and scope must share the space context")
-        violations: list = []
-        for xi, x in enumerate(self.context.universe):
-            s = self.scope.assignment[xi]
-            if not self.topology.contains(s):
-                violations.append(NotOpen(x))
-            for ei, e in enumerate(self.context.parameters):
-                if not s.masks[ei] >> xi & 1:
-                    violations.append(MembershipViolation(x, e))
-        if violations:
-            raise ScopeViolations(violations)
+        _check_scope(self.context, self.topology, self.scope.assignment)
 
     @cached_property
     def scope_masks(self) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,8 @@
 """JSON document decode/encode for spaces, mappings, and set references."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,17 @@ class TestDecodeSpace:
         decoded = decode_space(doc)
         assert decoded.space.topology.kind == "generated"
         assert len(decoded.space.topology) == 4
+
+
+class TestReadmeExamples:
+    def test_every_quoted_space_document_decodes(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        kinds = set()
+        for block in blocks:
+            decoded = decode_space(json.loads(block))
+            kinds.add(decoded.space.topology.kind)
+        assert {"discrete", "explicit"} <= kinds
 
 
 class TestDecodeSpaceErrors:

@@ -1,5 +1,7 @@
 """Family enumeration, the law suite engine, and the mapping scan."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -26,6 +28,8 @@ from softaura import (
     replay_witness,
     witness_from_json,
 )
+
+from softaura import harness
 
 from conftest import named_context, space_with_sets
 
@@ -200,12 +204,55 @@ class TestLawSuite:
         assert res.to_json_bytes() == run_law_suite(spec).to_json_bytes()
 
 
+#: Report sha256 of cheap specs, pinned so engine changes keep every count,
+#: witness rank and report row byte-identical.  The 7x2 spec draws shapes with
+#: n*m > 12, so it covers the sampled-set path.
+REPORT_SHA256 = [
+    (SpaceFamilySpec(2, 2), "70affffdeaf19a24f542123789dcd749b1cf5529a4794dec31bc9db97d883053"),
+    (
+        SpaceFamilySpec(3, 2, scope_mode="sampled", seed=11, sample_count=200),
+        "40b3bbe36228d68c01f8d74b1270345beac2f000631322cd6837a03964b2639e",
+    ),
+    (
+        SpaceFamilySpec(7, 2, scope_mode="sampled", seed=9, sample_count=6),
+        "94cc3810dbf52f9b8aad10f47de3674ab7b00a8937185235ac12606029128c84",
+    ),
+    (
+        SpaceFamilySpec(3, 2, topology_kind="generated", scope_mode="sampled", seed=5, sample_count=10),
+        "83682ade3586e7f320a836abf1c895f5e66a55206dd49bb999c651d959e80326",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, digest", REPORT_SHA256)
+def test_report_bytes_pinned(spec, digest):
+    assert hashlib.sha256(run_law_suite(spec).to_json_bytes()).hexdigest() == digest
+
+
 class TestWitnessPlumbing:
     def test_round_trip(self, small_suite):
         w = small_suite.strictness["alpha=>pre"]
         back = witness_from_json(w.to_json_dict())
         assert back == w
         assert replay_witness(back)
+
+    def test_law_witnesses_replay(self, monkeypatch):
+        # a closure that sends the null set to the absolute set breaks
+        # grounding (space law), duality (set law) and additivity (pair law)
+        real = harness.aura_closure
+
+        def broken(space, g):
+            return SoftSet.absolute(space.context) if g.is_null() else real(space, g)
+
+        monkeypatch.setattr(harness, "aura_closure", broken)
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        for name in ("closure-grounding", "duality", "closure-additivity"):
+            assert result.laws[name].failures > 0, name
+        witnesses = [w for row in result.laws.values() for w in row.witnesses]
+        assert {LAWS[w.name].arity for w in witnesses} == {"space", "set", "pair"}
+        assert all(replay_witness(w) is True for w in witnesses)
+        monkeypatch.undo()
+        assert all(replay_witness(w) is False for w in witnesses)
 
     def test_replay_rejects_unknown_kind(self, small_suite):
         w = small_suite.strictness["alpha=>pre"]

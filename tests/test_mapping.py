@@ -237,6 +237,17 @@ class TestClosureCharacterization:
         assert held
         assert witness is not None
 
+    def test_unknown_kind_rejected_before_enumeration(self, chain, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("a target set was enumerated before the kind was checked")
+
+        monkeypatch.setattr("softaura.mapping.inverse_image", enumerated)
+        m = identity_mapping(chain)
+        for options in ({}, {"samples": 5}, {"cap": 1}):
+            # cap=1 is below the target's 2**3 soft sets: the kind is checked first
+            with pytest.raises(ValueError, match="unknown closure kind"):
+                verify_closure_characterization(m, kind="kuratowsky", **options)
+
 
 class TestDecomposition:
     def test_kuratowski_identity_holds(self, chain):

@@ -26,6 +26,8 @@ from softaura import (
     upper_approx,
 )
 
+from softaura import rough
+
 from conftest import named_context, space_with_sets
 
 
@@ -92,12 +94,24 @@ class TestMonitoringFixture:
         assert rep.lower == lower_approx(space, g)
         assert rep.upper == upper_approx(space, g)
         assert rep.boundary == boundary(space, g)
+        assert rep.accuracy == accuracy(space, g)
         assert rep.per_parameter == (
             ("e1", 1, 2),
             ("e2", 0, 1),
             ("e3", 0, 2),
             ("e4", 1, 3),
         )
+
+    def test_report_computes_each_approximation_once(self, monitoring, monkeypatch):
+        space, g = monitoring
+        calls = []
+        for name in ("aura_closure", "aura_interior"):
+            real = getattr(rough, name)
+            monkeypatch.setattr(
+                rough, name, lambda s, t, real=real, name=name: calls.append(name) or real(s, t)
+            )
+        approximation_report(space, g)
+        assert sorted(calls) == ["aura_closure", "aura_interior"]
 
 
 class TestAccuracyDisplay:

@@ -8,6 +8,7 @@ from softaura import (
     ContextMismatch,
     MembershipViolation,
     NotOpen,
+    ScopeFunction,
     ScopeViolations,
     SoftAuraSpace,
     SoftSet,
@@ -171,6 +172,27 @@ class TestValidateScope:
         assert NotOpen("x1") in vs
         assert MembershipViolation("x1", "e2") in vs
         assert len(vs) == 2
+
+    def test_violation_order_same_for_space_construction(self):
+        # per point: NotOpen first, then MembershipViolation per parameter
+        ctx = named_context(2, 2)
+        topo = indiscrete_topology(ctx)
+        bad1 = make_soft_set(ctx, {"e1": [], "e2": ["x2"]})
+        bad2 = make_soft_set(ctx, {"e1": ["x1"], "e2": []})
+        want = (
+            NotOpen("x1"),
+            MembershipViolation("x1", "e1"),
+            MembershipViolation("x1", "e2"),
+            NotOpen("x2"),
+            MembershipViolation("x2", "e1"),
+            MembershipViolation("x2", "e2"),
+        )
+        with pytest.raises(ScopeViolations) as exc:
+            validate_scope(ctx, topo, {"x2": bad2, "x1": bad1})
+        assert exc.value.violations == want
+        with pytest.raises(ScopeViolations) as exc:
+            SoftAuraSpace(ctx, topo, ScopeFunction(ctx, (bad1, bad2)))
+        assert exc.value.violations == want
 
     def test_missing_point(self):
         ctx = named_context(2, 1)
