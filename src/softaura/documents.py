@@ -47,7 +47,6 @@ from .space import (
     discrete_topology,
     generate_topology,
     indiscrete_topology,
-    validate_scope,
     validate_topology,
 )
 
@@ -209,8 +208,8 @@ def decode_space(doc) -> DecodedSpace:
             )
             scope_refs[x] = None
 
-    scope = validate_scope(context, topology, assignment)
-    return DecodedSpace(SoftAuraSpace(context, topology, scope), named_sets, scope_refs)
+    space = SoftAuraSpace.from_assignment(context, topology, assignment)
+    return DecodedSpace(space, named_sets, scope_refs)
 
 
 def _slices_doc(s: SoftSet) -> dict:

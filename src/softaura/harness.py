@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, reduce
+from operator import and_
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, SizeGuard
@@ -46,7 +47,6 @@ from .space import (
     SoftTopology,
     discrete_topology,
     generate_topology,
-    validate_scope,
 )
 
 #: Product bound for exhaustive family enumeration.
@@ -206,32 +206,33 @@ def iter_family_spaces(spec: SpaceFamilySpec) -> Iterator[tuple[tuple[int, int, 
 # -- literal oracles --------------------------------------------------------
 
 
-def oracle_closure(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
-    """Per-element definition scan using name sets; no bitmask shortcuts."""
-    ctx = space.context
-    slices: dict[str, list[str]] = {}
-    for e in ctx.parameters:
-        hits = []
-        for x in ctx.universe:
-            scope_points = set(space.scope.of(x).points(e))
-            if scope_points & set(g.points(e)):
-                hits.append(x)
-        slices[e] = hits
-    return make_soft_set(ctx, slices)
+def oracle_scopes(space: SoftAuraSpace) -> dict[str, list[tuple[str, set[str]]]]:
+    """Per parameter, every point with its scope slice as a name set, in universe order."""
+    return {
+        e: [(x, set(space.scope.of(x).points(e))) for x in space.context.universe]
+        for e in space.context.parameters
+    }
 
 
-def oracle_interior(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
-    """Per-element definition scan using name sets; no bitmask shortcuts."""
-    ctx = space.context
+def _oracle_scan(space: SoftAuraSpace, g: SoftSet, scopes, hit: Callable) -> SoftSet:
     slices: dict[str, list[str]] = {}
-    for e in ctx.parameters:
-        hits = []
-        for x in ctx.universe:
-            scope_points = set(space.scope.of(x).points(e))
-            if scope_points <= set(g.points(e)):
-                hits.append(x)
-        slices[e] = hits
-    return make_soft_set(ctx, slices)
+    for e, table in (scopes or oracle_scopes(space)).items():
+        ge = set(g.points(e))
+        slices[e] = [x for x, scope_x in table if hit(scope_x, ge)]
+    return make_soft_set(space.context, slices)
+
+
+def oracle_closure(space: SoftAuraSpace, g: SoftSet, scopes=None) -> SoftSet:
+    """Per-element definition scan using name sets; no bitmask shortcuts.
+
+    Callers scanning many sets of one space pass `scopes=oracle_scopes(space)`.
+    """
+    return _oracle_scan(space, g, scopes, lambda scope_x, ge: not scope_x.isdisjoint(ge))
+
+
+def oracle_interior(space: SoftAuraSpace, g: SoftSet, scopes=None) -> SoftSet:
+    """Per-element definition scan using name sets; no bitmask shortcuts; `scopes` as for oracle_closure."""
+    return _oracle_scan(space, g, scopes, set.issubset)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -274,7 +275,7 @@ def replay_space(desc: Mapping) -> SoftAuraSpace:
     assignment = {
         x: SoftSet.from_slices(ctx, slices) for x, slices in desc["scope"].items()
     }
-    return SoftAuraSpace(ctx, topo, validate_scope(ctx, topo, assignment))
+    return SoftAuraSpace.from_assignment(ctx, topo, assignment)
 
 
 @dataclass(frozen=True)
@@ -414,6 +415,10 @@ class _Tables:
     def separation(self):
         return separation_report(self.space)
 
+    @cached_property
+    def oracle_scopes(self):
+        return oracle_scopes(self.space)
+
 
 # -- law registry ------------------------------------------------------------
 #
@@ -540,10 +545,10 @@ def _rough_accuracy(t, g):
 
 def _oracle_equivalence(t, g):
     n = t.space.context.n_points
-    s = t.sets[g]
+    s, scopes = t.sets[g], t.oracle_scopes
     return (
-        _pack(oracle_closure(t.space, s).masks, n) == t.cl[g]
-        and _pack(oracle_interior(t.space, s).masks, n) == t.int_[g]
+        _pack(oracle_closure(t.space, s, scopes).masks, n) == t.cl[g]
+        and _pack(oracle_interior(t.space, s, scopes).masks, n) == t.int_[g]
     )
 
 
@@ -662,7 +667,9 @@ _SET_STRIDE = {"classify-consistency": 7}
 #: Witness-producing findings (never build-blocking): alpha meets can fail
 #: under both closure kinds because the interior stays one-step, and the
 #: one-step closure can break the per-set alpha = semi+pre identity.
+#: The alpha-meet rows come from the pair scan and appear only when it ran.
 REPORT_ROWS = ("alpha-meet-cech", "alpha-meet-kuratowski", "decomposition-set-cech")
+_PAIR_REPORT_ROWS = REPORT_ROWS[:2]
 
 _cech_decomposes = _alpha_decomposes(CECH)
 
@@ -756,8 +763,14 @@ class SuiteResult:
         )
 
 
-def _sampled_sets(ctx: Context, seed: int) -> list[int]:
-    """A seeded spread of 256 packed soft sets, for shapes too big to enumerate."""
+def _sampled_sets(ctx: Context, seed: int, rank3: tuple[int, ...]) -> list[int]:
+    """A spread of 256 packed soft sets, for shapes too big to enumerate.
+
+    The family seed is mixed with the space's rank in explicit 64-bit
+    (FNV-style) steps, so the draw does not depend on the interpreter's hash.
+    """
+    for part in rank3:
+        seed = ((seed ^ part) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     rng = random.Random(seed)
     n, m, full = ctx.n_points, ctx.n_params, ctx.full_mask
     return [_pack([rng.randrange(full + 1) for _ in range(m)], n) for _ in range(256)]
@@ -770,15 +783,19 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     checks are then comparisons of those library-produced values.  Shapes
     with n*m <= 12 check every soft set and every pair; larger shapes check
     256 seeded sets and no pairs.  Scan order is canonical everywhere, so
-    witnesses are canonically minimal and reports byte-reproducible.
+    witnesses are canonically minimal and reports byte-reproducible.  The
+    alpha-meet report rows are left out when no space ran the pair scan
+    (no pair law selected, or no shape with n*m <= 12).
     """
     if laws is not None:
         unknown = [l for l in laws if l not in LAWS]
         if unknown:
             raise ValueError(f"unknown laws: {unknown}")
     selected = set(laws) if laws is not None else set(LAWS)
+    # a mirrored rough row needs its base rows scanned, selected or not
+    scanned = selected.union(*(_SHARED_ROUGH_PAIR_ROWS.get(name, ()) for name in selected))
 
-    results = {name: LawResult() for name in LAWS if name in selected}
+    results = {name: LawResult() for name in LAWS if name in scanned}
     checks = [(name, LAWS[name]) for name in results if LAWS[name].arity != "pair"]
     pair_rows = [
         name
@@ -805,7 +822,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
             t = _Tables(space, shape_sets[n, m])
         else:
             t = _Tables(space)
-            packed = _sampled_sets(ctx, (spec.seed or 0) ^ (hash(rank3) & 0xFFFF))
+            packed = _sampled_sets(ctx, spec.seed or 0, rank3)
         size = len(packed)
         sets_max = max(sets_max, size)
 
@@ -859,14 +876,19 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                 results[name].checked += size * (size + 1) // 2
 
     # rough pair rows coincide with the base rows once delegation holds;
-    # counts are mirrored rather than re-scanned (see rough-delegation)
+    # counts are mirrored rather than re-scanned (see rough-delegation), and
+    # witnesses are relabelled so they replay through the rough row's entry
     for rough_name, base_names in _SHARED_ROUGH_PAIR_ROWS.items():
         if rough_name in results:
+            row = results[rough_name]
             for base in base_names:
-                if base in results:
-                    results[rough_name].checked = results[base].checked
-                    results[rough_name].failures += results[base].failures
-                    results[rough_name].witnesses.extend(results[base].witnesses)
+                row.checked = results[base].checked
+                row.failures += results[base].failures
+                row.witnesses.extend(replace(w, name=rough_name) for w in results[base].witnesses)
+            row.witnesses = sorted(row.witnesses, key=lambda w: w.rank)[:WITNESS_LIMIT]
+    if not any(results[name].checked for name in pair_rows):
+        reports = {name: r for name, r in reports.items() if name not in _PAIR_REPORT_ROWS}
+    results = {name: r for name, r in results.items() if name in selected}
 
     return SuiteResult(spec, results, reports, strictness, spaces_checked, sets_max)
 
@@ -932,54 +954,49 @@ def _mapping_desc(src: SoftAuraSpace, tgt: SoftAuraSpace, u: tuple[int, ...], p:
     }
 
 
+def _continuity_bits(space: SoftAuraSpace, g: SoftSet) -> int:
+    """Flag bits of g: alpha, semi, pre under the one-step closure, then under the fixpoint closure."""
+    pc, pk = classify(space, g, CECH), classify(space, g, KURATOWSKI)
+    flags = (pc.alpha_open, pc.semi_open, pc.pre_open, pk.alpha_open, pk.semi_open, pk.pre_open)
+    return sum(flag << j for j, flag in enumerate(flags))
+
+
 def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64) -> MappingScanResult:
     """Check mapping-level decomposition over an exhaustive family of mappings.
 
     Spaces come from a deterministic subfamily per shape (|X| <= 3, |E| <= 2,
     discrete); between every source/target pair, ALL point maps and ALL
     parameter maps are enumerated.  For each mapping the alpha/semi/pre
-    continuity flags are computed under both closure kinds by classifying
-    the inverse image of every target aura-open set; the fixpoint-kind
-    equivalence (alpha iff semi and pre) must hold for every mapping, while
-    one-step-kind mismatches are counted and reported.
+    continuity flags are computed under both closure kinds; the
+    fixpoint-kind equivalence (alpha iff semi and pre) must hold for every
+    mapping, while one-step-kind mismatches are counted and reported.
 
-    Classifications come from the public classify(); inverse images use a
-    packed kernel cross-checked against the public inverse_image() every
-    `cross_check_every` evaluations.
+    Every openness class is decided slice by slice and holds the null set,
+    and the target's aura-open family is the product of per-parameter
+    open-slice families.  So (u, p) is in a class iff, for each source
+    parameter e and open target slice V at p(e), the set with u^-1(V) at e
+    and null elsewhere is: only those sets are classified (public
+    classify()), their flags ANDed per (e, target parameter) once per u.
+
+    Preimages come from one slice table per (|Y|, u).  Counting (mapping,
+    target aura-open set) pairs in scan order, every `cross_check_every`-th
+    set's preimage is assembled from the table by p and compared with the
+    public inverse_image().
     """
     from .mapping import SoftMapping, inverse_image
 
     spaces = _family_space_selection(per_shape)
-
-    flags_cache: dict[int, tuple] = {}
-    tau_cache: dict[int, list[int]] = {}
-
-    def source_flags(space: SoftAuraSpace):
-        key = id(space)
-        if key not in flags_cache:
-            n, m = space.context.n_points, space.context.n_params
-            rows = []
-            for c in range(1 << (n * m)):
-                s = _unpack(space.context, c)
-                pc = classify(space, s, CECH)
-                pk = classify(space, s, KURATOWSKI)
-                rows.append(
-                    (
-                        pc.alpha_open, pc.semi_open, pc.pre_open,
-                        pk.alpha_open, pk.semi_open, pk.pre_open,
-                    )
-                )
-            flags_cache[key] = tuple(rows)
-        return flags_cache[key]
-
-    def target_tau(space: SoftAuraSpace) -> list[int]:
-        key = id(space)
-        if key not in tau_cache:
-            n = space.context.n_points
-            tau_cache[key] = [
-                _pack(s.masks, n) for s in enumerate_aura_topology(space)
-            ]
-        return tau_cache[key]
+    # rows[ei][s]: flag bits of the source set with slice s at ei, null elsewhere
+    source_rows = [
+        [
+            [_continuity_bits(sp, _unpack(sp.context, s << (ei * sp.context.n_points)))
+             for s in range(1 << sp.context.n_points)]
+            for ei in range(sp.context.n_params)
+        ]
+        for sp in spaces
+    ]
+    taus = [enumerate_aura_topology(sp) for sp in spaces]
+    preimages: dict[tuple, list[int]] = {}
 
     checked = 0
     kur_failures = 0
@@ -988,56 +1005,45 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     cech_first = None
     evals = 0
 
-    for src in spaces:
+    for src, rows in zip(spaces, source_rows):
         nx, ne = src.context.n_points, src.context.n_params
-        src_rows = source_flags(src)
-        for tgt in spaces:
+        for tgt, tau in zip(spaces, taus):
             ny, nk = tgt.context.n_points, tgt.context.n_params
-            tau = target_tau(tgt)
-            tgt_slice = (1 << ny) - 1
+            slices = [{v.masks[k] for v in tau} for k in range(nk)]
             for u in itertools.product(range(ny), repeat=nx):
-                # per-target-point preimage masks
-                upre = [0] * ny
-                for xi, yi in enumerate(u):
-                    upre[yi] |= 1 << xi
-                # preimage of every target slice mask
-                slice_pre = [0] * (tgt_slice + 1)
-                for smask in range(tgt_slice + 1):
-                    acc = 0
-                    rest = smask
-                    while rest:
-                        low = rest & -rest
-                        acc |= upre[low.bit_length() - 1]
-                        rest ^= low
-                    slice_pre[smask] = acc
+                pre = preimages.get((ny, u))
+                if pre is None:
+                    pre = preimages[ny, u] = [
+                        sum(1 << xi for xi, y in enumerate(u) if s >> y & 1) for s in range(1 << ny)
+                    ]
+                # per_param[ei][k]: AND of the flags of every pull-back of an open slice at k, placed at ei
+                per_param = [
+                    [reduce(and_, [row[pre[v]] for v in fam]) for fam in slices]
+                    for row in rows
+                ]
                 for p in itertools.product(range(nk), repeat=ne):
                     checked += 1
-                    a_c = s_c = p_c = a_k = s_k = p_k = True
-                    for v in tau:
-                        h = 0
-                        for ei in range(ne):
-                            vm = (v >> (p[ei] * ny)) & tgt_slice
-                            h |= slice_pre[vm] << (ei * nx)
-                        evals += 1
-                        if evals % cross_check_every == 0:
-                            mapping = SoftMapping(src, tgt, *_mapping_tables(src, tgt, u, p))
-                            v_set = _unpack(tgt.context, v)
-                            if _pack(inverse_image(mapping, v_set).masks, nx) != h:
+                    # bits 0-2 one-step alpha, semi, pre; bits 3-5 the same under the fixpoint closure
+                    flags = 0b111111
+                    for ei, k in enumerate(p):
+                        flags &= per_param[ei][k]
+                    first = (-evals - 1) % cross_check_every
+                    evals += len(tau)
+                    if first < len(tau):
+                        mapping = SoftMapping(src, tgt, *_mapping_tables(src, tgt, u, p))
+                        for v in tau[first::cross_check_every]:
+                            h = 0
+                            for ei, k in enumerate(p):
+                                h |= pre[v.masks[k]] << (ei * nx)
+                            if _pack(inverse_image(mapping, v).masks, nx) != h:
                                 raise AssertionError(
                                     "packed preimage kernel disagrees with inverse_image"
                                 )
-                        row = src_rows[h]
-                        a_c &= row[0]
-                        s_c &= row[1]
-                        p_c &= row[2]
-                        a_k &= row[3]
-                        s_k &= row[4]
-                        p_k &= row[5]
-                    if a_k != (s_k and p_k):
+                    if (flags & 0b001000 != 0) != (flags & 0b110000 == 0b110000):
                         kur_failures += 1
                         if kur_first is None:
                             kur_first = _mapping_desc(src, tgt, u, p)
-                    if a_c != (s_c and p_c):
+                    if (flags & 0b000001 != 0) != (flags & 0b000110 == 0b000110):
                         cech_mismatches += 1
                         if cech_first is None:
                             cech_first = _mapping_desc(src, tgt, u, p)

@@ -18,7 +18,7 @@ from typing import Iterable
 from .errors import InvalidPartition
 from .operators import aura_closure, aura_interior
 from .softset import Context, SoftSet
-from .space import ScopeFunction, SoftAuraSpace, discrete_topology, validate_scope
+from .space import ScopeFunction, SoftAuraSpace, discrete_topology
 
 
 def lower_approx(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
@@ -130,12 +130,15 @@ class PawlakPartition:
 def pawlak_scope(context: Context, blocks: Iterable[Iterable[str]]) -> ScopeFunction:
     """Scope over the discrete topology assigning each point its block, constant in e."""
     partition = PawlakPartition(context, tuple(tuple(b) for b in blocks))
-    topo = discrete_topology(context)
-    assignment = {}
-    for x in context.universe:
-        mask = context.mask_of(partition.block_of(x))
-        assignment[x] = SoftSet(context, (mask,) * context.n_params)
-    return validate_scope(context, topo, assignment)
+    # valid by construction: each block holds its point, and the discrete
+    # topology holds every set; the space built on it checks it once
+    return ScopeFunction(
+        context,
+        tuple(
+            SoftSet(context, (context.mask_of(partition.block_of(x)),) * context.n_params)
+            for x in context.universe
+        ),
+    )
 
 
 def _pawlak_lower(blocks, target: set[str]) -> set[str]:

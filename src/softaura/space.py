@@ -243,13 +243,8 @@ def _check_scope(context: Context, topology: SoftTopology, assignment: Sequence[
         raise ScopeViolations(violations)
 
 
-def validate_scope(context: Context, topology: SoftTopology, assignment: Mapping[str, SoftSet]) -> ScopeFunction:
-    """Check a point -> soft set table and certify it as a scope function.
-
-    Violations are collected exhaustively (per point: NotOpen first, then
-    MembershipViolation per parameter in declared order) and raised together
-    as ScopeViolations.
-    """
+def _ordered_scope(context: Context, topology: SoftTopology, assignment: Mapping[str, SoftSet]) -> ScopeFunction:
+    """A point -> soft set table in universe order, checked for shape and context only."""
     _require_same_context(context, topology.context)
     missing = [x for x in context.universe if x not in assignment]
     if missing:
@@ -261,8 +256,19 @@ def validate_scope(context: Context, topology: SoftTopology, assignment: Mapping
     ordered = tuple(assignment[x] for x in context.universe)
     for s in ordered:
         _require_same_context(context, s.context)
-    _check_scope(context, topology, ordered)
     return ScopeFunction(context, ordered)
+
+
+def validate_scope(context: Context, topology: SoftTopology, assignment: Mapping[str, SoftSet]) -> ScopeFunction:
+    """Check a point -> soft set table and certify it as a scope function.
+
+    Violations are collected exhaustively (per point: NotOpen first, then
+    MembershipViolation per parameter in declared order) and raised together
+    as ScopeViolations.
+    """
+    scope = _ordered_scope(context, topology, assignment)
+    _check_scope(context, topology, scope.assignment)
+    return scope
 
 
 def trivial_scope(topology: SoftTopology) -> ScopeFunction:
@@ -284,6 +290,17 @@ class SoftAuraSpace:
             raise ContextMismatch("topology and scope must share the space context")
         _check_scope(self.context, self.topology, self.scope.assignment)
 
+    @classmethod
+    def from_assignment(
+        cls, context: Context, topology: SoftTopology, assignment: Mapping[str, SoftSet]
+    ) -> "SoftAuraSpace":
+        """The space of a point -> soft set table, raising what validate_scope raises.
+
+        The scope is scanned once, by the space itself; validate_scope
+        followed by the constructor would scan it twice.
+        """
+        return cls(context, topology, _ordered_scope(context, topology, assignment))
+
     @cached_property
     def scope_masks(self) -> tuple[tuple[int, ...], ...]:
         """scope_masks[xi][ei]: bitmask of the scope slice of point xi at parameter ei."""
@@ -300,4 +317,4 @@ def make_space(
     ctx = Context(tuple(universe), tuple(parameters))
     topo = topology if topology is not None else discrete_topology(ctx)
     assignment = {x: SoftSet.from_slices(ctx, scope[x]) for x in ctx.universe}
-    return SoftAuraSpace(ctx, topo, validate_scope(ctx, topo, assignment))
+    return SoftAuraSpace.from_assignment(ctx, topo, assignment)

@@ -1,6 +1,7 @@
 """Family enumeration, the law suite engine, and the mapping scan."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,14 @@ from softaura import (
     SpaceFamilySpec,
     aura_closure,
     aura_interior,
+    classify,
     decomposition_mapping_scan,
     discrete_topology,
+    enumerate_aura_topology,
     enumerate_scope_functions,
     find_strictness_witnesses,
     indiscrete_topology,
+    iter_all_soft_sets,
     iter_family_spaces,
     oracle_closure,
     oracle_interior,
@@ -29,7 +33,7 @@ from softaura import (
     witness_from_json,
 )
 
-from softaura import harness
+from softaura import harness, mapping
 
 from conftest import named_context, space_with_sets
 
@@ -134,6 +138,13 @@ class TestOracles:
         assert oracle_closure(space, g) == aura_closure(space, g)
         assert oracle_interior(space, g) == aura_interior(space, g)
 
+    def test_hoisted_scope_table_matches_two_argument_call(self):
+        for _, space in iter_family_spaces(SpaceFamilySpec(2, 2)):
+            scopes = harness.oracle_scopes(space)
+            for g in iter_all_soft_sets(space.context):
+                assert oracle_closure(space, g, scopes) == oracle_closure(space, g)
+                assert oracle_interior(space, g, scopes) == oracle_interior(space, g)
+
 
 @pytest.fixture(scope="module")
 def small_suite():
@@ -175,6 +186,22 @@ class TestLawSuite:
         assert set(res.laws) == {"closure-grounding", "duality"}
         assert res.total_failures == 0
 
+    def test_alpha_meet_rows_only_when_pairs_scanned(self):
+        # the alpha-meet rows come from the pair scan; without it they are left out
+        spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=11, sample_count=200)
+        res = run_law_suite(spec, laws=["duality"])
+        assert list(res.reports) == ["decomposition-set-cech"]
+        full = run_law_suite(spec)
+        assert list(full.reports) == list(REPORT_ROWS)
+        assert full.reports["alpha-meet-kuratowski"]["found"] == 159
+        assert res.reports["decomposition-set-cech"] == full.reports["decomposition-set-cech"]
+
+    def test_rough_pair_row_alone_is_scanned(self, small_suite):
+        res = run_law_suite(SpaceFamilySpec(2, 2), laws=["rough-monotonicity"])
+        assert list(res.laws) == ["rough-monotonicity"]
+        assert res.laws["rough-monotonicity"].checked == small_suite.laws["rough-monotonicity"].checked > 0
+        assert list(res.reports) == list(REPORT_ROWS)
+
     def test_unknown_law_rejected(self):
         with pytest.raises(ValueError):
             run_law_suite(SpaceFamilySpec(2, 1), laws=["no-such-law"])
@@ -215,7 +242,7 @@ REPORT_SHA256 = [
     ),
     (
         SpaceFamilySpec(7, 2, scope_mode="sampled", seed=9, sample_count=6),
-        "94cc3810dbf52f9b8aad10f47de3674ab7b00a8937185235ac12606029128c84",
+        "a5d6454e3845e931c4d047601ddd07aa1ec741ee1d12c28e15ebd158576bae76",
     ),
     (
         SpaceFamilySpec(3, 2, topology_kind="generated", scope_mode="sampled", seed=5, sample_count=10),
@@ -227,6 +254,13 @@ REPORT_SHA256 = [
 @pytest.mark.parametrize("spec, digest", REPORT_SHA256)
 def test_report_bytes_pinned(spec, digest):
     assert hashlib.sha256(run_law_suite(spec).to_json_bytes()).hexdigest() == digest
+
+
+def test_sampled_sets_pinned():
+    # explicit 64-bit mixing of the family seed and the space rank, so sampled
+    # sets do not depend on the interpreter's tuple hash
+    sets = harness._sampled_sets(harness._family_context(7, 2), 9, (7, 2, 5))
+    assert sets[:4] == [3915, 11811, 12529, 1810]
 
 
 class TestWitnessPlumbing:
@@ -250,6 +284,12 @@ class TestWitnessPlumbing:
             assert result.laws[name].failures > 0, name
         witnesses = [w for row in result.laws.values() for w in row.witnesses]
         assert {LAWS[w.name].arity for w in witnesses} == {"space", "set", "pair"}
+        # mirrored rough rows carry their own name and replay through their own entry
+        for name in ("rough-monotonicity", "rough-upper-join"):
+            row = result.laws[name]
+            assert row.failures > 0, name
+            assert 0 < len(row.witnesses) <= harness.WITNESS_LIMIT
+            assert {w.name for w in row.witnesses} == {name}
         assert all(replay_witness(w) is True for w in witnesses)
         monkeypatch.undo()
         assert all(replay_witness(w) is False for w in witnesses)
@@ -261,7 +301,82 @@ class TestWitnessPlumbing:
             replay_witness(broken)
 
 
+def reference_mapping_scan(per_shape: int) -> harness.MappingScanResult:
+    """The product scan: each mapping's flags ANDed over every target aura-open set."""
+    spaces = harness._family_space_selection(per_shape)
+
+    def flags(space, c):
+        g = harness._unpack(space.context, c)
+        pc, pk = classify(space, g, "cech"), classify(space, g, "kuratowski")
+        return (pc.alpha_open, pc.semi_open, pc.pre_open, pk.alpha_open, pk.semi_open, pk.pre_open)
+
+    rows = {
+        id(sp): [flags(sp, c) for c in range(1 << (sp.context.n_points * sp.context.n_params))]
+        for sp in spaces
+    }
+    taus = {
+        id(sp): [harness._pack(v.masks, sp.context.n_points) for v in enumerate_aura_topology(sp)]
+        for sp in spaces
+    }
+    checked = kur_failures = cech_mismatches = 0
+    kur_first = cech_first = None
+    for src in spaces:
+        nx, ne = src.context.n_points, src.context.n_params
+        for tgt in spaces:
+            ny, nk = tgt.context.n_points, tgt.context.n_params
+            full = (1 << ny) - 1
+            for u in itertools.product(range(ny), repeat=nx):
+                pre = [
+                    sum(1 << xi for xi, yi in enumerate(u) if s >> yi & 1) for s in range(full + 1)
+                ]
+                for p in itertools.product(range(nk), repeat=ne):
+                    checked += 1
+                    acc = [True] * 6
+                    for v in taus[id(tgt)]:
+                        h = 0
+                        for ei in range(ne):
+                            h |= pre[(v >> (p[ei] * ny)) & full] << (ei * nx)
+                        acc = [a and f for a, f in zip(acc, rows[id(src)][h])]
+                    a_c, s_c, p_c, a_k, s_k, p_k = acc
+                    if a_k != (s_k and p_k):
+                        kur_failures += 1
+                        kur_first = kur_first or harness._mapping_desc(src, tgt, u, p)
+                    if a_c != (s_c and p_c):
+                        cech_mismatches += 1
+                        cech_first = cech_first or harness._mapping_desc(src, tgt, u, p)
+    return harness.MappingScanResult(checked, kur_failures, kur_first, cech_mismatches, cech_first)
+
+
 class TestMappingScan:
+    @pytest.mark.parametrize("per_shape", [10, 3])
+    def test_equals_product_scan(self, per_shape):
+        assert decomposition_mapping_scan(per_shape=per_shape) == reference_mapping_scan(per_shape)
+
+    def test_default_scan_pins_and_cross_checks(self, monkeypatch):
+        calls = []
+        real = mapping.inverse_image
+
+        def counting(m, g):
+            calls.append(m.param_map)
+            return real(m, g)
+
+        monkeypatch.setattr(mapping, "inverse_image", counting)
+        res = decomposition_mapping_scan()
+        assert (res.mappings_checked, res.kuratowski_failures, res.cech_mismatches) == (35290, 0, 656)
+        assert len(calls) >= 6758
+        # parameter maps that merge and that swap parameters are both cross-checked
+        assert {("e1", "e1"), ("e2", "e1")} <= {(pm["e1"], pm["e2"]) for pm in calls if len(pm) == 2}
+
+    def test_wrong_inverse_image_is_caught(self, monkeypatch):
+        real = mapping.inverse_image
+
+        def wrong(m, g):
+            return real(m, g).complement()
+
+        monkeypatch.setattr(mapping, "inverse_image", wrong)
+        with pytest.raises(AssertionError, match="inverse_image"):
+            decomposition_mapping_scan(per_shape=3)
+
     def test_quick_scan(self):
         res = decomposition_mapping_scan(per_shape=3)
         assert res.mappings_checked > 0

@@ -13,15 +13,20 @@ from softaura import (
     SoftAuraSpace,
     SoftSet,
     TopologyViolation,
+    decode_space,
     discrete_topology,
     generate_topology,
     indiscrete_topology,
     make_soft_set,
     make_space,
+    pawlak_equivalence_check,
+    replay_space,
     trivial_scope,
     validate_scope,
     validate_topology,
 )
+
+from softaura import space as space_module
 
 from conftest import named_context
 
@@ -193,6 +198,12 @@ class TestValidateScope:
         with pytest.raises(ScopeViolations) as exc:
             SoftAuraSpace(ctx, topo, ScopeFunction(ctx, (bad1, bad2)))
         assert exc.value.violations == want
+        with pytest.raises(ScopeViolations) as exc:
+            SoftAuraSpace.from_assignment(ctx, topo, {"x2": bad2, "x1": bad1})
+        assert exc.value.violations == want
+        with pytest.raises(ScopeViolations) as exc:
+            make_space(ctx.universe, ctx.parameters, {"x1": bad1.as_dict(), "x2": bad2.as_dict()}, topo)
+        assert exc.value.violations == want
 
     def test_missing_point(self):
         ctx = named_context(2, 1)
@@ -216,6 +227,36 @@ class TestValidateScope:
         scope = trivial_scope(topo)
         assert scope.of("x2") == SoftSet.absolute(ctx)
         SoftAuraSpace(ctx, topo, scope)
+
+
+class TestSingleScopeScan:
+    def test_each_construction_scans_the_scope_once(self, monkeypatch):
+        scope = {"x1": {"e1": ["x1"]}, "x2": {"e1": ["x1", "x2"]}}
+        desc = {
+            "universe": ["x1", "x2"],
+            "parameters": ["e1"],
+            "topology": {"kind": "discrete"},
+            "scope": scope,
+        }
+        ctx = named_context(2, 1)
+        builds = {
+            "make_space": lambda: make_space(["x1", "x2"], ["e1"], scope),
+            "replay_space": lambda: replay_space(desc),
+            "decode_space": lambda: decode_space(desc),
+            "pawlak_equivalence_check": lambda: pawlak_equivalence_check(ctx, [["x1"], ["x2"]], ["x1"]),
+        }
+        calls = []
+        real = space_module._check_scope
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(space_module, "_check_scope", counting)
+        for name, build in builds.items():
+            calls.clear()
+            build()
+            assert len(calls) == 1, name
 
 
 class TestSpaceAssembly:
