@@ -981,10 +981,13 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     Preimages come from one slice table per (|Y|, u).  Counting (mapping,
     target aura-open set) pairs in scan order, every `cross_check_every`-th
     set's preimage is assembled from the table by p and compared with the
-    public inverse_image().
+    public inverse_image().  ValueError for `per_shape` < 2 or
+    `cross_check_every` < 1.
     """
     from .mapping import SoftMapping, inverse_image
 
+    if per_shape < 2 or cross_check_every < 1:
+        raise ValueError(f"need per_shape >= 2 and cross_check_every >= 1, got {per_shape}, {cross_check_every}")
     spaces = _family_space_selection(per_shape)
     # rows[ei][s]: flag bits of the source set with slice s at ei, null elsewhere
     source_rows = [

@@ -11,13 +11,20 @@ image of a target aura-open set lands in class C at the source.  The target
 family can instead be taken as the complements of target closure fixpoints
 (kind "kuratowski" — extensionally the same family on finite spaces) or as
 the target's ambient topology ("ambient"), for comparison.
+
+Every check is decided per target parameter.  Each openness class is
+decided slice by slice and holds the null set, so the pull-backs of a family
+all lie in C iff, for each source parameter e and each slice s the family
+takes at p(e), the set with the preimage of s at e and null elsewhere does.
+Work and caps are per parameter: 2^|Y| slices, or the member count of an
+explicit ambient topology, never the 2^(|Y|·|K|) product.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
 
 from .errors import (
     CapExceeded,
@@ -27,19 +34,18 @@ from .errors import (
     UnknownPoint,
 )
 from .genopen import classify
-from .operators import (
-    CECH,
-    KURATOWSKI,
-    _closure_fn,
-    enumerate_aura_topology,
-    kuratowski_closure,
-)
-from .softset import SoftSet
+from .operators import CECH, KURATOWSKI, _alexandrov_slice_masks, _closure_fn
+from .softset import Context, SoftSet
 from .space import DEFAULT_CAP, SoftAuraSpace
 
 TARGET_AURA = "aura"
 TARGET_KURATOWSKI = "kuratowski"
 TARGET_AMBIENT = "ambient"
+
+
+def _single_slice(ctx: Context, i: int, mask: int) -> SoftSet:
+    """The soft set with `mask` at parameter index i and null elsewhere."""
+    return SoftSet(ctx, tuple(mask if j == i else 0 for j in range(ctx.n_params)))
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,16 @@ class SoftMapping:
         src, tgt = self.source.context, self.target.context
         return tuple(tgt.param_index[self.param_map[e]] for e in src.parameters)
 
+    def _slice_preimage(self, s: int) -> int:
+        """Source point mask of the u-preimage of the target point mask s."""
+        pre = self._point_preimage
+        acc = 0
+        while s:
+            low = s & -s
+            acc |= pre[low.bit_length() - 1]
+            s ^= low
+        return acc
+
 
 def identity_mapping(space: SoftAuraSpace) -> SoftMapping:
     ctx = space.context
@@ -99,57 +115,26 @@ def inverse_image(m: SoftMapping, g: SoftSet) -> SoftSet:
     """Soft set over the source: slice at e is the point preimage of g at p(e)."""
     if g.context != m.target.context:
         raise ContextMismatch("inverse image argument must live over the target context")
-    pre = m._point_preimage
-    masks = []
-    for ki in m._param_image:
-        gm = g.masks[ki]
-        acc = 0
-        rest = gm
-        while rest:
-            low = rest & -rest
-            acc |= pre[low.bit_length() - 1]
-            rest ^= low
-        masks.append(acc)
-    return SoftSet(m.source.context, tuple(masks))
+    return SoftSet(
+        m.source.context, tuple(m._slice_preimage(g.masks[ki]) for ki in m._param_image)
+    )
 
 
-def _target_family(m: SoftMapping, cap: int, target_family: str) -> Iterator[SoftSet]:
-    if target_family == TARGET_AURA:
-        return iter(enumerate_aura_topology(m.target, cap))
-    if target_family == TARGET_KURATOWSKI:
-        return _kuratowski_open_family(m.target, cap)
-    if target_family == TARGET_AMBIENT:
-        return _ambient_family(m.target, cap)
-    raise ValueError(f"unknown target family {target_family!r}")
-
-
-def _kuratowski_open_family(space: SoftAuraSpace, cap: int) -> Iterator[SoftSet]:
-    """Complements of closure fixpoints, in the same canonical order as the aura family."""
-    from .softset import iter_all_soft_sets
-
+def _target_slices(m: SoftMapping, cap: int, target_family: str) -> list:
+    """Per target parameter, the ascending slices the target family takes there."""
+    space = m.target
     ctx = space.context
-    total = 1 << (ctx.n_points * ctx.n_params)
-    if total > cap:
-        raise CapExceeded(total, cap)
-    for s in iter_all_soft_sets(ctx):
-        comp = s.complement()
-        if kuratowski_closure(space, comp).closure == comp:
-            yield s
-
-
-def _ambient_family(space: SoftAuraSpace, cap: int) -> Iterator[SoftSet]:
-    from .softset import iter_all_soft_sets
-
+    if target_family in (TARGET_AURA, TARGET_KURATOWSKI):
+        return [_alexandrov_slice_masks(space, ki, cap) for ki in range(ctx.n_params)]
+    if target_family != TARGET_AMBIENT:
+        raise ValueError(f"unknown target family {target_family!r}")
     topo = space.topology
-    if topo.is_extensional:
-        if len(topo) > cap:
-            raise CapExceeded(len(topo), cap)
-        return iter(s for _, s in topo)
-    ctx = space.context
-    total = 1 << (ctx.n_points * ctx.n_params)
+    total = len(topo) if topo.is_extensional else 1 << ctx.n_points
     if total > cap:
         raise CapExceeded(total, cap)
-    return iter_all_soft_sets(ctx)
+    if not topo.is_extensional:
+        return [range(total)] * ctx.n_params
+    return [sorted({v.masks[ki] for _, v in topo}) for ki in range(ctx.n_params)]
 
 
 @dataclass(frozen=True)
@@ -173,17 +158,19 @@ def continuity_profile(
     cap: int = DEFAULT_CAP,
     target_family: str = TARGET_AURA,
 ) -> ContinuityProfile:
-    """Classify the inverse image of every member of the target open family."""
+    """Classify the single-slice pull-back of every slice of the target open family."""
+    slices = _target_slices(m, cap, target_family)
     continuous = alpha = semi = pre = beta = True
-    for v in _target_family(m, cap, target_family):
-        prof = classify(m.source, inverse_image(m, v), kind)
-        continuous &= prof.a_open
-        alpha &= prof.alpha_open
-        semi &= prof.semi_open
-        pre &= prof.pre_open
-        beta &= prof.beta_open
-        if not (continuous or alpha or semi or pre or beta):
-            break
+    for ei, ki in enumerate(m._param_image):
+        for s in slices[ki]:
+            prof = classify(m.source, _single_slice(m.source.context, ei, m._slice_preimage(s)), kind)
+            continuous &= prof.a_open
+            alpha &= prof.alpha_open
+            semi &= prof.semi_open
+            pre &= prof.pre_open
+            beta &= prof.beta_open
+            if not (continuous or alpha or semi or pre or beta):
+                return ContinuityProfile(False, False, False, False, False, kind)
     return ContinuityProfile(continuous, alpha, semi, pre, beta, kind)
 
 
@@ -208,47 +195,44 @@ def verify_closure_characterization(
 ) -> tuple[bool, SoftSet | None]:
     """Check: continuous iff cl(f^{-1} G) is inside f^{-1}(cl G) for all target G.
 
-    With samples=None every target soft set is enumerated (cap-guarded, so
-    the biconditional is decided exactly); otherwise `samples` random target
-    sets are drawn from the given seed.  Returns (biconditional held, first
-    G violating the containment or None).  An unknown `kind` raises
-    ValueError before any target set is enumerated or the cap is checked.
+    With samples=None the containment, being slicewise, is decided exactly
+    on the single-slice target sets (2^|Y| per parameter, cap-guarded); the
+    witness is the first failing slice at the lowest parameter, the least
+    violating G in canonical rank order.  Otherwise `samples` (at least 1)
+    random target sets are drawn from the given seed.  Returns
+    (biconditional held, first G violating the containment or None).  An
+    unknown `kind` raises ValueError before any target set is enumerated or
+    the cap is checked.
     """
-    import random
-
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be positive")
     tgt_ctx = m.target.context
     cl_src = _closure_fn(m.source, kind)
     cl_tgt = _closure_fn(m.target, kind)
     if samples is None:
-        total = 1 << (tgt_ctx.n_points * tgt_ctx.n_params)
+        total = 1 << tgt_ctx.n_points
         if total > cap:
             raise CapExceeded(total, cap)
-        from .softset import iter_all_soft_sets
-
-        candidates = iter_all_soft_sets(tgt_ctx)
+        candidates = (
+            _single_slice(tgt_ctx, ki, s) for ki in range(tgt_ctx.n_params) for s in range(total)
+        )
     else:
         rng = random.Random(seed)
         full = tgt_ctx.full_mask
+        candidates = (
+            SoftSet(tgt_ctx, tuple(rng.randrange(full + 1) for _ in range(tgt_ctx.n_params)))
+            for _ in range(samples)
+        )
 
-        def draw():
-            for _ in range(samples):
-                yield SoftSet(
-                    tgt_ctx,
-                    tuple(rng.randrange(full + 1) for _ in range(tgt_ctx.n_params)),
-                )
-
-        candidates = draw()
-
-    all_hold = True
-    witness: SoftSet | None = None
-    for g in candidates:
-        h = inverse_image(m, g)
-        if not cl_src(h).is_subset_of(inverse_image(m, cl_tgt(g))):
-            all_hold = False
-            witness = g
-            break
+    witness = next(
+        (
+            g for g in candidates
+            if not cl_src(inverse_image(m, g)).is_subset_of(inverse_image(m, cl_tgt(g)))
+        ),
+        None,
+    )
     continuous = continuity_profile(m, kind=kind, cap=cap).continuous
-    return continuous == all_hold, witness
+    return continuous == (witness is None), witness
 
 
 def verify_decomposition(
@@ -261,14 +245,19 @@ def verify_decomposition(
     With the fixpoint closure the equivalence always holds, so False is a
     falsification to report; with the one-step closure this only reports
     whether the equivalence happened to hold.  The witness is the first
-    target open set whose inverse image decides the mismatch, or None.
+    target open set, in the aura family's canonical product order, whose
+    inverse image decides the mismatch, or None.  Alpha implies semi and
+    pre, so that set is null but for the first deciding open slice at the
+    last target parameter that has one.
     """
     prof = continuity_profile(m, kind=kind, cap=cap)
-    held = prof.alpha_continuous == (prof.semi_continuous and prof.pre_continuous)
-    if held:
+    if prof.alpha_continuous == (prof.semi_continuous and prof.pre_continuous):
         return True, None
-    for v in _target_family(m, cap, TARGET_AURA):
-        p = classify(m.source, inverse_image(m, v), kind)
-        if p.alpha_open != (p.semi_open and p.pre_open):
-            return False, v
+    slices = _target_slices(m, cap, TARGET_AURA)
+    for ki in reversed(range(m.target.context.n_params)):
+        for s in slices[ki]:
+            v = _single_slice(m.target.context, ki, s)
+            p = classify(m.source, inverse_image(m, v), kind)
+            if p.alpha_open != (p.semi_open and p.pre_open):
+                return False, v
     return False, None

@@ -377,6 +377,15 @@ class TestMappingScan:
         with pytest.raises(AssertionError, match="inverse_image"):
             decomposition_mapping_scan(per_shape=3)
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"per_shape": 1}, {"per_shape": 0}, {"cross_check_every": 0}, {"cross_check_every": -1}],
+    )
+    def test_rejects_degenerate_options(self, options):
+        # these used to divide by zero, scan nothing, or slice the family backwards
+        with pytest.raises(ValueError, match=next(iter(options))):
+            decomposition_mapping_scan(**options)
+
     def test_quick_scan(self):
         res = decomposition_mapping_scan(per_shape=3)
         assert res.mappings_checked > 0

@@ -1,32 +1,146 @@
 """Soft mappings, inverse images, continuity flags, and the two verifiers."""
 
+import functools
+import itertools
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softaura import (
     CECH,
+    GENERATED,
     KURATOWSKI,
     TARGET_AMBIENT,
     TARGET_AURA,
     TARGET_KURATOWSKI,
+    CapExceeded,
     ContextMismatch,
+    ContinuityProfile,
+    SoftAuraSpace,
     SoftMapping,
     SoftSet,
     SpaceMismatch,
     UnknownParameter,
     UnknownPoint,
+    classify,
     compose,
     continuity_profile,
+    enumerate_aura_topology,
+    harness,
     identity_mapping,
     inverse_image,
+    iter_all_soft_sets,
+    kuratowski_closure,
     make_soft_set,
     make_space,
     verify_closure_characterization,
     verify_decomposition,
 )
+from softaura.cli import main
+from softaura.documents import decode_space
+from softaura.mapping import _single_slice
+from softaura.operators import _closure_fn
 
-from conftest import aura_spaces
+from conftest import aura_spaces, fixture_path, named_context
+
+FAMILIES = (TARGET_AURA, TARGET_KURATOWSKI, TARGET_AMBIENT)
+KINDS = (CECH, KURATOWSKI)
+
+
+# -- product references: every member of the target family, every target set --
+
+
+def reference_family(space: SoftAuraSpace, target_family: str) -> list[SoftSet]:
+    """The whole target family: the aura product, the fixpoint-complement scan, the ambient members."""
+    if target_family == TARGET_AURA:
+        return enumerate_aura_topology(space)
+    if target_family == TARGET_AMBIENT and space.topology.is_extensional:
+        return [s for _, s in space.topology]
+    sets = list(iter_all_soft_sets(space.context))
+    if target_family == TARGET_KURATOWSKI:
+        return [s for s in sets if kuratowski_closure(space, s.complement()).closure == s.complement()]
+    return sets
+
+
+# mappings of one family share sources and inverse images, so classifications repeat
+cached_classify = functools.lru_cache(maxsize=1 << 14)(classify)
+
+
+def reference_profile(m, kind=CECH, target_family=TARGET_AURA) -> ContinuityProfile:
+    """Classify the inverse image of every member of the target family."""
+    profs = [
+        cached_classify(m.source, inverse_image(m, v), kind)
+        for v in reference_family(m.target, target_family)
+    ]
+    return ContinuityProfile(
+        all(p.a_open for p in profs),
+        all(p.alpha_open for p in profs),
+        all(p.semi_open for p in profs),
+        all(p.pre_open for p in profs),
+        all(p.beta_open for p in profs),
+        kind,
+    )
+
+
+def reference_decomposition(m, kind=KURATOWSKI):
+    """The first aura-open target set, in product order, whose inverse image splits alpha from semi and pre."""
+    prof = reference_profile(m, kind)
+    if prof.alpha_continuous == (prof.semi_continuous and prof.pre_continuous):
+        return True, None
+    for v in enumerate_aura_topology(m.target):
+        p = cached_classify(m.source, inverse_image(m, v), kind)
+        if p.alpha_open != (p.semi_open and p.pre_open):
+            return False, v
+    return False, None
+
+
+def reference_closure_characterization(m, kind=CECH):
+    """The containment over all 2^(|Y|·|K|) target sets, in canonical rank order."""
+    cl_src, cl_tgt = _closure_fn(m.source, kind), _closure_fn(m.target, kind)
+    witness = next(
+        (
+            g for g in iter_all_soft_sets(m.target.context)
+            if not cl_src(inverse_image(m, g)).is_subset_of(inverse_image(m, cl_tgt(g)))
+        ),
+        None,
+    )
+    return reference_profile(m, kind).continuous == (witness is None), witness
+
+
+@st.composite
+def generated_spaces(draw, max_points: int = 3, max_params: int = 2) -> SoftAuraSpace:
+    """A space over a topology generated from a random subbasis, with a random admissible scope."""
+    ctx = named_context(draw(st.integers(1, max_points)), draw(st.integers(1, max_params)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    topo = harness._sample_topology(ctx, GENERATED, rng)
+    return SoftAuraSpace(ctx, topo, harness._sample_scope(ctx, topo, rng))
+
+
+@st.composite
+def small_mappings(draw) -> SoftMapping:
+    spaces = st.one_of(aura_spaces(max_points=3, max_params=2), generated_spaces())
+    src, tgt = draw(spaces), draw(spaces)
+    ys, ks = tgt.context.universe, tgt.context.parameters
+    return SoftMapping(
+        src,
+        tgt,
+        {x: ys[draw(st.integers(0, len(ys) - 1))] for x in src.context.universe},
+        {e: ks[draw(st.integers(0, len(ks) - 1))] for e in src.context.parameters},
+    )
+
+
+def family_mappings(per_shape: int, sources=None, targets=None):
+    """Every mapping between two spaces of the scan's deterministic subfamily (or of the chosen indices)."""
+    spaces = harness._family_space_selection(per_shape)
+    pick = lambda idxs: spaces if idxs is None else [spaces[i] for i in idxs]
+    for src, tgt in itertools.product(pick(sources), pick(targets)):
+        for u in itertools.product(range(tgt.context.n_points), repeat=src.context.n_points):
+            for p in itertools.product(range(tgt.context.n_params), repeat=src.context.n_params):
+                yield SoftMapping(src, tgt, *harness._mapping_tables(src, tgt, u, p))
+
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +351,11 @@ class TestClosureCharacterization:
         assert held
         assert witness is not None
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_samples_rejected(self, chain, samples):
+        with pytest.raises(ValueError, match="samples"):
+            verify_closure_characterization(identity_mapping(chain), samples=samples)
+
     def test_unknown_kind_rejected_before_enumeration(self, chain, monkeypatch):
         def enumerated(*args):
             raise AssertionError("a target set was enumerated before the kind was checked")
@@ -278,3 +397,118 @@ class TestDecomposition:
         m = SoftMapping(space, space, pm, {e: e for e in space.context.parameters})
         held, _ = verify_decomposition(m, kind=KURATOWSKI)
         assert held
+
+
+class TestSlicePath:
+    """The per-parameter deciders against the product references above."""
+
+    @given(small_mappings())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_product_references(self, m):
+        for kind in KINDS:
+            for family in FAMILIES:
+                assert continuity_profile(m, kind, target_family=family) == reference_profile(m, kind, family)
+            assert verify_decomposition(m, kind) == reference_decomposition(m, kind)
+            assert verify_closure_characterization(m, kind=kind) == reference_closure_characterization(m, kind)
+
+    def test_witnesses_on_scan_family(self):
+        violations = 0
+        for m in family_mappings(3):
+            for kind in KINDS:
+                assert verify_decomposition(m, kind) == reference_decomposition(m, kind)
+                got = verify_closure_characterization(m, kind=kind)
+                assert got == reference_closure_characterization(m, kind)
+                violations += got[1] is not None
+        assert violations > 0
+
+    def test_mismatch_witnesses_at_each_parameter(self):
+        # the per_shape=3 family has no one-step mismatch; in the default scan
+        # family, 3x1 and 3x2 sources (indices 18, 31) into 2x1 and 2x2 targets
+        # (3, 8, 13) split alpha from semi and pre, with witnesses at both parameters
+        placed = []
+        for m in family_mappings(10, sources=(18, 31), targets=(3, 8, 13)):
+            got = verify_decomposition(m, CECH)
+            assert got == reference_decomposition(m, CECH)
+            if not got[0]:
+                placed.append(max(i for i, s in enumerate(got[1].masks) if s))
+        assert len(placed) == 14
+        assert set(placed) == {0, 1}
+
+    def test_witness_is_first_slice_at_last_parameter(self, mismatch_pair):
+        # the mismatch pair at both parameters: both target parameters have
+        # the deciding slice {x1}, and the witness takes the last one
+        src, tgt, _ = mismatch_pair
+        double = lambda sp: make_space(
+            list(sp.context.universe),
+            ["e1", "e2"],
+            {x: {e: list(sp.scope.of(x).points("e1")) for e in ("e1", "e2")} for x in sp.context.universe},
+        )
+        m = SoftMapping(
+            double(src), double(tgt), {"x1": "x1", "x2": "x1", "x3": "x2"}, {"e1": "e1", "e2": "e2"}
+        )
+        witness = _single_slice(m.target.context, 1, 0b01)
+        assert verify_decomposition(m, CECH) == reference_decomposition(m, CECH) == (False, witness)
+
+        # two deciding slices ({x1} and {x1, x2}) at e1: the witness takes the first
+        src = make_space(
+            ["x1", "x2", "x3"],
+            ["e1", "e2"],
+            {
+                "x1": {"e1": ["x1", "x3"], "e2": ["x1", "x2", "x3"]},
+                "x2": {"e1": ["x2", "x3"], "e2": ["x2", "x3"]},
+                "x3": {"e1": ["x1", "x2", "x3"], "e2": ["x2", "x3"]},
+            },
+        )
+        tgt = make_space(
+            ["x1", "x2", "x3"],
+            ["e1", "e2"],
+            {
+                "x1": {"e1": ["x1"], "e2": ["x1", "x2", "x3"]},
+                "x2": {"e1": ["x1", "x2"], "e2": ["x1", "x2", "x3"]},
+                "x3": {"e1": ["x2", "x3"], "e2": ["x2", "x3"]},
+            },
+        )
+        m = SoftMapping(src, tgt, {"x1": "x3", "x2": "x1", "x3": "x1"}, {"e1": "e1", "e2": "e1"})
+        first, second = (_single_slice(tgt.context, 0, s) for s in (0b001, 0b011))
+        for v in (first, second):
+            p = classify(src, inverse_image(m, v), CECH)
+            assert p.semi_open and p.pre_open and not p.alpha_open
+        assert verify_decomposition(m, CECH) == reference_decomposition(m, CECH) == (False, first)
+
+    def test_six_by_four_singleton_identity_decides(self, tmp_path, capsys):
+        names, params = [f"x{i + 1}" for i in range(6)], [f"e{j + 1}" for j in range(4)]
+        doc = {
+            "universe": names,
+            "parameters": params,
+            "topology": {"kind": "discrete"},
+            "scope": {x: {e: [x] for e in params} for x in names},
+        }
+        space = decode_space(doc).space
+        m = identity_mapping(space)
+        # the product family has 2^24 members; each parameter has 2^6 slices
+        with pytest.raises(CapExceeded):
+            enumerate_aura_topology(space)
+        for kind in KINDS:
+            for family in FAMILIES:
+                assert continuity_profile(m, kind, target_family=family).continuous
+        assert verify_decomposition(m) == (True, None)
+        assert verify_closure_characterization(m) == (True, None)
+
+        (tmp_path / "space.json").write_text(json.dumps(doc), encoding="utf-8")
+        mapping_doc = {
+            "source": {"ref": "space.json"},
+            "target": {"ref": "space.json"},
+            "pointMap": {x: x for x in names},
+            "paramMap": {e: e for e in params},
+        }
+        (tmp_path / "map.json").write_text(json.dumps(mapping_doc), encoding="utf-8")
+        for family in FAMILIES:
+            rc = main(["continuity", str(tmp_path / "map.json"), "--target-family", family])
+            assert rc == 0
+            assert "continuous:  yes" in capsys.readouterr().out
+
+    def test_cap_bounds_each_parameter(self, capsys):
+        rc = main(["continuity", fixture_path("chain_endo_mapping.json"), "--cap", "7"])
+        assert rc == 4
+        assert "needs 8 members, cap is 7" in capsys.readouterr().err
+        assert main(["continuity", fixture_path("chain_endo_mapping.json"), "--cap", "8"]) == 0
