@@ -178,7 +178,7 @@ def _axiom_witness_text(name: str, w) -> str:
 
 def _cmd_axioms(args) -> int:
     decoded = load_space(args.space)
-    report = separation_report(decoded.space, cap=args.cap)
+    report = separation_report(decoded.space)
     axioms = [
         ("t0", report.t0),
         ("t1", report.t1),
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="separation axiom report with witnesses")
     p.add_argument("space")
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=_cmd_axioms)
 

@@ -95,6 +95,22 @@ def _decode_named_sets(context: Context, section, where: str) -> dict[str, SoftS
     return out
 
 
+def _lookup_set(
+    named_sets: Mapping[str, SoftSet], topology: SoftTopology, name: str
+) -> SoftSet | None:
+    """namedSets, then topology members, then the reserved sets; None if unknown."""
+    if name in named_sets:
+        return named_sets[name]
+    member = topology.member_named(name)
+    if member is not None:
+        return member
+    if name == NULL_NAME:
+        return SoftSet.null(topology.context)
+    if name == ABSOLUTE_NAME:
+        return SoftSet.absolute(topology.context)
+    return None
+
+
 @dataclass(frozen=True)
 class DecodedSpace:
     """A document-backed space plus its name environment."""
@@ -105,31 +121,20 @@ class DecodedSpace:
 
     def resolve(self, name: str) -> SoftSet:
         """Look up a set name: namedSets, then topology members, then reserved."""
-        if name in self.named_sets:
-            return self.named_sets[name]
-        member = self.space.topology.member_named(name)
-        if member is not None:
-            return member
-        if name == NULL_NAME:
-            return SoftSet.null(self.space.context)
-        if name == ABSOLUTE_NAME:
-            return SoftSet.absolute(self.space.context)
-        raise ValueError(f"unknown set name {name!r}")
+        found = _lookup_set(self.named_sets, self.space.topology, name)
+        if found is None:
+            raise ValueError(f"unknown set name {name!r}")
+        return found
 
 
 def _decode_topology(context: Context, section) -> SoftTopology:
     section = _require_dict(section, "topology")
     kind = section.get("kind")
-    if kind == DISCRETE:
+    if kind in (DISCRETE, INDISCRETE):
         extra = set(section) - {"kind"}
         if extra:
-            raise DocumentError(f"discrete topology takes no extra keys, got {sorted(extra)}")
-        return discrete_topology(context)
-    if kind == INDISCRETE:
-        extra = set(section) - {"kind"}
-        if extra:
-            raise DocumentError(f"indiscrete topology takes no extra keys, got {sorted(extra)}")
-        return indiscrete_topology(context)
+            raise DocumentError(f"{kind} topology takes no extra keys, got {sorted(extra)}")
+        return discrete_topology(context) if kind == DISCRETE else indiscrete_topology(context)
     if kind == EXPLICIT:
         if set(section) != {"kind", "sets"}:
             raise DocumentError('explicit topology needs exactly "kind" and "sets"')
@@ -183,24 +188,15 @@ def decode_space(doc) -> DecodedSpace:
             f"scope must cover the universe exactly (missing {missing_pts}, extra {extra_pts})"
         )
 
-    def lookup(name: str) -> SoftSet:
-        if name in named_sets:
-            return named_sets[name]
-        member = topology.member_named(name)
-        if member is not None:
-            return member
-        if name == NULL_NAME:
-            return SoftSet.null(context)
-        if name == ABSOLUTE_NAME:
-            return SoftSet.absolute(context)
-        raise DocumentError(f"scope references unknown set name {name!r}")
-
     assignment: dict[str, SoftSet] = {}
     scope_refs: dict[str, str | None] = {}
     for x in universe:
         entry = scope_doc[x]
         if isinstance(entry, str):
-            assignment[x] = lookup(entry)
+            found = _lookup_set(named_sets, topology, entry)
+            if found is None:
+                raise DocumentError(f"scope references unknown set name {entry!r}")
+            assignment[x] = found
             scope_refs[x] = entry
         else:
             assignment[x] = SoftSet.from_slices(
@@ -221,10 +217,8 @@ def encode_space(decoded: DecodedSpace) -> dict:
     space = decoded.space
     ctx = space.context
     topo = space.topology
-    if topo.kind == DISCRETE:
-        tdoc: dict = {"kind": DISCRETE}
-    elif topo.kind == INDISCRETE:
-        tdoc = {"kind": INDISCRETE}
+    if topo.kind in (DISCRETE, INDISCRETE):
+        tdoc: dict = {"kind": topo.kind}
     elif topo.kind == GENERATED:
         tdoc = {
             "kind": GENERATED,
@@ -261,17 +255,21 @@ def canonicalize_space_doc(doc) -> dict:
     return encode_space(decode_space(doc))
 
 
-def load_space(path: str | Path) -> DecodedSpace:
-    """Read and decode a space document file."""
+def _read_json(path: str | Path):
+    """Parse a JSON document file; unreadable files and bad JSON are DocumentErrors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
-    return decode_space(doc)
+
+
+def load_space(path: str | Path) -> DecodedSpace:
+    """Read and decode a space document file."""
+    return decode_space(_read_json(path))
 
 
 def decode_mapping(doc, base_dir: str | Path | None = None):
@@ -316,16 +314,7 @@ def decode_mapping(doc, base_dir: str | Path | None = None):
 
 def load_mapping(path: str | Path):
     """Read and decode a mapping document file; refs resolve against its directory."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
-    return decode_mapping(doc, base_dir=p.parent)
+    return decode_mapping(_read_json(path), base_dir=Path(path).parent)
 
 
 def resolve_target_set(decoded: DecodedSpace, text: str) -> SoftSet:

@@ -62,7 +62,7 @@ class SpaceFamilySpec:
 
     scope_mode "all" enumerates every scope function over every shape up to
     (max_universe, max_params); it requires max_universe * max_params <= 12.
-    scope_mode "sampled" draws `sample_count` spaces from `seed` instead.
+    scope_mode "sampled" draws `sample_count` >= 1 spaces from `seed` instead.
     topology_kind "generated" (random saturated subbases) is only available
     in sampled mode.
     """
@@ -89,6 +89,8 @@ class SpaceFamilySpec:
         elif self.scope_mode == "sampled":
             if self.seed is None or self.sample_count is None:
                 raise ValueError("sampled mode requires seed and sample_count")
+            if self.sample_count < 1:
+                raise ValueError("sample_count must be at least 1")
             if not 0 <= self.seed < 1 << 64:
                 raise ValueError("seed must fit in 64 bits")
         else:
@@ -194,7 +196,7 @@ def iter_family_spaces(spec: SpaceFamilySpec) -> Iterator[tuple[tuple[int, int, 
     else:
         rng = random.Random(spec.seed)
         contexts: dict[tuple[int, int], Context] = {}
-        for idx in range(spec.sample_count or 0):
+        for idx in range(spec.sample_count):
             n = rng.randint(1, spec.max_universe)
             m = rng.randint(1, spec.max_params)
             ctx = contexts.setdefault((n, m), _family_context(n, m))

@@ -159,6 +159,7 @@ def continuity_profile(
     target_family: str = TARGET_AURA,
 ) -> ContinuityProfile:
     """Classify the single-slice pull-back of every slice of the target open family."""
+    _closure_fn(m.source, kind)  # an unknown kind fails before any enumeration
     slices = _target_slices(m, cap, target_family)
     continuous = alpha = semi = pre = beta = True
     for ei, ki in enumerate(m._param_image):

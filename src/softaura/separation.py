@@ -7,6 +7,12 @@ point, and is equivalent to the disjoint-scopes axiom T2.  Regularity asks,
 per point, parameter and aura-closed set avoiding the point there, for
 disjoint aura-open slices separating them; T3 is regular plus T1.
 
+At parameter e the aura-open slices are the sets closed under the reach
+preorder of the scope slices (Alexandroff), so the least one holding x is
+its reach set R_e(x).  Regularity fails at (x, e) iff R_e(x) meets the reach
+of its complement; that complement, absolute elsewhere, is the witness.
+Nothing is enumerated, so no cap applies.
+
 Deciders scan in canonical order (points, then points, then parameters), so
 the reported witness of a failed axiom is always the first violation in
 that order.
@@ -17,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .operators import _alexandrov_slice_masks, aura_closure
+from .operators import aura_closure
 from .softset import SoftSet
-from .space import DEFAULT_CAP, SoftAuraSpace
+from .space import SoftAuraSpace
 
 
 @dataclass(frozen=True)
@@ -96,42 +102,40 @@ def _t2(space: SoftAuraSpace) -> tuple[bool, PairWitness | None]:
     return True, None
 
 
-def _regular(space: SoftAuraSpace, cap: int) -> tuple[bool, RegularityWitness | None]:
-    # Aura-open sets are slicewise products, so the separating pair for a
-    # point and a closed set avoiding it at parameter e only constrains the
-    # e-slices: search the per-parameter open-slice family directly.  Every
-    # closed slice at e is the complement of a member of that family and
-    # extends to a full aura-closed set (absolute slices elsewhere).
+def _regular(space: SoftAuraSpace) -> tuple[bool, RegularityWitness | None]:
+    # Aura-open sets are slicewise products, so only the e-slices matter.  The
+    # largest closed slice avoiding x, X \ R_e(x), is the hardest to separate
+    # from x, and the least open slice around a set is the union of R_e over it.
     ctx = space.context
-    full = ctx.full_mask
-    for xi in range(ctx.n_points):
-        for ei in range(ctx.n_params):
-            opens = _alexandrov_slice_masks(space, ei, cap)
-            for open_slice in opens:
-                closed = full & ~open_slice
-                if closed >> xi & 1:
-                    continue
-                if not any(
-                    u >> xi & 1 and closed & ~v == 0 and u & v == 0
-                    for u in opens
-                    for v in opens
-                ):
-                    masks = [full] * ctx.n_params
-                    masks[ei] = closed
-                    return False, RegularityWitness(
-                        ctx.universe[xi],
-                        ctx.parameters[ei],
-                        SoftSet(ctx, tuple(masks)),
-                    )
+    n, full = ctx.n_points, ctx.full_mask
+    reaches = []
+    for ei in range(ctx.n_params):
+        reach = [space.scope_masks[xi][ei] for xi in range(n)]
+        for k in range(n):  # Warshall's transitive closure on bitset rows
+            for i in range(n):
+                if reach[i] >> k & 1:
+                    reach[i] |= reach[k]
+        reaches.append(reach)
+    for xi in range(n):
+        for ei, reach in enumerate(reaches):
+            closed = full & ~reach[xi]
+            if any(reach[yi] & reach[xi] for yi in range(n) if closed >> yi & 1):
+                masks = [full] * ctx.n_params
+                masks[ei] = closed
+                return False, RegularityWitness(
+                    ctx.universe[xi],
+                    ctx.parameters[ei],
+                    SoftSet(ctx, tuple(masks)),
+                )
     return True, None
 
 
-def separation_report(space: SoftAuraSpace, cap: int = DEFAULT_CAP) -> SeparationReport:
+def separation_report(space: SoftAuraSpace) -> SeparationReport:
     """Decide T0, T1, T2, regular and T3, each with its own canonical scan."""
     t0, w0 = _t0(space)
     t1, w1 = _t1(space)
     t2, w2 = _t2(space)
-    regular, wr = _regular(space, cap)
+    regular, wr = _regular(space)
     witnesses: dict[str, PairWitness | RegularityWitness] = {}
     if w0 is not None:
         witnesses["t0"] = w0

@@ -192,10 +192,38 @@ class TestAxioms:
         assert set(doc["regular"]["witness"]) == {"point", "parameter", "closedSet"}
         assert doc["t3"] == {"holds": False}
 
-    def test_cap_exceeded(self, capsys):
-        rc = main(["axioms", fixture_path("three_point_space.json"), "--cap", "2"])
-        assert rc == 4
-        assert "cap is 2" in capsys.readouterr().err
+    def test_takes_no_cap(self, capsys, monkeypatch):
+        # Regularity is decided without enumerating anything, so neither the
+        # environment cap nor a --cap flag applies to axioms.
+        monkeypatch.setenv("SOFTAURA_CAP", "1")
+        assert main(["axioms", fixture_path("two_point_space.json")]) == 0
+        assert capsys.readouterr().out == AXIOMS_TABLE
+        with pytest.raises(SystemExit) as exc:
+            main(["axioms", fixture_path("two_point_space.json"), "--cap", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_many_singleton_points_decide(self, tmp_path, n):
+        points = [f"x{i}" for i in range(1, n + 1)]
+        doc = {
+            "universe": points,
+            "parameters": ["e1"],
+            "topology": {"kind": "discrete"},
+            "scope": {x: {"e1": [x]} for x in points},
+        }
+        path = tmp_path / "singletons.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "softaura", "axioms", str(path)],
+            capture_output=True,
+            text=True,
+            env=source_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "regular: yes" in proc.stdout
+        assert "T3: yes" in proc.stdout
 
 
 class TestContinuity:
@@ -275,6 +303,15 @@ class TestSuite:
         rc = main(["suite", "--seed", "3"])
         assert rc == 3
 
+    def test_sampled_count_must_be_positive(self, capsys):
+        rc = main(
+            ["suite", "--max-universe", "2", "--max-params", "1", "--seed", "1", "--count", "-5"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sample_count must be at least 1" in captured.err
+
     def test_sampled_generated(self, capsys):
         rc = main(
             [
@@ -324,19 +361,19 @@ class TestExitCodes:
         assert "does not contain" in capsys.readouterr().err
 
     def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SOFTAURA_CAP", "2")
-        rc = main(["axioms", fixture_path("three_point_space.json")])
+        monkeypatch.setenv("SOFTAURA_CAP", "7")
+        rc = main(["continuity", fixture_path("chain_endo_mapping.json")])
         assert rc == 4
 
     def test_env_cap_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SOFTAURA_CAP", "lots")
-        rc = main(["axioms", fixture_path("three_point_space.json")])
+        rc = main(["continuity", fixture_path("chain_endo_mapping.json")])
         assert rc == 3
 
     def test_explicit_cap_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SOFTAURA_CAP", "2")
+        monkeypatch.setenv("SOFTAURA_CAP", "7")
         rc = main(
-            ["axioms", fixture_path("three_point_space.json"), "--cap", "4096"]
+            ["continuity", fixture_path("chain_endo_mapping.json"), "--cap", "8"]
         )
         assert rc == 0
 
@@ -350,6 +387,13 @@ module, _, attr = sys.argv[1].partition(":")
 sys.argv = ["softaura"] + sys.argv[2:]
 sys.exit(getattr(importlib.import_module(module), attr)())
 """
+
+
+def source_env() -> dict:
+    """The environment with the imported ``softaura`` package first on PYTHONPATH."""
+    src = str(Path(softaura.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 def softaura_command():
@@ -366,10 +410,7 @@ def softaura_command():
     tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["softaura"]
-    src = str(Path(softaura.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    return [sys.executable, "-c", WRAPPER, target], env
+    return [sys.executable, "-c", WRAPPER, target], source_env()
 
 
 class TestEntryPoint:
@@ -389,6 +430,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "softaura", "--help"],
             capture_output=True,
             text=True,
+            env=source_env(),
         )
         assert proc.returncode == 0
         assert "approx" in proc.stdout

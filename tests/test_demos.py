@@ -32,6 +32,33 @@ closure characterization of continuity:
   with the one-step closure only the forward direction holds
 """
 
+SEPARATION_DEMO = """\
+two-point space with overlapping scopes:
+  t0: True
+  t1: False  (witness: PairWitness(x='x1', y='x2', param='e2'))
+  t2: False  (witness: PairWitness(x='x1', y='x2', param='e1'))
+  regular: False  (witness: RegularityWitness(point='x1', param='e1', closed_set=SoftSet(e1={x2}, e2={x1, x2})))
+  t3: False
+  x1's scope at e2 swallows x2, so points cannot be told apart
+
+three points with singleton scopes:
+  t0: True
+  t1: True
+  t2: True
+  regular: True
+  t3: True
+
+T1 via the singleton-scope characterization:
+  two-point: False
+  tight: True
+"""
+
+#: Demos whose stdout is pinned byte for byte.
+PINNED_OUTPUT = {
+    "04_continuity.py": CONTINUITY_DEMO,
+    "05_separation_axioms.py": SEPARATION_DEMO,
+}
+
 
 def run_demo(path: Path) -> subprocess.CompletedProcess:
     src = str(Path(softaura.__file__).resolve().parent.parent)
@@ -57,6 +84,7 @@ def test_demo_runs(path):
 
 
 def test_continuity_demo_output():
-    proc = run_demo(next(p for p in DEMOS if p.name == "04_continuity.py"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == CONTINUITY_DEMO
+    for name, expected in PINNED_OUTPUT.items():
+        proc = run_demo(next(p for p in DEMOS if p.name == name))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected, name

@@ -103,6 +103,11 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             SpaceFamilySpec(0, 1)
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_sample_count_positive(self, count):
+        with pytest.raises(ValueError, match="sample_count"):
+            SpaceFamilySpec(2, 1, scope_mode="sampled", seed=1, sample_count=count)
+
 
 class TestFamilyIteration:
     def test_exhaustive_order_and_count(self):

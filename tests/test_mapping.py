@@ -285,6 +285,17 @@ class TestContinuity:
         assert p.semi_continuous and p.pre_continuous
         assert not p.alpha_continuous
 
+    @pytest.mark.parametrize("family", [TARGET_AURA, TARGET_KURATOWSKI, TARGET_AMBIENT])
+    def test_unknown_kind_rejected_before_enumeration(self, chain, family):
+        # cap=1 is below every target family of the chain: the kind is checked first
+        m = identity_mapping(chain)
+        with pytest.raises(ValueError, match="unknown closure kind"):
+            continuity_profile(m, kind="cehc", cap=1, target_family=family)
+
+    def test_decomposition_rejects_unknown_kind_before_enumeration(self, chain):
+        with pytest.raises(ValueError, match="unknown closure kind"):
+            verify_decomposition(identity_mapping(chain), kind="cehc", cap=1)
+
 
 class TestCompose:
     def test_types_must_chain(self, chain, mismatch_pair):

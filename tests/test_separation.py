@@ -4,17 +4,65 @@ import pytest
 from hypothesis import given, settings
 
 from softaura import (
+    DEFAULT_CAP,
     PairWitness,
     RegularityWitness,
     SoftSet,
+    SpaceFamilySpec,
     aura_closure,
+    iter_family_spaces,
     make_space,
     separation_report,
     t1_singleton_closure,
     t1_via_singleton_scopes,
 )
+from softaura.operators import _alexandrov_slice_masks
 
 from conftest import aura_spaces
+
+
+def reference_regular(space, cap=DEFAULT_CAP):
+    """Regularity by brute-force search of the enumerated open-slice families.
+
+    For every point, parameter and aura-open slice holding the point, look for
+    a disjoint open pair separating the point from the complementary closed
+    slice.  It shares no code with the reach-set decider it checks.
+    """
+    # Aura-open sets are slicewise products, so the separating pair for a
+    # point and a closed set avoiding it at parameter e only constrains the
+    # e-slices: search the per-parameter open-slice family directly.  Every
+    # closed slice at e is the complement of a member of that family and
+    # extends to a full aura-closed set (absolute slices elsewhere).
+    ctx = space.context
+    full = ctx.full_mask
+    for xi in range(ctx.n_points):
+        for ei in range(ctx.n_params):
+            opens = _alexandrov_slice_masks(space, ei, cap)
+            for open_slice in opens:
+                closed = full & ~open_slice
+                if closed >> xi & 1:
+                    continue
+                if not any(
+                    u >> xi & 1 and closed & ~v == 0 and u & v == 0
+                    for u in opens
+                    for v in opens
+                ):
+                    masks = [full] * ctx.n_params
+                    masks[ei] = closed
+                    return False, RegularityWitness(
+                        ctx.universe[xi],
+                        ctx.parameters[ei],
+                        SoftSet(ctx, tuple(masks)),
+                    )
+    return True, None
+
+
+def assert_regularity_matches_reference(space):
+    report = separation_report(space)
+    regular, witness = reference_regular(space)
+    assert report.regular == regular
+    assert report.t3 == (report.t1 and regular)
+    assert report.witnesses.get("regular") == witness
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +200,17 @@ class TestEquivalences:
         from softaura import aura_interior
 
         assert aura_interior(space, comp) == comp
+
+
+class TestRegularityAgainstReference:
+    def test_exhaustive_family(self):
+        spaces = 0
+        for _, space in iter_family_spaces(SpaceFamilySpec(3, 2)):
+            assert_regularity_matches_reference(space)
+            spaces += 1
+        assert spaces == 4182
+
+    @given(aura_spaces(max_points=5, max_params=3))
+    @settings(max_examples=300, deadline=None)
+    def test_random_spaces(self, space):
+        assert_regularity_matches_reference(space)
