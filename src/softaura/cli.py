@@ -3,8 +3,9 @@
 Subcommands take a space or mapping document (see documents.py) and print
 either a human table or canonical JSON (insertion-ordered keys, two-space
 indent, trailing newline).  Exit codes: 0 success, 2 domain error (failed
-laws, unknown names), 3 parse or schema error, 4 enumeration cap exceeded.
-The cap defaults to the SOFTAURA_CAP environment variable when set.
+laws, unknown names), 3 parse, schema or output-file error, or a cap below 1,
+4 enumeration cap exceeded.  The cap defaults to the SOFTAURA_CAP
+environment variable when set.
 """
 
 from __future__ import annotations
@@ -250,8 +251,11 @@ def _cmd_suite(args) -> int:
     result = run_law_suite(spec, laws=laws)
     data = result.to_json_bytes()
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {args.out}: {exc}") from exc
         print(
             f"checked {result.spaces_checked} spaces, "
             f"{result.total_failures} law failures; report written to {args.out}"
@@ -320,8 +324,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "cap") and args.cap is None:
-            args.cap = _default_cap()
+        if hasattr(args, "cap"):
+            if args.cap is None:
+                args.cap = _default_cap()
+            elif args.cap < 1:
+                raise DocumentError("--cap must be positive")
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

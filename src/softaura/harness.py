@@ -37,7 +37,7 @@ from .operators import (
 )
 from .rough import accuracy, lower_approx, upper_approx
 from .separation import separation_report, t1_singleton_closure, t1_via_singleton_scopes
-from .softset import Context, SoftSet, make_soft_set
+from .softset import Context, SoftSet, _trusted, make_soft_set
 from .space import (
     DEFAULT_CAP,
     DISCRETE,
@@ -341,7 +341,7 @@ def _pack(masks: Sequence[int], n: int) -> int:
 
 def _unpack(ctx: Context, g: int) -> SoftSet:
     n = ctx.n_points
-    return SoftSet(ctx, tuple((g >> (i * n)) & ctx.full_mask for i in range(ctx.n_params)))
+    return _trusted(ctx, tuple((g >> (i * n)) & ctx.full_mask for i in range(ctx.n_params)))
 
 
 class _Lazy(dict):

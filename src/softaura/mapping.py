@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     CapExceeded,
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .genopen import classify
 from .operators import CECH, KURATOWSKI, _alexandrov_slice_masks, _closure_fn
-from .softset import Context, SoftSet
+from .softset import Context, SoftSet, _trusted
 from .space import DEFAULT_CAP, SoftAuraSpace
 
 TARGET_AURA = "aura"
@@ -45,7 +44,7 @@ TARGET_AMBIENT = "ambient"
 
 def _single_slice(ctx: Context, i: int, mask: int) -> SoftSet:
     """The soft set with `mask` at parameter index i and null elsewhere."""
-    return SoftSet(ctx, tuple(mask if j == i else 0 for j in range(ctx.n_params)))
+    return _trusted(ctx, tuple(mask if j == i else 0 for j in range(ctx.n_params)))
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,15 @@ class SoftMapping:
         for e in self.param_map:
             if e not in src.param_index:
                 raise UnknownParameter(e)
-
-    @cached_property
-    def _point_preimage(self) -> tuple[int, ...]:
-        """For each target point index, the bitmask of source points mapping to it."""
-        src, tgt = self.source.context, self.target.context
-        out = [0] * tgt.n_points
+        # _point_preimage[y]: bitmask of the source points mapping to target point y;
+        # _param_image[e]: the target parameter index of source parameter e
+        preimage = [0] * tgt.n_points
         for xi, x in enumerate(src.universe):
-            out[tgt.point_index[self.point_map[x]]] |= 1 << xi
-        return tuple(out)
-
-    @cached_property
-    def _param_image(self) -> tuple[int, ...]:
-        """For each source parameter index, the target parameter index."""
-        src, tgt = self.source.context, self.target.context
-        return tuple(tgt.param_index[self.param_map[e]] for e in src.parameters)
+            preimage[tgt.point_index[self.point_map[x]]] |= 1 << xi
+        object.__setattr__(self, "_point_preimage", tuple(preimage))
+        object.__setattr__(
+            self, "_param_image", tuple(tgt.param_index[self.param_map[e]] for e in src.parameters)
+        )
 
     def _slice_preimage(self, s: int) -> int:
         """Source point mask of the u-preimage of the target point mask s."""
@@ -113,9 +106,10 @@ def identity_mapping(space: SoftAuraSpace) -> SoftMapping:
 
 def inverse_image(m: SoftMapping, g: SoftSet) -> SoftSet:
     """Soft set over the source: slice at e is the point preimage of g at p(e)."""
-    if g.context != m.target.context:
+    ctx = m.target.context
+    if g.context is not ctx and g.context != ctx:
         raise ContextMismatch("inverse image argument must live over the target context")
-    return SoftSet(
+    return _trusted(
         m.source.context, tuple(m._slice_preimage(g.masks[ki]) for ki in m._param_image)
     )
 

@@ -24,7 +24,7 @@ from .errors import (
     NotSingletonE,
     UnknownParameter,
 )
-from .softset import SoftSet, _require_same_context
+from .softset import SoftSet, _require_same_context, _trusted
 from .space import DEFAULT_CAP, SoftAuraSpace
 
 #: Closure-kind tags used wherever an operator variant can be selected.
@@ -62,7 +62,7 @@ def aura_closure(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     _require_same_context(space.context, g.context)
     sm = space.scope_masks
     n = space.context.n_points
-    return SoftSet(
+    return _trusted(
         space.context,
         tuple(_closure_slice(sm, n, ei, gm) for ei, gm in enumerate(g.masks)),
     )
@@ -73,7 +73,7 @@ def aura_interior(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     _require_same_context(space.context, g.context)
     sm = space.scope_masks
     n = space.context.n_points
-    return SoftSet(
+    return _trusted(
         space.context,
         tuple(_interior_slice(sm, n, ei, gm) for ei, gm in enumerate(g.masks)),
     )
@@ -118,7 +118,7 @@ def kuratowski_closure(space: SoftAuraSpace, g: SoftSet) -> KuratowskiResult:
             growth += 1
         iterations[e] = max(growth, 1)
         out_masks.append(cur)
-    return KuratowskiResult(SoftSet(space.context, tuple(out_masks)), iterations)
+    return KuratowskiResult(_trusted(space.context, tuple(out_masks)), iterations)
 
 
 def is_aura_open(space: SoftAuraSpace, g: SoftSet) -> bool:
@@ -179,7 +179,7 @@ def enumerate_aura_topology(space: SoftAuraSpace, cap: int = DEFAULT_CAP) -> lis
         total *= len(fam)
     if total > cap:
         raise CapExceeded(total, cap)
-    return [SoftSet(ctx, masks) for masks in itertools.product(*families)]
+    return [_trusted(ctx, masks) for masks in itertools.product(*families)]
 
 
 def singleton_e_inclusion_check(space: SoftAuraSpace, cap: int = DEFAULT_CAP) -> bool:

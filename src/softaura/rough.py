@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import InvalidPartition
 from .operators import aura_closure, aura_interior
-from .softset import Context, SoftSet
+from .softset import Context, SoftSet, _trusted
 from .space import ScopeFunction, SoftAuraSpace, discrete_topology
 
 
@@ -32,7 +32,7 @@ def upper_approx(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
 
 
 def _difference(up: SoftSet, low: SoftSet) -> SoftSet:
-    return SoftSet(up.context, tuple(u & ~l for u, l in zip(up.masks, low.masks)))
+    return _trusted(up.context, tuple(u & ~l for u, l in zip(up.masks, low.masks)))
 
 
 def boundary(space: SoftAuraSpace, g: SoftSet) -> SoftSet:

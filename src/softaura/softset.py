@@ -63,11 +63,11 @@ class Context:
     def param_index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.parameters)}
 
-    @property
+    @cached_property
     def n_points(self) -> int:
         return len(self.universe)
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         return len(self.parameters)
 
@@ -92,7 +92,7 @@ class Context:
 
 
 def _require_same_context(a: Context, b: Context) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ContextMismatch("operands have different contexts")
 
 
@@ -169,15 +169,15 @@ class SoftSet:
 
     def union(self, other: "SoftSet") -> "SoftSet":
         _require_same_context(self.context, other.context)
-        return SoftSet(self.context, tuple(a | b for a, b in zip(self.masks, other.masks)))
+        return _trusted(self.context, tuple(a | b for a, b in zip(self.masks, other.masks)))
 
     def intersect(self, other: "SoftSet") -> "SoftSet":
         _require_same_context(self.context, other.context)
-        return SoftSet(self.context, tuple(a & b for a, b in zip(self.masks, other.masks)))
+        return _trusted(self.context, tuple(a & b for a, b in zip(self.masks, other.masks)))
 
     def complement(self) -> "SoftSet":
         full = self.context.full_mask
-        return SoftSet(self.context, tuple(full & ~m for m in self.masks))
+        return _trusted(self.context, tuple(full & ~m for m in self.masks))
 
     def is_subset_of(self, other: "SoftSet") -> bool:
         _require_same_context(self.context, other.context)
@@ -192,6 +192,21 @@ class SoftSet:
             f"{e}={{{', '.join(pts)}}}" for e, pts in self.as_dict().items()
         )
         return f"SoftSet({inner})"
+
+
+def _trusted(context: Context, masks: tuple[int, ...]) -> SoftSet:
+    """A SoftSet built without __post_init__, for library-computed masks.
+
+    The caller guarantees that `masks` is a tuple of one in-range mask per
+    parameter of `context`, computed from masks already checked there.
+    Writing the instance dict directly skips the validation and the frozen
+    __setattr__; equality, hashing and repr are those of any SoftSet.
+    """
+    s = object.__new__(SoftSet)
+    d = s.__dict__
+    d["context"] = context
+    d["masks"] = masks
+    return s
 
 
 def make_soft_set(context: Context, slices: Mapping[str, Iterable[str]]) -> SoftSet:
@@ -226,6 +241,6 @@ def iter_all_soft_sets(context: Context) -> Iterator[SoftSet]:
     m = context.n_params
     slice_mask = (1 << n) - 1
     for combined in range(1 << (n * m)):
-        yield SoftSet(
+        yield _trusted(
             context, tuple((combined >> (i * n)) & slice_mask for i in range(m))
         )

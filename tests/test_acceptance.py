@@ -14,6 +14,7 @@ only correct comparison.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -46,6 +47,9 @@ from softaura.cli import main
 from conftest import fixture_path, named_context
 
 RANDOM_SEED = 20260815
+
+#: sha256 of the exhaustive 3x2 report bytes (9,990 bytes), measured on Python 3.11.
+EXHAUSTIVE_REPORT_SHA256 = "1c0d926fade601caa43f09d725724028f4ae39a4b9e94fa52ee43c02c724cd91"
 
 EXPECTED_APPROX_TABLE = (
     "          e1      e2  e3      e4\n"
@@ -325,3 +329,9 @@ def test_criterion_10_deterministic_reports(exhaustive_suite):
         f"repeated suite run serialises to byte-identical reports "
         f"({len(first_bytes)} bytes)",
     )
+
+
+def test_exhaustive_report_digest_pinned(exhaustive_suite):
+    result, _ = exhaustive_suite
+    data = result.to_json_bytes()
+    assert hashlib.sha256(data).hexdigest() == EXHAUSTIVE_REPORT_SHA256, len(data)

@@ -278,6 +278,16 @@ class TestSuite:
         want = run_law_suite(SpaceFamilySpec(2, 2)).to_json_bytes()
         assert out.read_bytes() == want
 
+    def test_unwritable_out_is_3(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "r.json"
+        rc = main(["suite", "--max-universe", "1", "--max-params", "1", "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_law_subset(self, capsys):
         rc = main(
             [
@@ -369,6 +379,20 @@ class TestExitCodes:
         monkeypatch.setenv("SOFTAURA_CAP", "lots")
         rc = main(["continuity", fixture_path("chain_endo_mapping.json")])
         assert rc == 3
+
+    def test_env_cap_must_be_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv("SOFTAURA_CAP", "0")
+        rc = main(["continuity", fixture_path("chain_endo_mapping.json")])
+        assert rc == 3
+        assert "SOFTAURA_CAP must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_explicit_cap_must_be_positive(self, cap, capsys):
+        rc = main(["continuity", fixture_path("chain_endo_mapping.json"), "--cap", cap])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cap must be positive" in captured.err
 
     def test_explicit_cap_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SOFTAURA_CAP", "7")

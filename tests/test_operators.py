@@ -2,17 +2,24 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softaura import (
     CapExceeded,
     NotSingletonE,
+    SoftMapping,
     SoftSet,
     UnknownParameter,
+    approximation_report,
     aura_closure,
     aura_interior,
+    boundary,
     enumerate_aura_topology,
+    harness,
+    inverse_image,
     is_aura_closed,
     is_aura_open,
+    iter_all_soft_sets,
     kuratowski_closure,
     make_soft_set,
     make_space,
@@ -21,6 +28,7 @@ from softaura import (
     per_parameter_alexandrov,
     singleton_e_inclusion_check,
 )
+from softaura.mapping import _single_slice
 
 from conftest import space_with_sets
 
@@ -185,12 +193,45 @@ class TestOperatorLaws:
         )
         assert joint == parts
 
-    @given(space_with_sets(count=1, max_points=3, max_params=2))
-    @settings(max_examples=100)
-    def test_oracle_agreement(self, bundle):
-        space, g = bundle
-        assert aura_closure(space, g) == oracle_closure(space, g)
-        assert aura_interior(space, g) == oracle_interior(space, g)
+    @given(space_with_sets(count=2, max_points=8, max_params=3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_agreement(self, bundle, data):
+        space, g, h = bundle
+        ctx = space.context
+        n, m = ctx.n_points, ctx.n_params
+        cl = aura_closure(space, g)
+        assert cl == oracle_closure(space, g)
+        interior = aura_interior(space, g)
+        assert interior == oracle_interior(space, g)
+        fix = oracle_closure(space, g)
+        while (nxt := oracle_closure(space, fix)) != fix:
+            fix = nxt
+        kur = kuratowski_closure(space, g).closure
+        assert kur == fix
+
+        # every result built without validation must equal the validated one
+        u = data.draw(st.lists(st.sampled_from(ctx.universe), min_size=n, max_size=n))
+        p = data.draw(st.lists(st.sampled_from(ctx.parameters), min_size=m, max_size=m))
+        mapping = SoftMapping(space, space, dict(zip(ctx.universe, u)), dict(zip(ctx.parameters, p)))
+        ei = data.draw(st.integers(0, m - 1))
+        built = [
+            cl,
+            interior,
+            kur,
+            g.union(h),
+            g.intersect(h),
+            g.complement(),
+            boundary(space, g),
+            approximation_report(space, h).boundary,
+            inverse_image(mapping, g),
+            _single_slice(ctx, ei, g.masks[ei]),
+            harness._unpack(ctx, harness._pack(h.masks, n)),
+        ]
+        if n * m <= 6:
+            built += enumerate_aura_topology(space) + list(iter_all_soft_sets(ctx))
+        for out in built:
+            assert type(out.masks) is tuple
+            assert SoftSet(ctx, out.masks) == out
 
     @given(space_with_sets(count=0, max_points=3, max_params=2))
     @settings(max_examples=50)
