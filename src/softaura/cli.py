@@ -17,13 +17,11 @@ import sys
 
 from .documents import load_mapping, load_space, resolve_target_set
 from .errors import CapExceeded, DocumentError, SoftAuraError
-from .genopen import classify
-from .harness import SpaceFamilySpec, run_law_suite
-from .mapping import TARGET_AMBIENT, TARGET_AURA, TARGET_KURATOWSKI, continuity_profile
-from .operators import CECH, KURATOWSKI
-from .rough import approximation_report
-from .separation import separation_report
+from .operators import CECH, KURATOWSKI, TARGET_AMBIENT, TARGET_AURA, TARGET_KURATOWSKI
 from .space import DEFAULT_CAP, DISCRETE
+
+# Each subcommand imports the modules it computes with, so a request loads
+# only those; only `suite` loads the law harness.
 
 
 def _default_cap() -> int:
@@ -87,6 +85,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from .rough import approximation_report
+
     decoded = load_space(args.space)
     target = resolve_target_set(decoded, args.target)
     report = approximation_report(decoded.space, target)
@@ -130,6 +130,8 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .genopen import classify
+
     decoded = load_space(args.space)
     target = resolve_target_set(decoded, args.set)
     profile = classify(decoded.space, target, args.closure)
@@ -178,6 +180,8 @@ def _axiom_witness_text(name: str, w) -> str:
 
 
 def _cmd_axioms(args) -> int:
+    from .separation import separation_report
+
     decoded = load_space(args.space)
     report = separation_report(decoded.space)
     axioms = [
@@ -207,6 +211,8 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
+    from .mapping import continuity_profile
+
     mapping, _, _ = load_mapping(args.mapping)
     profile = continuity_profile(
         mapping, kind=args.closure, cap=args.cap, target_family=args.target_family
@@ -233,7 +239,26 @@ def _cmd_continuity(args) -> int:
     return 0
 
 
+def _check_writable(path: str) -> None:
+    """Raise the error that writing the report to `path` would raise, before the suite runs.
+
+    A new file is created and removed again; an existing one is opened for
+    append, so it keeps its bytes until the report replaces them.
+    """
+    try:
+        try:
+            open(path, "xb").close()
+        except FileExistsError:
+            open(path, "ab").close()
+        else:
+            os.remove(path)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_suite(args) -> int:
+    from .harness import SpaceFamilySpec, require_known_laws, run_law_suite
+
     if args.seed is not None or args.count is not None:
         if args.seed is None or args.count is None:
             raise DocumentError("--seed and --count must be given together")
@@ -248,6 +273,10 @@ def _cmd_suite(args) -> int:
     else:
         spec = SpaceFamilySpec(args.max_universe, args.max_params, topology_kind=args.topology)
     laws = args.laws.split(",") if args.laws else None
+    if laws is not None:
+        require_known_laws(laws)
+    if args.out:
+        _check_writable(args.out)
     result = run_law_suite(spec, laws=laws)
     data = result.to_json_bytes()
     if args.out:

@@ -185,8 +185,18 @@ def _sample_topology(context: Context, kind: str, rng: random.Random) -> SoftTop
 
 
 def iter_family_spaces(spec: SpaceFamilySpec) -> Iterator[tuple[tuple[int, int, int], SoftAuraSpace]]:
-    """Yield ((|X|, |E|, scope rank), space) in canonical family order."""
+    """Yield ((|X|, |E|, scope rank), space) in canonical family order.
+
+    In "all" mode every shape's scope count is checked against the cap
+    before the first space, so an over-cap family fails at once.
+    """
     if spec.scope_mode == "all":
+        for n in range(1, spec.max_universe + 1):
+            for m in range(1, spec.max_params + 1):
+                # discrete scopes: 2^(n-1) slices per point and parameter
+                total = 1 << ((n - 1) * m * n)
+                if total > DEFAULT_CAP:
+                    raise CapExceeded(total, DEFAULT_CAP)
         for n in range(1, spec.max_universe + 1):
             for m in range(1, spec.max_params + 1):
                 ctx = _family_context(n, m)
@@ -778,6 +788,13 @@ def _sampled_sets(ctx: Context, seed: int, rank3: tuple[int, ...]) -> list[int]:
     return [_pack([rng.randrange(full + 1) for _ in range(m)], n) for _ in range(256)]
 
 
+def require_known_laws(laws: Sequence[str]) -> None:
+    """ValueError naming every entry of `laws` that is not a law in LAWS."""
+    unknown = [l for l in laws if l not in LAWS]
+    if unknown:
+        raise ValueError(f"unknown laws: {unknown}")
+
+
 def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> SuiteResult:
     """Evaluate the law registry over the family and collect a deterministic report.
 
@@ -790,9 +807,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     (no pair law selected, or no shape with n*m <= 12).
     """
     if laws is not None:
-        unknown = [l for l in laws if l not in LAWS]
-        if unknown:
-            raise ValueError(f"unknown laws: {unknown}")
+        require_known_laws(laws)
     selected = set(laws) if laws is not None else set(LAWS)
     # a mirrored rough row needs its base rows scanned, selected or not
     scanned = selected.union(*(_SHARED_ROUGH_PAIR_ROWS.get(name, ()) for name in selected))

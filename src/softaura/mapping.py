@@ -33,13 +33,17 @@ from .errors import (
     UnknownPoint,
 )
 from .genopen import classify
-from .operators import CECH, KURATOWSKI, _alexandrov_slice_masks, _closure_fn
+from .operators import (
+    CECH,
+    KURATOWSKI,
+    TARGET_AMBIENT,
+    TARGET_AURA,
+    TARGET_KURATOWSKI,
+    _alexandrov_slice_masks,
+    _closure_fn,
+)
 from .softset import Context, SoftSet, _trusted
 from .space import DEFAULT_CAP, SoftAuraSpace
-
-TARGET_AURA = "aura"
-TARGET_KURATOWSKI = "kuratowski"
-TARGET_AMBIENT = "ambient"
 
 
 def _single_slice(ctx: Context, i: int, mask: int) -> SoftSet:

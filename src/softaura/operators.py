@@ -31,6 +31,12 @@ from .space import DEFAULT_CAP, SoftAuraSpace
 CECH = "cech"
 KURATOWSKI = "kuratowski"
 
+#: Target-family tags for continuity (mapping.py): the target's aura-open
+#: family, the complements of its closure fixpoints, or its ambient topology.
+TARGET_AURA = "aura"
+TARGET_KURATOWSKI = "kuratowski"
+TARGET_AMBIENT = "ambient"
+
 
 def _closure_fn(space: SoftAuraSpace, kind: str):
     """The closure operator of `space` named by `kind`; ValueError for any other kind."""

@@ -288,6 +288,40 @@ class TestSuite:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    def test_unwritable_out_fails_before_the_suite(self, tmp_path, capsys, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before the --out path was checked")
+
+        monkeypatch.setattr("softaura.harness.run_law_suite", no_suite)
+        monkeypatch.setattr("softaura.harness.iter_family_spaces", no_suite)
+        out = tmp_path / "absent" / "r.json"
+        rc = main(["suite", "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert not out.exists()
+
+    def test_unknown_law_is_reported_before_the_out_path(self, tmp_path, capsys):
+        rc = main(["suite", "--laws", "bogus", "--out", str(tmp_path / "absent" / "r.json")])
+        assert rc == 2
+        assert "unknown laws" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old", [b"an older report\n", None])
+    def test_failed_suite_leaves_out_as_it_was(self, tmp_path, capsys, old):
+        out = tmp_path / "r.json"
+        if old is not None:
+            out.write_bytes(old)
+        rc = main(["suite", "--max-universe", "4", "--max-params", "2", "--out", str(out)])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: enumeration needs 16777216 members, cap is 1000000\n"
+        if old is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == old
+
     def test_law_subset(self, capsys):
         rc = main(
             [
@@ -437,6 +471,19 @@ def softaura_command():
     return [sys.executable, "-c", WRAPPER, target], source_env()
 
 
+# Runs `main` on argv in a fresh interpreter, then prints its exit code and
+# the softaura submodules that the run loaded.
+FOOTPRINT = """\
+import contextlib, io, json, sys
+from softaura.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("softaura."))]))
+"""
+
+COMPUTE_MODULES = {"harness", "mapping", "separation", "rough", "genopen"}
+
+
 class TestEntryPoint:
     def test_console_script(self):
         command, env = softaura_command()
@@ -458,3 +505,29 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "approx" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", fixture_path("monitoring.json")],
+            ["approx", fixture_path("monitoring.json"), "--target", "G"],
+            ["classify", fixture_path("chain_space.json"), "--set", "mixed"],
+            ["axioms", fixture_path("two_point_space.json")],
+            ["continuity", fixture_path("chain_endo_mapping.json")],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_start_up_footprint(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT, *argv],
+            capture_output=True,
+            text=True,
+            env=source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, modules = json.loads(proc.stdout)
+        assert rc == 0
+        loaded = {name.removeprefix("softaura.") for name in modules}
+        assert "harness" not in loaded
+        if argv[0] == "validate":
+            assert not loaded & COMPUTE_MODULES

@@ -118,6 +118,14 @@ class TestFamilyIteration:
         ranks = [rank for rank, _ in items]
         assert ranks == sorted(ranks)
 
+    def test_over_cap_shape_fails_before_the_first_space(self):
+        # 3x2 and 4x1 fit the cap, but 4x2 has 2^24 discrete scope functions
+        with pytest.raises(CapExceeded) as info:
+            next(iter_family_spaces(SpaceFamilySpec(4, 2)))
+        assert (info.value.required, info.value.cap) == (16_777_216, 1_000_000)
+        # 3x3, with 2^18 scope functions at its largest shape, still starts
+        assert next(iter_family_spaces(SpaceFamilySpec(3, 3)))[0] == (1, 1, 0)
+
     def test_sampled_deterministic(self):
         spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=11, sample_count=9)
         a = [(rank, space.scope_masks) for rank, space in iter_family_spaces(spec)]
