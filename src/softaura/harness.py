@@ -2,17 +2,17 @@
 
 The engine enumerates every scope function over the discrete topology for
 each universe/parameter shape up to the requested bounds, builds per-space
-lookup tables by calling the public operators once per soft set, and then
-evaluates every law as comparisons of those library-produced values.  Each
-law is defined once, as a predicate over the tables; replay_witness
-evaluates the same predicate on tables built for the witness space.  Set
-ranks, pair ranks, scope ranks and shape ranks are all canonical, so every
-reported witness is the first one in canonical order and every report is
-byte-reproducible.
+lookup tables from public operator calls (closure and interior composed
+slice by slice, see _Tables), and then evaluates every law as comparisons of
+those library-produced values.  Each law is defined once, as a predicate
+over the tables; replay_witness evaluates the same predicate on tables built
+for the witness space.  Set ranks, pair ranks, scope ranks and shape ranks
+are all canonical, so every reported witness is the first one in canonical
+order and every report is byte-reproducible.
 
 Literal per-element oracles for the closure and interior live here too; they
 work on name sets, never on bitmasks, so they share no code with the
-optimized operators they check.
+optimized operators they check; the tables compose them slice by slice too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import and_
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -381,6 +381,26 @@ def _openness_row(cl, int_, g: int) -> tuple[bool, ...]:
     )
 
 
+def _slicewise(op: Callable, space: SoftAuraSpace, sets) -> Callable[[int], int]:
+    """Fill of the packed table of `op(space, G)`, for an operator that acts slice by slice.
+
+    The null set and each single-slice set get one `op` call; any other entry
+    is the OR of its single-slice parts' entries.
+    """
+    n, full = space.context.n_points, space.context.full_mask
+    slice_masks = [full << (i * n) for i in range(space.context.n_params)]
+    part = _Lazy(lambda g: _pack(op(space, sets[g]).masks, n))
+
+    def fill(g: int) -> int:
+        out = part[0] if g == 0 else 0
+        for mask in slice_masks:
+            if g & mask:
+                out |= part[g & mask]
+        return out
+
+    return fill
+
+
 class _Tables:
     """Packed operator tables of one space, keyed by packed soft set.
 
@@ -389,10 +409,12 @@ class _Tables:
     interior and fixpoint closure; `fix_result` the fixpoint closure with its
     iteration counts; `rows[kind]` the six openness flags of each set under
     a closure kind and `cols[kind]` the same flags as six per-flag tables.
-    Every entry comes from one public-operator call.  Given a shape's full
+    `cl`, `int_` and the `oracle` tables are composed slice by slice
+    (`_slicewise`); `fix_result` holds one public `kuratowski_closure` call
+    per set, since its iteration counts are checked.  Given a shape's full
     set list the tables are lists filled up front; without one they are
-    dicts filled on first lookup.  Tables belong to one space and are
-    dropped with it.
+    dicts filled on first lookup.  No stored function refers to the
+    instance, so reference counting frees the tables.
     """
 
     def __init__(self, space: SoftAuraSpace, sets: Sequence[SoftSet] | None = None):
@@ -408,13 +430,13 @@ class _Tables:
         self.space = space
         self.full = _pack((ctx.full_mask,) * ctx.n_params, n)
         self.sets = sets
-        self.cl = table(lambda g: _pack(aura_closure(space, sets[g]).masks, n))
-        self.int_ = table(lambda g: _pack(aura_interior(space, sets[g]).masks, n))
-        self.fix_result = table(lambda g: kuratowski_closure(space, sets[g]))
-        self.fix = table(lambda g: _pack(self.fix_result[g].closure.masks, n))
+        self.cl = cl = table(_slicewise(aura_closure, space, sets))
+        self.int_ = int_ = table(_slicewise(aura_interior, space, sets))
+        self.fix_result = fix_result = table(lambda g: kuratowski_closure(space, sets[g]))
+        self.fix = table(lambda g: _pack(fix_result[g].closure.masks, n))
         self.rows = {
-            kind: table(lambda g, cl=cl: _openness_row(cl, self.int_, g))
-            for kind, cl in ((CECH, self.cl), (KURATOWSKI, self.fix))
+            kind: table(lambda g, c=c: _openness_row(c, int_, g))
+            for kind, c in ((CECH, cl), (KURATOWSKI, self.fix))
         }
         self.cols = {
             kind: tuple(zip(*rows))
@@ -428,8 +450,13 @@ class _Tables:
         return separation_report(self.space)
 
     @cached_property
-    def oracle_scopes(self):
-        return oracle_scopes(self.space)
+    def oracle(self) -> tuple[_Lazy, _Lazy]:
+        """Packed `oracle_closure` and `oracle_interior` tables, composed like `cl` and `int_`."""
+        scopes = oracle_scopes(self.space)
+        return tuple(
+            _Lazy(_slicewise(partial(f, scopes=scopes), self.space, self.sets))
+            for f in (oracle_closure, oracle_interior)
+        )
 
 
 # -- law registry ------------------------------------------------------------
@@ -556,12 +583,8 @@ def _rough_accuracy(t, g):
 
 
 def _oracle_equivalence(t, g):
-    n = t.space.context.n_points
-    s, scopes = t.sets[g], t.oracle_scopes
-    return (
-        _pack(oracle_closure(t.space, s, scopes).masks, n) == t.cl[g]
-        and _pack(oracle_interior(t.space, s, scopes).masks, n) == t.int_[g]
-    )
+    ocl, oint = t.oracle
+    return ocl[g] == t.cl[g] and oint[g] == t.int_[g]
 
 
 def _pair_row(t, g: int, hs, hit: Callable) -> None:
@@ -1016,6 +1039,8 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
         for sp in spaces
     ]
     taus = [enumerate_aura_topology(sp) for sp in spaces]
+    # per target, the open-slice family at each of its parameters
+    open_slices = [[{v.masks[k] for v in tau} for k in range(sp.context.n_params)] for sp, tau in zip(spaces, taus)]
     preimages: dict[tuple, list[int]] = {}
 
     checked = 0
@@ -1027,9 +1052,9 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
 
     for src, rows in zip(spaces, source_rows):
         nx, ne = src.context.n_points, src.context.n_params
-        for tgt, tau in zip(spaces, taus):
+        for tgt, tau, slices in zip(spaces, taus, open_slices):
             ny, nk = tgt.context.n_points, tgt.context.n_params
-            slices = [{v.masks[k] for v in tau} for k in range(nk)]
+            param_maps = list(itertools.product(range(nk), repeat=ne))
             for u in itertools.product(range(ny), repeat=nx):
                 pre = preimages.get((ny, u))
                 if pre is None:
@@ -1041,7 +1066,7 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
                     [reduce(and_, [row[pre[v]] for v in fam]) for fam in slices]
                     for row in rows
                 ]
-                for p in itertools.product(range(nk), repeat=ne):
+                for p in param_maps:
                     checked += 1
                     # bits 0-2 one-step alpha, semi, pre; bits 3-5 the same under the fixpoint closure
                     flags = 0b111111

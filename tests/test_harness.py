@@ -1,7 +1,10 @@
 """Family enumeration, the law suite engine, and the mapping scan."""
 
+import gc
 import hashlib
 import itertools
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from softaura import (
     REPORT_ROWS,
     STRICTNESS_EDGES,
     SizeGuard,
+    SoftAuraSpace,
     SoftSet,
     SpaceFamilySpec,
     aura_closure,
@@ -33,7 +37,7 @@ from softaura import (
     witness_from_json,
 )
 
-from softaura import harness, mapping
+from softaura import harness, mapping, rough
 
 from conftest import named_context, space_with_sets
 
@@ -312,6 +316,105 @@ class TestWitnessPlumbing:
         broken = witness_from_json({**w.to_json_dict(), "kind": "mystery"})
         with pytest.raises(ValueError):
             replay_witness(broken)
+
+
+def _lazy_spaces(n: int, m: int, seeds):
+    """Seeded discrete n x m spaces, the shape the suite only samples."""
+    ctx = harness._family_context(n, m)
+    topo = discrete_topology(ctx)
+    for seed in seeds:
+        yield SoftAuraSpace(ctx, topo, harness._sample_scope(ctx, topo, random.Random(seed)))
+
+
+def _eager_tables(space):
+    ctx = space.context
+    return harness._Tables(space, [harness._unpack(ctx, g) for g in range(1 << ctx.n_points * ctx.n_params)])
+
+
+def _non_null_slices(g) -> int:
+    return sum(1 for mk in g.masks if mk)
+
+
+class TestComposedTables:
+    """`cl` and `int_` are composed from single-slice entries; the laws must still see every fault."""
+
+    def test_entries_equal_whole_set_operator_calls(self):
+        eager = [_eager_tables(space) for _, space in iter_family_spaces(SpaceFamilySpec(2, 2))]
+        lazy = [harness._Tables(space) for space in _lazy_spaces(4, 4, range(3))]
+        for t in eager + lazy:
+            n = t.space.context.n_points
+            for g in range(t.full + 1):
+                s = harness._unpack(t.space.context, g)
+                assert t.cl[g] == harness._pack(aura_closure(t.space, s).masks, n)
+                assert t.int_[g] == harness._pack(aura_interior(t.space, s).masks, n)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_tables_freed_without_the_cyclic_collector(self, lazy):
+        (space,) = _lazy_spaces(2, 2, [3])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = harness._Tables(space) if lazy else _eager_tables(space)
+            ref = weakref.ref(t)
+            for g in (0, 5, t.full):
+                t.cl[g], t.rows["kuratowski"][g], t.cols["cech"][2][g], t.oracle[1][g]
+            del t
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_multi_slice_fault_in_rough_is_reported_by_delegation(self, monkeypatch):
+        # the tables never call the closure on a set with two non-null
+        # slices, so only the rows that call the public rough operators see this
+        real = rough.aura_closure
+
+        def adds_a_point(space, g):
+            c = real(space, g)
+            if _non_null_slices(g) < 2:
+                return c
+            return SoftSet(space.context, (c.masks[0] | 1, *c.masks[1:]))
+
+        monkeypatch.setattr(rough, "aura_closure", adds_a_point)
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        assert {name for name, row in result.laws.items() if row.failures} == {"rough-delegation", "rough-accuracy"}
+        assert all(replay_witness(w) for w in result.laws["rough-delegation"].witnesses)
+
+    def test_single_slice_fault_is_reported_by_the_oracle(self, monkeypatch):
+        real = harness.aura_closure
+
+        def wrong_on_x1_at_e1(space, g):
+            if g.masks[0] == 1 and _non_null_slices(g) == 1:
+                return SoftSet.absolute(space.context)
+            return real(space, g)
+
+        monkeypatch.setattr(harness, "aura_closure", wrong_on_x1_at_e1)
+        row = run_law_suite(SpaceFamilySpec(2, 2)).laws["oracle-equivalence"]
+        assert row.failures > 0
+        assert all(replay_witness(w) for w in row.witnesses)
+
+    def test_wrong_oracle_interior_is_reported(self, monkeypatch):
+        monkeypatch.setattr(harness, "oracle_interior", lambda space, g, scopes=None: g)
+        row = run_law_suite(SpaceFamilySpec(2, 2)).laws["oracle-equivalence"]
+        assert row.failures > 0
+        assert all(replay_witness(w) for w in row.witnesses)
+
+    def test_oracle_runs_once_per_slice(self, monkeypatch):
+        real = harness.oracle_closure
+        calls = {}
+
+        def counting(space, g, scopes=None):
+            calls.setdefault(space, []).append(g)
+            return real(space, g, scopes)
+
+        monkeypatch.setattr(harness, "oracle_closure", counting)
+        run_law_suite(SpaceFamilySpec(2, 2))
+        assert len(calls) == 22
+        for space, sets in calls.items():
+            n, m = space.context.n_points, space.context.n_params
+            # null plus each non-null slice at each parameter, never a set twice
+            assert len(sets) == len(set(sets)) <= m * ((1 << n) - 1) + 1
+            assert all(_non_null_slices(g) <= 1 for g in sets)
 
 
 def reference_mapping_scan(per_shape: int) -> harness.MappingScanResult:
