@@ -4,8 +4,8 @@ Subcommands take a space or mapping document (see documents.py) and print
 either a human table or canonical JSON (insertion-ordered keys, two-space
 indent, trailing newline).  Exit codes: 0 success, 2 domain error (failed
 laws, unknown names), 3 parse, schema or output-file error, or a cap below 1,
-4 enumeration cap exceeded.  The cap defaults to the SOFTAURA_CAP
-environment variable when set.
+4 enumeration cap exceeded (the message names the family).  The cap defaults
+to the SOFTAURA_CAP environment variable when set.
 """
 
 from __future__ import annotations

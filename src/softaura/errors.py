@@ -40,10 +40,17 @@ class UnknownParameter(SoftAuraError):
 
 
 class CapExceeded(SoftAuraError):
-    def __init__(self, required: int, cap: int):
+    """An enumeration would pass its cap; `family` names what it enumerates.
+
+    Families: "aura topology", "ambient members", "witness search",
+    "scope functions", "topology generation".
+    """
+
+    def __init__(self, required: int, cap: int, family: str):
         self.required = required
         self.cap = cap
-        super().__init__(f"enumeration needs {required} members, cap is {cap}")
+        self.family = family
+        super().__init__(f"{family}: enumeration needs {required} members, cap is {cap}")
 
 
 class NotSingletonE(SoftAuraError):

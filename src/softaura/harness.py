@@ -30,6 +30,7 @@ from .genopen import classify
 from .operators import (
     CECH,
     KURATOWSKI,
+    TARGET_AURA,
     aura_closure,
     aura_interior,
     enumerate_aura_topology,
@@ -142,7 +143,7 @@ def enumerate_scope_functions(
     for choices in per_point:
         total *= len(choices)
     if total > cap:
-        raise CapExceeded(total, cap)
+        raise CapExceeded(total, cap, "scope functions")
     for combo in itertools.product(*per_point):
         yield ScopeFunction(context, combo)
 
@@ -196,7 +197,7 @@ def iter_family_spaces(spec: SpaceFamilySpec) -> Iterator[tuple[tuple[int, int, 
                 # discrete scopes: 2^(n-1) slices per point and parameter
                 total = 1 << ((n - 1) * m * n)
                 if total > DEFAULT_CAP:
-                    raise CapExceeded(total, DEFAULT_CAP)
+                    raise CapExceeded(total, DEFAULT_CAP, "scope functions")
         for n in range(1, spec.max_universe + 1):
             for m in range(1, spec.max_params + 1):
                 ctx = _family_context(n, m)
@@ -1011,12 +1012,13 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     fixpoint-kind equivalence (alpha iff semi and pre) must hold for every
     mapping, while one-step-kind mismatches are counted and reported.
 
-    Every openness class is decided slice by slice and holds the null set,
-    and the target's aura-open family is the product of per-parameter
-    open-slice families.  So (u, p) is in a class iff, for each source
-    parameter e and open target slice V at p(e), the set with u^-1(V) at e
-    and null elsewhere is: only those sets are classified (public
-    classify()), their flags ANDed per (e, target parameter) once per u.
+    Every openness class is decided slice by slice, holds the null set and
+    is closed under unions, and every open target slice at a parameter is
+    a union of the reach sets R_k(y) there.  So (u, p) is in a class iff,
+    for each source parameter e and V the null slice or a reach set at
+    p(e), the set with u^-1(V) at e and null elsewhere is: only those sets
+    are classified (public classify()), their flags ANDed per (e, target
+    parameter) once per u.
 
     Preimages come from one slice table per (|Y|, u).  Counting (mapping,
     target aura-open set) pairs in scan order, every `cross_check_every`-th
@@ -1024,7 +1026,7 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     public inverse_image().  ValueError for `per_shape` < 2 or
     `cross_check_every` < 1.
     """
-    from .mapping import SoftMapping, inverse_image
+    from .mapping import SoftMapping, _target_basis, inverse_image
 
     if per_shape < 2 or cross_check_every < 1:
         raise ValueError(f"need per_shape >= 2 and cross_check_every >= 1, got {per_shape}, {cross_check_every}")
@@ -1038,9 +1040,9 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
         ]
         for sp in spaces
     ]
+    # tau only feeds the preimage cross-check
     taus = [enumerate_aura_topology(sp) for sp in spaces]
-    # per target, the open-slice family at each of its parameters
-    open_slices = [[{v.masks[k] for v in tau} for k in range(sp.context.n_params)] for sp, tau in zip(spaces, taus)]
+    bases = [_target_basis(sp, DEFAULT_CAP, TARGET_AURA) for sp in spaces]
     preimages: dict[tuple, list[int]] = {}
 
     checked = 0
@@ -1052,7 +1054,7 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
 
     for src, rows in zip(spaces, source_rows):
         nx, ne = src.context.n_points, src.context.n_params
-        for tgt, tau, slices in zip(spaces, taus, open_slices):
+        for tgt, tau, basis in zip(spaces, taus, bases):
             ny, nk = tgt.context.n_points, tgt.context.n_params
             param_maps = list(itertools.product(range(nk), repeat=ne))
             for u in itertools.product(range(ny), repeat=nx):
@@ -1061,9 +1063,9 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
                     pre = preimages[ny, u] = [
                         sum(1 << xi for xi, y in enumerate(u) if s >> y & 1) for s in range(1 << ny)
                     ]
-                # per_param[ei][k]: AND of the flags of every pull-back of an open slice at k, placed at ei
+                # per_param[ei][k]: AND of the flags of every pull-back of a basic slice at k, placed at ei
                 per_param = [
-                    [reduce(and_, [row[pre[v]] for v in fam]) for fam in slices]
+                    [reduce(and_, [row[pre[v]] for v in fam]) for fam in basis]
                     for row in rows
                 ]
                 for p in param_maps:

@@ -5,19 +5,18 @@ p: E -> K.  The inverse image of a target soft set takes, at each source
 parameter e, the u-preimage of the slice at p(e).  Inverse images commute
 with unions, intersections and complements.
 
-Continuity (and its alpha/semi/pre/beta variants) quantifies over the
-target's aura-open family: the mapping is C-continuous when every inverse
-image of a target aura-open set lands in class C at the source.  The target
-family can instead be taken as the complements of target closure fixpoints
-(kind "kuratowski" — extensionally the same family on finite spaces) or as
-the target's ambient topology ("ambient"), for comparison.
-
-Every check is decided per target parameter.  Each openness class is
-decided slice by slice and holds the null set, so the pull-backs of a family
-all lie in C iff, for each source parameter e and each slice s the family
-takes at p(e), the set with the preimage of s at e and null elsewhere does.
-Work and caps are per parameter: 2^|Y| slices, or the member count of an
-explicit ambient topology, never the 2^(|Y|·|K|) product.
+Continuity (and its alpha/semi/pre/beta variants) asks that every inverse
+image of a member of a target family lands in class C at the source.  The
+family is the target's aura-open sets, the complements of its closure
+fixpoints ("kuratowski", extensionally the same on finite spaces) or its
+ambient topology ("ambient").  Each class holds the null set, is decided
+slice by slice and is closed under unions, and pull-back preserves unions.
+At each target parameter every slice of a family is a union of its least
+slices around the points: R_k(y) for the aura and kuratowski families
+(Alexandroff's least open neighbourhood), {y} for a discrete ambient
+topology, the meet of the member projections holding y for an explicit
+one.  So every check pulls back |Y| + 1 basic slices per source parameter,
+and only an explicit ambient topology, read member by member, is capped.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .operators import (
     TARGET_KURATOWSKI,
     _alexandrov_slice_masks,
     _closure_fn,
+    _reach_masks,
 )
 from .softset import Context, SoftSet, _trusted
 from .space import DEFAULT_CAP, SoftAuraSpace
@@ -118,21 +118,26 @@ def inverse_image(m: SoftMapping, g: SoftSet) -> SoftSet:
     )
 
 
-def _target_slices(m: SoftMapping, cap: int, target_family: str) -> list:
-    """Per target parameter, the ascending slices the target family takes there."""
-    space = m.target
+def _target_basis(space: SoftAuraSpace, cap: int, target_family: str) -> list[list[int]]:
+    """Per parameter, the null slice and the least family slice holding each point."""
     ctx = space.context
+    n, m = ctx.n_points, ctx.n_params
     if target_family in (TARGET_AURA, TARGET_KURATOWSKI):
-        return [_alexandrov_slice_masks(space, ki, cap) for ki in range(ctx.n_params)]
+        return [[0, *_reach_masks(space, ki)] for ki in range(m)]
     if target_family != TARGET_AMBIENT:
         raise ValueError(f"unknown target family {target_family!r}")
     topo = space.topology
-    total = len(topo) if topo.is_extensional else 1 << ctx.n_points
-    if total > cap:
-        raise CapExceeded(total, cap)
     if not topo.is_extensional:
-        return [range(total)] * ctx.n_params
-    return [sorted({v.masks[ki] for _, v in topo}) for ki in range(ctx.n_params)]
+        return [[0, *(1 << yi for yi in range(n))]] * m
+    if len(topo) > cap:
+        raise CapExceeded(len(topo), cap, "ambient members")
+    basis = [[0] + [ctx.full_mask] * n for _ in range(m)]
+    for _, v in topo:  # members meet in members, so each meet is a member's projection
+        for ki, s in enumerate(v.masks):
+            for yi in range(n):
+                if s >> yi & 1:
+                    basis[ki][yi + 1] &= s
+    return basis
 
 
 @dataclass(frozen=True)
@@ -156,21 +161,18 @@ def continuity_profile(
     cap: int = DEFAULT_CAP,
     target_family: str = TARGET_AURA,
 ) -> ContinuityProfile:
-    """Classify the single-slice pull-back of every slice of the target open family."""
+    """Classify each distinct single-slice pull-back of a basic slice of the target family."""
     _closure_fn(m.source, kind)  # an unknown kind fails before any enumeration
-    slices = _target_slices(m, cap, target_family)
-    continuous = alpha = semi = pre = beta = True
+    basis = _target_basis(m.target, cap, target_family)
+    flags = [True] * 5
     for ei, ki in enumerate(m._param_image):
-        for s in slices[ki]:
-            prof = classify(m.source, _single_slice(m.source.context, ei, m._slice_preimage(s)), kind)
-            continuous &= prof.a_open
-            alpha &= prof.alpha_open
-            semi &= prof.semi_open
-            pre &= prof.pre_open
-            beta &= prof.beta_open
-            if not (continuous or alpha or semi or pre or beta):
-                return ContinuityProfile(False, False, False, False, False, kind)
-    return ContinuityProfile(continuous, alpha, semi, pre, beta, kind)
+        for s in {m._slice_preimage(v) for v in basis[ki]}:
+            p = classify(m.source, _single_slice(m.source.context, ei, s), kind)
+            got = (p.a_open, p.alpha_open, p.semi_open, p.pre_open, p.beta_open)
+            flags = [f and g for f, g in zip(flags, got)]
+            if not any(flags):
+                return ContinuityProfile(*flags, kind)
+    return ContinuityProfile(*flags, kind)
 
 
 def compose(first: SoftMapping, second: SoftMapping) -> SoftMapping:
@@ -194,32 +196,28 @@ def verify_closure_characterization(
 ) -> tuple[bool, SoftSet | None]:
     """Check: continuous iff cl(f^{-1} G) is inside f^{-1}(cl G) for all target G.
 
-    With samples=None the containment, being slicewise, is decided exactly
-    on the single-slice target sets (2^|Y| per parameter, cap-guarded); the
-    witness is the first failing slice at the lowest parameter, the least
-    violating G in canonical rank order.  Otherwise `samples` (at least 1)
-    random target sets are drawn from the given seed.  Returns
+    With samples=None the containment, slicewise and additive in G, is
+    decided exactly on the single-point target slices: a failing G holds a
+    failing point, so the first failing point slice at the lowest parameter
+    is the least violating G in canonical rank order.  Otherwise `samples`
+    (at least 1) random target sets are drawn from the given seed.  Returns
     (biconditional held, first G violating the containment or None).  An
-    unknown `kind` raises ValueError before any target set is enumerated or
-    the cap is checked.
+    unknown `kind` raises ValueError before any target set is built.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be positive")
-    tgt_ctx = m.target.context
+    ctx = m.target.context
     cl_src = _closure_fn(m.source, kind)
     cl_tgt = _closure_fn(m.target, kind)
     if samples is None:
-        total = 1 << tgt_ctx.n_points
-        if total > cap:
-            raise CapExceeded(total, cap)
         candidates = (
-            _single_slice(tgt_ctx, ki, s) for ki in range(tgt_ctx.n_params) for s in range(total)
+            _single_slice(ctx, ki, 1 << yi) for ki in range(ctx.n_params) for yi in range(ctx.n_points)
         )
     else:
         rng = random.Random(seed)
-        full = tgt_ctx.full_mask
+        full = ctx.full_mask
         candidates = (
-            SoftSet(tgt_ctx, tuple(rng.randrange(full + 1) for _ in range(tgt_ctx.n_params)))
+            SoftSet(ctx, tuple(rng.randrange(full + 1) for _ in range(ctx.n_params)))
             for _ in range(samples)
         )
 
@@ -230,8 +228,7 @@ def verify_closure_characterization(
         ),
         None,
     )
-    continuous = continuity_profile(m, kind=kind, cap=cap).continuous
-    return continuous == (witness is None), witness
+    return continuity_profile(m, kind=kind, cap=cap).continuous == (witness is None), witness
 
 
 def verify_decomposition(
@@ -247,16 +244,24 @@ def verify_decomposition(
     target open set, in the aura family's canonical product order, whose
     inverse image decides the mismatch, or None.  Alpha implies semi and
     pre, so that set is null but for the first deciding open slice at the
-    last target parameter that has one.
+    last target parameter that has one.  Only then, on a mismatch, are the
+    2^|Y| candidate slices of that one parameter walked, under `cap`.
     """
     prof = continuity_profile(m, kind=kind, cap=cap)
     if prof.alpha_continuous == (prof.semi_continuous and prof.pre_continuous):
         return True, None
-    slices = _target_slices(m, cap, TARGET_AURA)
-    for ki in reversed(range(m.target.context.n_params)):
-        for s in slices[ki]:
-            v = _single_slice(m.target.context, ki, s)
-            p = classify(m.source, inverse_image(m, v), kind)
-            if p.alpha_open != (p.semi_open and p.pre_open):
-                return False, v
+    ctx = m.target.context
+
+    def decides(ki: int, s: int) -> bool:
+        p = classify(m.source, inverse_image(m, _single_slice(ctx, ki, s)), kind)
+        return p.alpha_open != (p.semi_open and p.pre_open)
+
+    # Every open pull-back is semi and pre here, so a slice decides iff it is
+    # not alpha, and alpha is union-closed: a parameter has a deciding open
+    # slice iff one of its basic slices decides.
+    basis = _target_basis(m.target, cap, TARGET_AURA)
+    for ki in reversed(range(ctx.n_params)):
+        if any(decides(ki, s) for s in basis[ki]):
+            slices = _alexandrov_slice_masks(m.target, ki, cap, "witness search")
+            return False, _single_slice(ctx, ki, next(s for s in slices if decides(ki, s)))
     return False, None

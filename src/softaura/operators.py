@@ -137,11 +137,32 @@ def is_aura_closed(space: SoftAuraSpace, g: SoftSet) -> bool:
     return is_aura_open(space, g.complement())
 
 
-def _alexandrov_slice_masks(space: SoftAuraSpace, ei: int, cap: int) -> list[int]:
-    """Masks S with: every point of S has its scope slice at ei inside S; ascending."""
+def _reach_masks(space: SoftAuraSpace, ei: int) -> list[int]:
+    """R_e(x) per point x: the least aura-open slice at ei holding x.
+
+    The aura-open slices at ei are the sets closed under the reach preorder
+    of the scope slices (Alexandroff), so R_e(x) is the row of x in their
+    transitive closure, computed by Warshall's algorithm on bitset rows.
+    """
+    n = space.context.n_points
+    reach = [space.scope_masks[xi][ei] for xi in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    return reach
+
+
+def _alexandrov_slice_masks(
+    space: SoftAuraSpace, ei: int, cap: int, family: str = "aura topology"
+) -> list[int]:
+    """Masks S with: every point of S has its scope slice at ei inside S; ascending.
+
+    The 2^|X| candidates are capped, and a cap failure names `family`.
+    """
     n = space.context.n_points
     if 1 << n > cap:
-        raise CapExceeded(1 << n, cap)
+        raise CapExceeded(1 << n, cap, family)
     sm = space.scope_masks
     scopes = [sm[xi][ei] for xi in range(n)]
     out = []
@@ -184,7 +205,7 @@ def enumerate_aura_topology(space: SoftAuraSpace, cap: int = DEFAULT_CAP) -> lis
     for fam in families:
         total *= len(fam)
     if total > cap:
-        raise CapExceeded(total, cap)
+        raise CapExceeded(total, cap, "aura topology")
     return [_trusted(ctx, masks) for masks in itertools.product(*families)]
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .operators import aura_closure
+from .operators import _reach_masks, aura_closure
 from .softset import SoftSet
 from .space import SoftAuraSpace
 
@@ -108,14 +108,7 @@ def _regular(space: SoftAuraSpace) -> tuple[bool, RegularityWitness | None]:
     # from x, and the least open slice around a set is the union of R_e over it.
     ctx = space.context
     n, full = ctx.n_points, ctx.full_mask
-    reaches = []
-    for ei in range(ctx.n_params):
-        reach = [space.scope_masks[xi][ei] for xi in range(n)]
-        for k in range(n):  # Warshall's transitive closure on bitset rows
-            for i in range(n):
-                if reach[i] >> k & 1:
-                    reach[i] |= reach[k]
-        reaches.append(reach)
+    reaches = [_reach_masks(space, ei) for ei in range(ctx.n_params)]
     for xi in range(n):
         for ei, reach in enumerate(reaches):
             closed = full & ~reach[xi]

@@ -190,7 +190,7 @@ def generate_topology(context: Context, subbasis, cap: int = DEFAULT_CAP) -> Sof
                     family[derived] = None
                     added = True
                     if len(family) > cap:
-                        raise CapExceeded(len(family), cap)
+                        raise CapExceeded(len(family), cap, "topology generation")
             if not added:
                 return
 

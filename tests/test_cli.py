@@ -316,7 +316,7 @@ class TestSuite:
         assert rc == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: enumeration needs 16777216 members, cap is 1000000\n"
+        assert captured.err == "error: scope functions: enumeration needs 16777216 members, cap is 1000000\n"
         if old is None:
             assert not out.exists()
         else:
@@ -405,9 +405,11 @@ class TestExitCodes:
         assert "does not contain" in capsys.readouterr().err
 
     def test_env_cap(self, capsys, monkeypatch):
+        # the explicit ambient topology of nested_space.json has 8 members
         monkeypatch.setenv("SOFTAURA_CAP", "7")
-        rc = main(["continuity", fixture_path("chain_endo_mapping.json")])
+        rc = main(["continuity", fixture_path("nested_endo_mapping.json"), "--target-family", "ambient"])
         assert rc == 4
+        assert "ambient members: enumeration needs 8 members, cap is 7" in capsys.readouterr().err
 
     def test_env_cap_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SOFTAURA_CAP", "lots")
@@ -431,7 +433,7 @@ class TestExitCodes:
     def test_explicit_cap_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SOFTAURA_CAP", "7")
         rc = main(
-            ["continuity", fixture_path("chain_endo_mapping.json"), "--cap", "8"]
+            ["continuity", fixture_path("nested_endo_mapping.json"), "--target-family", "ambient", "--cap", "8"]
         )
         assert rc == 0
 

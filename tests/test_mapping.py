@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from softaura import (
     CECH,
+    DEFAULT_CAP,
     GENERATED,
     KURATOWSKI,
     TARGET_AMBIENT,
@@ -22,17 +23,22 @@ from softaura import (
     SoftAuraSpace,
     SoftMapping,
     SoftSet,
+    SpaceFamilySpec,
     SpaceMismatch,
     UnknownParameter,
     UnknownPoint,
     classify,
     compose,
     continuity_profile,
+    discrete_topology,
     enumerate_aura_topology,
+    enumerate_scope_functions,
+    generate_topology,
     harness,
     identity_mapping,
     inverse_image,
     iter_all_soft_sets,
+    iter_family_spaces,
     kuratowski_closure,
     make_soft_set,
     make_space,
@@ -40,11 +46,11 @@ from softaura import (
     verify_decomposition,
 )
 from softaura.cli import main
-from softaura.documents import decode_space
-from softaura.mapping import _single_slice
-from softaura.operators import _closure_fn
+from softaura.documents import decode_space, load_mapping
+from softaura.mapping import _single_slice, _target_basis
+from softaura.operators import _alexandrov_slice_masks, _closure_fn
 
-from conftest import aura_spaces, fixture_path, named_context
+from conftest import aura_spaces, fixture_path, load_fixture_doc, named_context
 
 FAMILIES = (TARGET_AURA, TARGET_KURATOWSKI, TARGET_AMBIENT)
 KINDS = (CECH, KURATOWSKI)
@@ -110,6 +116,74 @@ def reference_closure_characterization(m, kind=CECH):
     return reference_profile(m, kind).continuous == (witness is None), witness
 
 
+# -- enumerating references: every slice the target family takes, per parameter --
+
+
+def slice_family(space: SoftAuraSpace, target_family: str) -> list:
+    """Per parameter, the ascending slices the family takes: open slices, fixpoint complements, ambient projections."""
+    ctx = space.context
+    full, n = ctx.full_mask, ctx.n_points
+    if target_family == TARGET_AURA:
+        return [_alexandrov_slice_masks(space, ki, DEFAULT_CAP) for ki in range(ctx.n_params)]
+    if target_family == TARGET_KURATOWSKI:
+        def fixed(ki, s):
+            g = _single_slice(ctx, ki, full & ~s).union(_single_slice(ctx, ki, full).complement())
+            return kuratowski_closure(space, g).closure == g
+
+        return [[s for s in range(1 << n) if fixed(ki, s)] for ki in range(ctx.n_params)]
+    if not space.topology.is_extensional:
+        return [range(1 << n)] * ctx.n_params
+    return [sorted({v.masks[ki] for _, v in space.topology}) for ki in range(ctx.n_params)]
+
+
+def slice_profile(m, kind=CECH, target_family=TARGET_AURA) -> ContinuityProfile:
+    """Classify the single-slice pull-back of every slice of the family at every source parameter."""
+    slices = slice_family(m.target, target_family)
+    profs = [
+        cached_classify(m.source, _single_slice(m.source.context, ei, m._slice_preimage(s)), kind)
+        for ei, ki in enumerate(m._param_image)
+        for s in slices[ki]
+    ]
+    return ContinuityProfile(
+        all(p.a_open for p in profs),
+        all(p.alpha_open for p in profs),
+        all(p.semi_open for p in profs),
+        all(p.pre_open for p in profs),
+        all(p.beta_open for p in profs),
+        kind,
+    )
+
+
+def slice_decomposition(m, kind=KURATOWSKI):
+    """The first deciding open slice at the last target parameter that has one."""
+    prof = slice_profile(m, kind)
+    if prof.alpha_continuous == (prof.semi_continuous and prof.pre_continuous):
+        return True, None
+    slices = slice_family(m.target, TARGET_AURA)
+    for ki in reversed(range(m.target.context.n_params)):
+        for s in slices[ki]:
+            v = _single_slice(m.target.context, ki, s)
+            p = cached_classify(m.source, inverse_image(m, v), kind)
+            if p.alpha_open != (p.semi_open and p.pre_open):
+                return False, v
+    return False, None
+
+
+def slice_closure_characterization(m, kind=CECH):
+    """The containment over every single-slice target set, lowest parameter first."""
+    ctx = m.target.context
+    cl_src, cl_tgt = _closure_fn(m.source, kind), _closure_fn(m.target, kind)
+    witness = next(
+        (
+            g
+            for g in (_single_slice(ctx, ki, s) for ki in range(ctx.n_params) for s in range(1 << ctx.n_points))
+            if not cl_src(inverse_image(m, g)).is_subset_of(inverse_image(m, cl_tgt(g)))
+        ),
+        None,
+    )
+    return slice_profile(m, kind).continuous == (witness is None), witness
+
+
 @st.composite
 def generated_spaces(draw, max_points: int = 3, max_params: int = 2) -> SoftAuraSpace:
     """A space over a topology generated from a random subbasis, with a random admissible scope."""
@@ -120,8 +194,11 @@ def generated_spaces(draw, max_points: int = 3, max_params: int = 2) -> SoftAura
 
 
 @st.composite
-def small_mappings(draw) -> SoftMapping:
-    spaces = st.one_of(aura_spaces(max_points=3, max_params=2), generated_spaces())
+def small_mappings(draw, max_points: int = 3, max_params: int = 2) -> SoftMapping:
+    spaces = st.one_of(
+        aura_spaces(max_points=max_points, max_params=max_params),
+        generated_spaces(max_points=max_points, max_params=max_params),
+    )
     src, tgt = draw(spaces), draw(spaces)
     ys, ks = tgt.context.universe, tgt.context.parameters
     return SoftMapping(
@@ -411,7 +488,7 @@ class TestDecomposition:
 
 
 class TestSlicePath:
-    """The per-parameter deciders against the product references above."""
+    """The deciders against the product references above."""
 
     @given(small_mappings())
     @settings(max_examples=150, deadline=None)
@@ -519,7 +596,78 @@ class TestSlicePath:
             assert "continuous:  yes" in capsys.readouterr().out
 
     def test_cap_bounds_each_parameter(self, capsys):
-        rc = main(["continuity", fixture_path("chain_endo_mapping.json"), "--cap", "7"])
+        # only an explicit ambient topology is still enumerated: nested_space.json has 8 members
+        argv = ["continuity", fixture_path("nested_endo_mapping.json"), "--target-family", "ambient"]
+        rc = main([*argv, "--cap", "7"])
         assert rc == 4
         assert "needs 8 members, cap is 7" in capsys.readouterr().err
-        assert main(["continuity", fixture_path("chain_endo_mapping.json"), "--cap", "8"]) == 0
+        assert main([*argv, "--cap", "8"]) == 0
+
+    def test_open_families_take_no_cap_work(self, capsys):
+        # the chain fixture's 8 target slices are no longer enumerated
+        assert main(["continuity", fixture_path("chain_endo_mapping.json"), "--cap", "1"]) == 0
+        assert "continuous:  yes" in capsys.readouterr().out
+
+
+class TestBasisPath:
+    """The basis deciders against the enumerating slice references above."""
+
+    @given(small_mappings(max_points=5, max_params=3))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_slice_references(self, m):
+        for kind in KINDS:
+            for family in FAMILIES:
+                assert continuity_profile(m, kind, target_family=family) == slice_profile(m, kind, family)
+            assert verify_decomposition(m, kind) == slice_decomposition(m, kind)
+            assert verify_closure_characterization(m, kind=kind) == slice_closure_characterization(m, kind)
+
+    def test_slice_references_equal_product_references_on_scan_family(self):
+        for m in family_mappings(3, sources=(2, 9, 12), targets=(5, 8, 11, 13)):
+            for kind in KINDS:
+                for family in FAMILIES:
+                    assert slice_profile(m, kind, family) == reference_profile(m, kind, family)
+
+    def test_classes_union_closed_on_exhaustive_family(self):
+        # the basis reduction assumes every openness class holds the null set
+        # and is closed under unions, under both closure kinds
+        sets_of: dict = {}
+        spaces = 0
+        for _, space in iter_family_spaces(SpaceFamilySpec(3, 2)):
+            ctx = space.context
+            sets = sets_of.setdefault(ctx, list(iter_all_soft_sets(ctx)))
+            tables = harness._Tables(space, sets)
+            for kind in KINDS:
+                for col in tables.cols[kind]:
+                    members = [g for g, flag in enumerate(col) if flag]
+                    assert col[0]
+                    assert all(col[a | b] for i, a in enumerate(members) for b in members[i + 1:])
+            spaces += 1
+        assert spaces == 4182
+
+    def test_explicit_ambient_basis_is_least_member_projection(self):
+        space = decode_space(load_fixture_doc("nested_space.json")).space
+        # e1 projections: {}, {x1}, {x1,x2}, X; e2 projections: {}, X
+        assert _target_basis(space, 8, TARGET_AMBIENT) == [[0, 0b001, 0b011, 0b111], [0, 0b111, 0b111, 0b111]]
+        with pytest.raises(CapExceeded):
+            _target_basis(space, 7, TARGET_AMBIENT)
+
+
+class TestCapFamilies:
+    """Each capped enumeration names its family."""
+
+    def test_family_names(self, chain, mismatch_pair):
+        nested = load_mapping(fixture_path("nested_endo_mapping.json"))[0]
+        ctx = chain.context
+        subbasis = {"A": make_soft_set(ctx, {"e": ["1"]}), "B": make_soft_set(ctx, {"e": ["2"]})}
+        cases = {
+            "aura topology": lambda cap: enumerate_aura_topology(chain, cap=cap),
+            "ambient members": lambda cap: continuity_profile(nested, target_family=TARGET_AMBIENT, cap=cap),
+            "witness search": lambda cap: verify_decomposition(mismatch_pair[2], CECH, cap=cap),
+            "scope functions": lambda cap: next(enumerate_scope_functions(ctx, discrete_topology(ctx), cap=cap)),
+            "topology generation": lambda cap: generate_topology(ctx, subbasis, cap=cap),
+        }
+        for family, call in cases.items():
+            with pytest.raises(CapExceeded) as info:
+                call(3)
+            assert info.value.family == family
+            assert str(info.value) == f"{family}: enumeration needs {info.value.required} members, cap is 3"

@@ -35,17 +35,19 @@ def reference_regular(space, cap=DEFAULT_CAP):
     # extends to a full aura-closed set (absolute slices elsewhere).
     ctx = space.context
     full = ctx.full_mask
+    families = [_alexandrov_slice_masks(space, ei, cap) for ei in range(ctx.n_params)]
     for xi in range(ctx.n_points):
-        for ei in range(ctx.n_params):
-            opens = _alexandrov_slice_masks(space, ei, cap)
+        for ei, opens in enumerate(families):
+            around_x = [u for u in opens if u >> xi & 1]
             for open_slice in opens:
                 closed = full & ~open_slice
                 if closed >> xi & 1:
                     continue
                 if not any(
-                    u >> xi & 1 and closed & ~v == 0 and u & v == 0
-                    for u in opens
+                    u & v == 0
                     for v in opens
+                    if closed & ~v == 0
+                    for u in around_x
                 ):
                     masks = [full] * ctx.n_params
                     masks[ei] = closed
@@ -210,7 +212,7 @@ class TestRegularityAgainstReference:
             spaces += 1
         assert spaces == 4182
 
-    @given(aura_spaces(max_points=5, max_params=3))
+    @given(aura_spaces(max_points=8, max_params=3))
     @settings(max_examples=300, deadline=None)
     def test_random_spaces(self, space):
         assert_regularity_matches_reference(space)
