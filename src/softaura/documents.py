@@ -28,11 +28,10 @@ inside slice tables) raises the corresponding domain error instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DocumentError
+from .errors import DocumentError, _Frozen, _setfield, _setvalues
 from .softset import Context, SoftSet
 from .space import (
     ABSOLUTE_NAME,
@@ -111,13 +110,16 @@ def _lookup_set(
     return None
 
 
-@dataclass(frozen=True)
-class DecodedSpace:
+class DecodedSpace(_Frozen):
     """A document-backed space plus its name environment."""
 
-    space: SoftAuraSpace
-    named_sets: dict[str, SoftSet]
-    scope_refs: dict[str, str | None]
+    __slots__ = ("space", "named_sets", "scope_refs")
+
+    def __init__(self, space: SoftAuraSpace, named_sets: dict[str, SoftSet], scope_refs: dict[str, str | None]):
+        _setfield(self, "space", space)
+        _setfield(self, "named_sets", named_sets)
+        _setfield(self, "scope_refs", scope_refs)
+        _setvalues(self, (space, named_sets, scope_refs))
 
     def resolve(self, name: str) -> SoftSet:
         """Look up a set name: namedSets, then topology members, then reserved."""

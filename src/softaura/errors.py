@@ -2,7 +2,74 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+#: Sets a field of a frozen record; only a record's own __init__ calls it.
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Field-wise repr and equality for the package's slotted record types.
+
+    The fields are the parameters of the subclass's __init__, in order,
+    unless the subclass lists them in `_fields`.  Records of different types
+    never compare equal.  A _Record is assignable and unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__init__" in cls.__dict__:
+            if "_fields" not in cls.__dict__:
+                code = cls.__init__.__code__
+                cls._fields = code.co_varnames[1 : code.co_argcount]
+            cls._key = attrgetter(*cls._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+
+class _Frozen(_Record):
+    """A record fixed at construction: hashable, and never reassigned.
+
+    __init__ sets each slot through _setfield and also stores the values of
+    `_fields`, in order, as the tuple `_values`; equality and hashing read
+    that one tuple instead of every field.  Later assignment raises
+    AttributeError.
+    """
+
+    __slots__ = ("_values",)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore slots as (None, {slot: value})
+        for name, value in state[1].items():
+            _setfield(self, name, value)
+
+
+#: Sets `_values` of a frozen record; the slot's own setter skips the
+#: attribute lookup that _setfield makes.
+_setvalues = _Frozen._values.__set__
 
 
 class SoftAuraError(Exception):
@@ -84,22 +151,28 @@ class SizeGuard(SoftAuraError):
     """The requested exhaustive family exceeds the size guard."""
 
 
-@dataclass(frozen=True)
-class MembershipViolation:
+class MembershipViolation(_Frozen):
     """Point is missing from its own scope slice at `param`."""
 
-    point: str
-    param: str
+    __slots__ = ("point", "param")
+
+    def __init__(self, point: str, param: str):
+        _setfield(self, "point", point)
+        _setfield(self, "param", param)
+        _setvalues(self, (point, param))
 
     def __str__(self) -> str:
         return f"scope of {self.point!r} does not contain it at {self.param!r}"
 
 
-@dataclass(frozen=True)
-class NotOpen:
+class NotOpen(_Frozen):
     """The soft set assigned to `point` is not a member of the topology."""
 
-    point: str
+    __slots__ = ("point",)
+
+    def __init__(self, point: str):
+        _setfield(self, "point", point)
+        _setvalues(self, (point,))
 
     def __str__(self) -> str:
         return f"scope of {self.point!r} is not a topology member"

@@ -17,10 +17,9 @@ kind).  search_alpha_intersection_failure hunts for such pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionUnmet
+from .errors import PreconditionUnmet, _Frozen, _setfield, _setvalues
 from .operators import CECH, _closure_fn, aura_interior
 from .softset import SoftSet
 from .space import SoftAuraSpace
@@ -28,17 +27,29 @@ from .space import SoftAuraSpace
 UNION_CLOSED_CLASSES = ("semi", "pre", "beta")
 
 
-@dataclass(frozen=True)
-class OpennessProfile:
+class OpennessProfile(_Frozen):
     """Six membership flags for one soft set, under one closure kind."""
 
-    a_open: bool
-    alpha_open: bool
-    semi_open: bool
-    pre_open: bool
-    b_open: bool
-    beta_open: bool
-    closure_kind: str
+    __slots__ = ("a_open", "alpha_open", "semi_open", "pre_open", "b_open", "beta_open", "closure_kind")
+
+    def __init__(
+        self,
+        a_open: bool,
+        alpha_open: bool,
+        semi_open: bool,
+        pre_open: bool,
+        b_open: bool,
+        beta_open: bool,
+        closure_kind: str,
+    ):
+        _setfield(self, "a_open", a_open)
+        _setfield(self, "alpha_open", alpha_open)
+        _setfield(self, "semi_open", semi_open)
+        _setfield(self, "pre_open", pre_open)
+        _setfield(self, "b_open", b_open)
+        _setfield(self, "beta_open", beta_open)
+        _setfield(self, "closure_kind", closure_kind)
+        _setvalues(self, (a_open, alpha_open, semi_open, pre_open, b_open, beta_open, closure_kind))
 
     def flag(self, openness_class: str) -> bool:
         return {
@@ -92,13 +103,16 @@ def check_union_closure(
     return classify(space, union, kind).flag(openness_class)
 
 
-@dataclass(frozen=True)
-class AlphaMeetWitness:
+class AlphaMeetWitness(_Frozen):
     """Two alpha-open sets whose intersection is not alpha-open."""
 
-    space: SoftAuraSpace
-    left: SoftSet
-    right: SoftSet
+    __slots__ = ("space", "left", "right")
+
+    def __init__(self, space: SoftAuraSpace, left: SoftSet, right: SoftSet):
+        _setfield(self, "space", space)
+        _setfield(self, "left", left)
+        _setfield(self, "right", right)
+        _setvalues(self, (space, left, right))
 
     def replay(self, kind: str = CECH) -> bool:
         """Re-evaluate the three classifications; True when the witness still holds."""

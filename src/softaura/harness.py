@@ -20,12 +20,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field, replace
 from functools import cached_property, partial, reduce
 from operator import and_
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import CapExceeded, SizeGuard
+from .errors import CapExceeded, SizeGuard, _Frozen, _Record, _setfield, _setvalues
 from .genopen import classify
 from .operators import (
     CECH,
@@ -57,8 +56,7 @@ EXHAUSTIVE_GUARD = 12
 WITNESS_LIMIT = 3
 
 
-@dataclass(frozen=True)
-class SpaceFamilySpec:
+class SpaceFamilySpec(_Frozen):
     """Bounds and enumeration mode for a family of spaces.
 
     scope_mode "all" enumerates every scope function over every shape up to
@@ -68,34 +66,44 @@ class SpaceFamilySpec:
     in sampled mode.
     """
 
-    max_universe: int
-    max_params: int
-    topology_kind: str = DISCRETE
-    scope_mode: str = "all"
-    seed: int | None = None
-    sample_count: int | None = None
+    __slots__ = ("max_universe", "max_params", "topology_kind", "scope_mode", "seed", "sample_count")
 
-    def __post_init__(self):
-        if self.max_universe < 1 or self.max_params < 1:
+    def __init__(
+        self,
+        max_universe: int,
+        max_params: int,
+        topology_kind: str = DISCRETE,
+        scope_mode: str = "all",
+        seed: int | None = None,
+        sample_count: int | None = None,
+    ):
+        if max_universe < 1 or max_params < 1:
             raise ValueError("bounds must be at least 1")
-        if self.topology_kind not in (DISCRETE, GENERATED):
-            raise ValueError(f"unsupported family topology kind {self.topology_kind!r}")
-        if self.scope_mode == "all":
-            if self.max_universe * self.max_params > EXHAUSTIVE_GUARD:
+        if topology_kind not in (DISCRETE, GENERATED):
+            raise ValueError(f"unsupported family topology kind {topology_kind!r}")
+        if scope_mode == "all":
+            if max_universe * max_params > EXHAUSTIVE_GUARD:
                 raise SizeGuard(
                     f"exhaustive family needs max_universe*max_params <= {EXHAUSTIVE_GUARD}"
                 )
-            if self.topology_kind != DISCRETE:
+            if topology_kind != DISCRETE:
                 raise SizeGuard("exhaustive enumeration is only supported over the discrete topology")
-        elif self.scope_mode == "sampled":
-            if self.seed is None or self.sample_count is None:
+        elif scope_mode == "sampled":
+            if seed is None or sample_count is None:
                 raise ValueError("sampled mode requires seed and sample_count")
-            if self.sample_count < 1:
+            if sample_count < 1:
                 raise ValueError("sample_count must be at least 1")
-            if not 0 <= self.seed < 1 << 64:
+            if not 0 <= seed < 1 << 64:
                 raise ValueError("seed must fit in 64 bits")
         else:
-            raise ValueError(f"unknown scope mode {self.scope_mode!r}")
+            raise ValueError(f"unknown scope mode {scope_mode!r}")
+        _setfield(self, "max_universe", max_universe)
+        _setfield(self, "max_params", max_params)
+        _setfield(self, "topology_kind", topology_kind)
+        _setfield(self, "scope_mode", scope_mode)
+        _setfield(self, "seed", seed)
+        _setfield(self, "sample_count", sample_count)
+        _setvalues(self, (max_universe, max_params, topology_kind, scope_mode, seed, sample_count))
 
 
 def _family_context(n: int, m: int) -> Context:
@@ -291,8 +299,7 @@ def replay_space(desc: Mapping) -> SoftAuraSpace:
     return SoftAuraSpace.from_assignment(ctx, topo, assignment)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Frozen):
     """A replayable finding: a space, the soft sets involved, and what they show.
 
     kind is "law" (a falsification), "strictness" (an implication edge that
@@ -301,11 +308,15 @@ class Witness:
     (|X|, |E|, scope rank, set ranks...) of the instance in family order.
     """
 
-    kind: str
-    name: str
-    space: dict
-    rank: tuple[int, ...]
-    sets: tuple[dict, ...]
+    __slots__ = ("kind", "name", "space", "rank", "sets")
+
+    def __init__(self, kind: str, name: str, space: dict, rank: tuple[int, ...], sets: tuple[dict, ...]):
+        _setfield(self, "kind", kind)
+        _setfield(self, "name", name)
+        _setfield(self, "space", space)
+        _setfield(self, "rank", rank)
+        _setfield(self, "sets", sets)
+        _setvalues(self, (kind, name, space, rank, sets))
 
     def to_json_dict(self) -> dict:
         return {
@@ -653,11 +664,16 @@ _SHARED_ROUGH_PAIR_ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class LawSpec:
-    arity: str  # "space" | "set" | "pair"
-    evaluator: Callable  # (tables, *packed sets) -> True when the law holds
-    description: str
+class LawSpec(_Frozen):
+    """arity is "space", "set" or "pair"; evaluator(tables, *packed sets) is True when the law holds."""
+
+    __slots__ = ("arity", "evaluator", "description")
+
+    def __init__(self, arity: str, evaluator: Callable, description: str):
+        _setfield(self, "arity", arity)
+        _setfield(self, "evaluator", evaluator)
+        _setfield(self, "description", description)
+        _setvalues(self, (arity, evaluator, description))
 
 
 LAWS: dict[str, LawSpec] = {
@@ -742,23 +758,35 @@ def replay_witness(w: Witness) -> bool:
 # -- suite engine ------------------------------------------------------------
 
 
-@dataclass
-class LawResult:
-    checked: int = 0
-    failures: int = 0
-    witnesses: list[Witness] = field(default_factory=list)
+class LawResult(_Record):
+    __slots__ = ("checked", "failures", "witnesses")
+
+    def __init__(self, checked: int = 0, failures: int = 0, witnesses: list[Witness] | None = None):
+        self.checked = checked
+        self.failures = failures
+        self.witnesses = [] if witnesses is None else witnesses
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(_Record):
     """Outcome of one law-suite run; serialises to a deterministic JSON report."""
 
-    spec: SpaceFamilySpec
-    laws: dict[str, LawResult]
-    reports: dict[str, dict]
-    strictness: dict[str, Witness | None]
-    spaces_checked: int
-    sets_per_space_max: int
+    __slots__ = ("spec", "laws", "reports", "strictness", "spaces_checked", "sets_per_space_max")
+
+    def __init__(
+        self,
+        spec: SpaceFamilySpec,
+        laws: dict[str, LawResult],
+        reports: dict[str, dict],
+        strictness: dict[str, Witness | None],
+        spaces_checked: int,
+        sets_per_space_max: int,
+    ):
+        self.spec = spec
+        self.laws = laws
+        self.reports = reports
+        self.strictness = strictness
+        self.spaces_checked = spaces_checked
+        self.sets_per_space_max = sets_per_space_max
 
     @property
     def total_failures(self) -> int:
@@ -925,7 +953,9 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
             for base in base_names:
                 row.checked = results[base].checked
                 row.failures += results[base].failures
-                row.witnesses.extend(replace(w, name=rough_name) for w in results[base].witnesses)
+                row.witnesses.extend(
+                    Witness(w.kind, rough_name, w.space, w.rank, w.sets) for w in results[base].witnesses
+                )
             row.witnesses = sorted(row.witnesses, key=lambda w: w.rank)[:WITNESS_LIMIT]
     if not any(results[name].checked for name in pair_rows):
         reports = {name: r for name, r in reports.items() if name not in _PAIR_REPORT_ROWS}
@@ -942,15 +972,31 @@ def find_strictness_witnesses(spec: SpaceFamilySpec) -> dict[str, Witness | None
 # -- mapping decomposition scan ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class MappingScanResult:
+class MappingScanResult(_Frozen):
     """Outcome of the exhaustive mapping decomposition scan over one closure kind pair."""
 
-    mappings_checked: int
-    kuratowski_failures: int
-    kuratowski_first_failure: dict | None
-    cech_mismatches: int
-    cech_first_mismatch: dict | None
+    __slots__ = (
+        "mappings_checked", "kuratowski_failures", "kuratowski_first_failure",
+        "cech_mismatches", "cech_first_mismatch",
+    )
+
+    def __init__(
+        self,
+        mappings_checked: int,
+        kuratowski_failures: int,
+        kuratowski_first_failure: dict | None,
+        cech_mismatches: int,
+        cech_first_mismatch: dict | None,
+    ):
+        _setfield(self, "mappings_checked", mappings_checked)
+        _setfield(self, "kuratowski_failures", kuratowski_failures)
+        _setfield(self, "kuratowski_first_failure", kuratowski_first_failure)
+        _setfield(self, "cech_mismatches", cech_mismatches)
+        _setfield(self, "cech_first_mismatch", cech_first_mismatch)
+        _setvalues(
+            self,
+            (mappings_checked, kuratowski_failures, kuratowski_first_failure, cech_mismatches, cech_first_mismatch),
+        )
 
 
 def _family_space_selection(per_shape: int) -> list[SoftAuraSpace]:

@@ -22,7 +22,6 @@ and only an explicit ambient topology, read member by member, is capped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import (
     CapExceeded,
@@ -30,6 +29,9 @@ from .errors import (
     SpaceMismatch,
     UnknownParameter,
     UnknownPoint,
+    _Frozen,
+    _setfield,
+    _setvalues,
 )
 from .genopen import classify
 from .operators import (
@@ -51,46 +53,51 @@ def _single_slice(ctx: Context, i: int, mask: int) -> SoftSet:
     return _trusted(ctx, tuple(mask if j == i else 0 for j in range(ctx.n_params)))
 
 
-@dataclass(frozen=True)
-class SoftMapping:
+class SoftMapping(_Frozen):
     """Point map and parameter map between two aura spaces.
 
     Both tables must be total on the source and land inside the target;
     equality of mappings is extensional (same tables, same space values).
     """
 
-    source: SoftAuraSpace
-    target: SoftAuraSpace
-    point_map: dict[str, str]
-    param_map: dict[str, str]
+    __slots__ = ("source", "target", "point_map", "param_map", "_point_preimage", "_param_image")
 
-    def __post_init__(self):
-        src, tgt = self.source.context, self.target.context
+    def __init__(
+        self,
+        source: SoftAuraSpace,
+        target: SoftAuraSpace,
+        point_map: dict[str, str],
+        param_map: dict[str, str],
+    ):
+        src, tgt = source.context, target.context
         for x in src.universe:
-            if x not in self.point_map:
+            if x not in point_map:
                 raise ValueError(f"point map missing {x!r}")
-            if self.point_map[x] not in tgt.point_index:
-                raise UnknownPoint(self.point_map[x])
-        for x in self.point_map:
+            if point_map[x] not in tgt.point_index:
+                raise UnknownPoint(point_map[x])
+        for x in point_map:
             if x not in src.point_index:
                 raise UnknownPoint(x)
         for e in src.parameters:
-            if e not in self.param_map:
+            if e not in param_map:
                 raise ValueError(f"parameter map missing {e!r}")
-            if self.param_map[e] not in tgt.param_index:
-                raise UnknownParameter(self.param_map[e])
-        for e in self.param_map:
+            if param_map[e] not in tgt.param_index:
+                raise UnknownParameter(param_map[e])
+        for e in param_map:
             if e not in src.param_index:
                 raise UnknownParameter(e)
+        _setfield(self, "source", source)
+        _setfield(self, "target", target)
+        _setfield(self, "point_map", point_map)
+        _setfield(self, "param_map", param_map)
+        _setvalues(self, (source, target, point_map, param_map))
         # _point_preimage[y]: bitmask of the source points mapping to target point y;
         # _param_image[e]: the target parameter index of source parameter e
         preimage = [0] * tgt.n_points
         for xi, x in enumerate(src.universe):
-            preimage[tgt.point_index[self.point_map[x]]] |= 1 << xi
-        object.__setattr__(self, "_point_preimage", tuple(preimage))
-        object.__setattr__(
-            self, "_param_image", tuple(tgt.param_index[self.param_map[e]] for e in src.parameters)
-        )
+            preimage[tgt.point_index[point_map[x]]] |= 1 << xi
+        _setfield(self, "_point_preimage", tuple(preimage))
+        _setfield(self, "_param_image", tuple(tgt.param_index[param_map[e]] for e in src.parameters))
 
     def _slice_preimage(self, s: int) -> int:
         """Source point mask of the u-preimage of the target point mask s."""
@@ -140,19 +147,36 @@ def _target_basis(space: SoftAuraSpace, cap: int, target_family: str) -> list[li
     return basis
 
 
-@dataclass(frozen=True)
-class ContinuityProfile:
+class ContinuityProfile(_Frozen):
     """Continuity flags for one mapping under one closure kind.
 
     Implications run continuous => alpha => semi and pre => beta.
     """
 
-    continuous: bool
-    alpha_continuous: bool
-    semi_continuous: bool
-    pre_continuous: bool
-    beta_continuous: bool
-    closure_kind: str
+    __slots__ = (
+        "continuous", "alpha_continuous", "semi_continuous", "pre_continuous", "beta_continuous",
+        "closure_kind",
+    )
+
+    def __init__(
+        self,
+        continuous: bool,
+        alpha_continuous: bool,
+        semi_continuous: bool,
+        pre_continuous: bool,
+        beta_continuous: bool,
+        closure_kind: str,
+    ):
+        _setfield(self, "continuous", continuous)
+        _setfield(self, "alpha_continuous", alpha_continuous)
+        _setfield(self, "semi_continuous", semi_continuous)
+        _setfield(self, "pre_continuous", pre_continuous)
+        _setfield(self, "beta_continuous", beta_continuous)
+        _setfield(self, "closure_kind", closure_kind)
+        _setvalues(
+            self,
+            (continuous, alpha_continuous, semi_continuous, pre_continuous, beta_continuous, closure_kind),
+        )
 
 
 def continuity_profile(
@@ -191,7 +215,6 @@ def verify_closure_characterization(
     m: SoftMapping,
     samples: int | None = None,
     kind: str = CECH,
-    cap: int = DEFAULT_CAP,
     seed: int = 0,
 ) -> tuple[bool, SoftSet | None]:
     """Check: continuous iff cl(f^{-1} G) is inside f^{-1}(cl G) for all target G.
@@ -202,7 +225,9 @@ def verify_closure_characterization(
     is the least violating G in canonical rank order.  Otherwise `samples`
     (at least 1) random target sets are drawn from the given seed.  Returns
     (biconditional held, first G violating the containment or None).  An
-    unknown `kind` raises ValueError before any target set is built.
+    unknown `kind` raises ValueError before any target set is built.  Nothing
+    here enumerates a family, so there is no cap: the continuity side reads
+    the aura family's |Y| + 1 basic slices per parameter.
     """
     if samples is not None and samples < 1:
         raise ValueError("samples must be positive")
@@ -228,7 +253,7 @@ def verify_closure_characterization(
         ),
         None,
     )
-    return continuity_profile(m, kind=kind, cap=cap).continuous == (witness is None), witness
+    return continuity_profile(m, kind=kind).continuous == (witness is None), witness
 
 
 def verify_decomposition(

@@ -16,13 +16,14 @@ per-parameter families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
 from .errors import (
     CapExceeded,
     InternalNonMonotone,
     NotSingletonE,
     UnknownParameter,
+    _Frozen,
+    _setfield,
+    _setvalues,
 )
 from .softset import SoftSet, _require_same_context, _trusted
 from .space import DEFAULT_CAP, SoftAuraSpace
@@ -85,8 +86,7 @@ def aura_interior(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     )
 
 
-@dataclass(frozen=True)
-class KuratowskiResult:
+class KuratowskiResult(_Frozen):
     """Fixpoint closure plus, per parameter, the iteration count that reached it.
 
     iterations[e] is the number of strictly growing closure applications
@@ -94,8 +94,12 @@ class KuratowskiResult:
     never exceeds |X|.
     """
 
-    closure: SoftSet
-    iterations: dict[str, int]
+    __slots__ = ("closure", "iterations")
+
+    def __init__(self, closure: SoftSet, iterations: dict[str, int]):
+        _setfield(self, "closure", closure)
+        _setfield(self, "iterations", iterations)
+        _setvalues(self, (closure, iterations))
 
 
 def kuratowski_closure(space: SoftAuraSpace, g: SoftSet) -> KuratowskiResult:

@@ -11,11 +11,10 @@ partition-based approximation at every parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InvalidPartition
+from .errors import InvalidPartition, _Frozen, _setfield, _setvalues
 from .operators import aura_closure, aura_interior
 from .softset import Context, SoftSet, _trusted
 from .space import ScopeFunction, SoftAuraSpace, discrete_topology
@@ -40,18 +39,21 @@ def boundary(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     return _difference(upper_approx(space, g), lower_approx(space, g))
 
 
-@dataclass(frozen=True)
-class Accuracy:
+class Accuracy(_Frozen):
     """Exact rational accuracy with its unreduced counts.
 
     convention_applied marks the degenerate case of a null upper
     approximation, where the value is defined to be 1.
     """
 
-    value: Fraction
-    lower_total: int
-    upper_total: int
-    convention_applied: bool
+    __slots__ = ("value", "lower_total", "upper_total", "convention_applied")
+
+    def __init__(self, value: Fraction, lower_total: int, upper_total: int, convention_applied: bool):
+        _setfield(self, "value", value)
+        _setfield(self, "lower_total", lower_total)
+        _setfield(self, "upper_total", upper_total)
+        _setfield(self, "convention_applied", convention_applied)
+        _setvalues(self, (value, lower_total, upper_total, convention_applied))
 
     def display(self) -> str:
         """Unreduced ratio plus a decimal rendered to 6 significant digits."""
@@ -72,20 +74,31 @@ def _accuracy(low: SoftSet, up: SoftSet) -> Accuracy:
     return Accuracy(Fraction(lower_total, upper_total), lower_total, upper_total, False)
 
 
-@dataclass(frozen=True)
-class ApproximationReport:
+class ApproximationReport(_Frozen):
     """Lower, upper, boundary and accuracy for one target.
 
     per_parameter holds (parameter, lower slice size, upper slice size)
     rows; it is a derived diagnostic, not part of the accuracy definition.
     """
 
-    target: SoftSet
-    lower: SoftSet
-    upper: SoftSet
-    boundary: SoftSet
-    accuracy: Accuracy
-    per_parameter: tuple[tuple[str, int, int], ...]
+    __slots__ = ("target", "lower", "upper", "boundary", "accuracy", "per_parameter")
+
+    def __init__(
+        self,
+        target: SoftSet,
+        lower: SoftSet,
+        upper: SoftSet,
+        boundary: SoftSet,
+        accuracy: Accuracy,
+        per_parameter: tuple[tuple[str, int, int], ...],
+    ):
+        _setfield(self, "target", target)
+        _setfield(self, "lower", lower)
+        _setfield(self, "upper", upper)
+        _setfield(self, "boundary", boundary)
+        _setfield(self, "accuracy", accuracy)
+        _setfield(self, "per_parameter", per_parameter)
+        _setvalues(self, (target, lower, upper, boundary, accuracy, per_parameter))
 
 
 def approximation_report(space: SoftAuraSpace, g: SoftSet) -> ApproximationReport:
@@ -98,27 +111,28 @@ def approximation_report(space: SoftAuraSpace, g: SoftSet) -> ApproximationRepor
     return ApproximationReport(g, low, up, _difference(up, low), _accuracy(low, up), rows)
 
 
-@dataclass(frozen=True)
-class PawlakPartition:
+class PawlakPartition(_Frozen):
     """A partition of the universe into named-free blocks, validated on construction."""
 
-    context: Context
-    blocks: tuple[tuple[str, ...], ...]
+    __slots__ = ("context", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, context: Context, blocks: tuple[tuple[str, ...], ...]):
         seen: set[str] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise InvalidPartition("empty block")
             for x in block:
-                if x not in self.context.point_index:
+                if x not in context.point_index:
                     raise InvalidPartition(f"unknown point {x!r}")
                 if x in seen:
                     raise InvalidPartition(f"point {x!r} appears in two blocks")
                 seen.add(x)
-        if len(seen) != self.context.n_points:
-            missing = [x for x in self.context.universe if x not in seen]
+        if len(seen) != context.n_points:
+            missing = [x for x in context.universe if x not in seen]
             raise InvalidPartition(f"points not covered: {missing}")
+        _setfield(self, "context", context)
+        _setfield(self, "blocks", blocks)
+        _setvalues(self, (context, blocks))
 
     def block_of(self, x: str) -> tuple[str, ...]:
         for block in self.blocks:

@@ -20,40 +20,57 @@ that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import _Frozen, _setfield, _setvalues
 from .operators import _reach_masks, aura_closure
 from .softset import SoftSet
 from .space import SoftAuraSpace
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(_Frozen):
     """Two points (ordered as scanned) and, when one decides, the parameter."""
 
-    x: str
-    y: str
-    param: str | None = None
+    __slots__ = ("x", "y", "param")
+
+    def __init__(self, x: str, y: str, param: str | None = None):
+        _setfield(self, "x", x)
+        _setfield(self, "y", y)
+        _setfield(self, "param", param)
+        _setvalues(self, (x, y, param))
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(_Frozen):
     """A point, a parameter, and an aura-closed set that no open pair separates."""
 
-    point: str
-    param: str
-    closed_set: SoftSet
+    __slots__ = ("point", "param", "closed_set")
+
+    def __init__(self, point: str, param: str, closed_set: SoftSet):
+        _setfield(self, "point", point)
+        _setfield(self, "param", param)
+        _setfield(self, "closed_set", closed_set)
+        _setvalues(self, (point, param, closed_set))
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    t0: bool
-    t1: bool
-    t2: bool
-    regular: bool
-    t3: bool
-    witnesses: Mapping[str, PairWitness | RegularityWitness]
+class SeparationReport(_Frozen):
+    __slots__ = ("t0", "t1", "t2", "regular", "t3", "witnesses")
+
+    def __init__(
+        self,
+        t0: bool,
+        t1: bool,
+        t2: bool,
+        regular: bool,
+        t3: bool,
+        witnesses: Mapping[str, PairWitness | RegularityWitness],
+    ):
+        _setfield(self, "t0", t0)
+        _setfield(self, "t1", t1)
+        _setfield(self, "t2", t2)
+        _setfield(self, "regular", regular)
+        _setfield(self, "t3", t3)
+        _setfield(self, "witnesses", witnesses)
+        _setvalues(self, (t0, t1, t2, regular, t3, witnesses))
 
 
 def _t0(space: SoftAuraSpace) -> tuple[bool, PairWitness | None]:
@@ -151,12 +168,15 @@ def t1_via_singleton_scopes(space: SoftAuraSpace) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SingletonClosureCheck:
+class SingletonClosureCheck(_Frozen):
     """Result of the soft-point closure test; vacuous when the space is not T1."""
 
-    holds: bool
-    vacuous: bool
+    __slots__ = ("holds", "vacuous")
+
+    def __init__(self, holds: bool, vacuous: bool):
+        _setfield(self, "holds", holds)
+        _setfield(self, "vacuous", vacuous)
+        _setvalues(self, (holds, vacuous))
 
 
 def t1_singleton_closure(space: SoftAuraSpace) -> SingletonClosureCheck:

@@ -9,8 +9,6 @@ canonical order used by every rendering and enumeration in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -18,6 +16,9 @@ from .errors import (
     ExtraParameter,
     MissingParameter,
     UnknownPoint,
+    _Frozen,
+    _setfield,
+    _setvalues,
 )
 
 #: Default ceiling on universe size.  Bitmask integers scale past this; the
@@ -26,54 +27,49 @@ from .errors import (
 DEFAULT_UNIVERSE_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(_Frozen):
     """Ordered universe and parameter set scoping every other value.
 
     Identifiers are opaque strings; equality of contexts is equality of the
-    two declared tuples, order included.
+    two declared tuples, order included.  `limit` is neither shown nor
+    compared; the indexes and sizes are derived once, on construction.
     """
 
-    universe: tuple[str, ...]
-    parameters: tuple[str, ...]
-    limit: int = field(default=DEFAULT_UNIVERSE_LIMIT, compare=False, repr=False)
+    __slots__ = (
+        "universe", "parameters", "limit",
+        "point_index", "param_index", "n_points", "n_params", "full_mask",
+    )
+    _fields = ("universe", "parameters")
 
-    def __post_init__(self):
-        object.__setattr__(self, "universe", tuple(self.universe))
-        object.__setattr__(self, "parameters", tuple(self.parameters))
-        if not self.universe:
+    def __init__(
+        self,
+        universe: tuple[str, ...],
+        parameters: tuple[str, ...],
+        limit: int = DEFAULT_UNIVERSE_LIMIT,
+    ):
+        universe, parameters = tuple(universe), tuple(parameters)
+        if not universe:
             raise ValueError("universe must be nonempty")
-        if not self.parameters:
+        if not parameters:
             raise ValueError("parameter set must be nonempty")
-        if len(set(self.universe)) != len(self.universe):
+        if len(set(universe)) != len(universe):
             raise ValueError("duplicate point identifiers")
-        if len(set(self.parameters)) != len(self.parameters):
+        if len(set(parameters)) != len(parameters):
             raise ValueError("duplicate parameter identifiers")
-        if len(self.universe) > self.limit:
+        if len(universe) > limit:
             raise ValueError(
-                f"universe has {len(self.universe)} points, limit is {self.limit}; "
+                f"universe has {len(universe)} points, limit is {limit}; "
                 "pass Context(..., limit=...) to raise it deliberately"
             )
-
-    @cached_property
-    def point_index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.universe)}
-
-    @cached_property
-    def param_index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.parameters)}
-
-    @cached_property
-    def n_points(self) -> int:
-        return len(self.universe)
-
-    @cached_property
-    def n_params(self) -> int:
-        return len(self.parameters)
-
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << len(self.universe)) - 1
+        _setfield(self, "universe", universe)
+        _setfield(self, "parameters", parameters)
+        _setvalues(self, (universe, parameters))
+        _setfield(self, "limit", limit)
+        _setfield(self, "point_index", {x: i for i, x in enumerate(universe)})
+        _setfield(self, "param_index", {e: i for i, e in enumerate(parameters)})
+        _setfield(self, "n_points", len(universe))
+        _setfield(self, "n_params", len(parameters))
+        _setfield(self, "full_mask", (1 << len(universe)) - 1)
 
     def mask_of(self, points: Iterable[str], param: str | None = None) -> int:
         """Bitmask for a collection of point names; unknown names raise."""
@@ -96,25 +92,34 @@ def _require_same_context(a: Context, b: Context) -> None:
         raise ContextMismatch("operands have different contexts")
 
 
-@dataclass(frozen=True)
-class SoftSet:
+class SoftSet(_Frozen):
     """Immutable soft set: one universe bitmask per parameter.
 
     `masks[i]` is the slice at `context.parameters[i]`.  All operations are
-    pure and parameterwise.
+    pure and parameterwise.  Equality and hashing read the two fields
+    directly and `_values` stays unset, so _trusted builds no extra tuple.
     """
 
-    context: Context
-    masks: tuple[int, ...]
+    __slots__ = ("context", "masks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(self.masks))
-        if len(self.masks) != self.context.n_params:
+    def __init__(self, context: Context, masks: tuple[int, ...]):
+        masks = tuple(masks)
+        if len(masks) != context.n_params:
             raise ValueError("one mask per parameter required")
-        full = self.context.full_mask
-        for m in self.masks:
+        full = context.full_mask
+        for m in masks:
             if not 0 <= m <= full:
                 raise ValueError("slice mask out of range for the universe")
+        _setfield(self, "context", context)
+        _setfield(self, "masks", masks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.masks) == (other.context, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.masks))
 
     # -- constructors ------------------------------------------------------
 
@@ -194,18 +199,22 @@ class SoftSet:
         return f"SoftSet({inner})"
 
 
+_new = object.__new__
+_set_context = SoftSet.context.__set__
+_set_masks = SoftSet.masks.__set__
+
+
 def _trusted(context: Context, masks: tuple[int, ...]) -> SoftSet:
-    """A SoftSet built without __post_init__, for library-computed masks.
+    """A SoftSet built without __init__, for library-computed masks.
 
     The caller guarantees that `masks` is a tuple of one in-range mask per
     parameter of `context`, computed from masks already checked there.
-    Writing the instance dict directly skips the validation and the frozen
-    __setattr__; equality, hashing and repr are those of any SoftSet.
+    Writing the slots through their descriptors skips the validation and the
+    frozen __setattr__; equality, hashing and repr are those of any SoftSet.
     """
-    s = object.__new__(SoftSet)
-    d = s.__dict__
-    d["context"] = context
-    d["masks"] = masks
+    s = _new(SoftSet)
+    _set_context(s, context)
+    _set_masks(s, masks)
     return s
 
 

@@ -14,8 +14,6 @@ topologies are extensional with named members.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -25,6 +23,9 @@ from .errors import (
     NotOpen,
     ScopeViolations,
     TopologyViolation,
+    _Frozen,
+    _setfield,
+    _setvalues,
 )
 from .softset import Context, SoftSet, _require_same_context
 
@@ -41,8 +42,7 @@ NULL_NAME = "null"
 ABSOLUTE_NAME = "absolute"
 
 
-@dataclass(frozen=True)
-class SoftTopology:
+class SoftTopology(_Frozen):
     """A soft topology over a context.
 
     kind "discrete" is intensional (members is None, contains() is a
@@ -51,26 +51,31 @@ class SoftTopology:
     re-encoded in the form they were declared.
     """
 
-    context: Context
-    kind: str
-    members: tuple[tuple[str, SoftSet], ...] | None = None
-    subbasis: tuple[tuple[str, SoftSet], ...] | None = None
+    __slots__ = ("context", "kind", "members", "subbasis", "_member_masks")
 
-    def __post_init__(self):
-        if self.kind == DISCRETE:
-            if self.members is not None:
+    def __init__(
+        self,
+        context: Context,
+        kind: str,
+        members: tuple[tuple[str, SoftSet], ...] | None = None,
+        subbasis: tuple[tuple[str, SoftSet], ...] | None = None,
+    ):
+        if kind == DISCRETE:
+            if members is not None:
                 raise ValueError("discrete topology is intensional; no member list")
         else:
-            if self.members is None:
-                raise ValueError(f"{self.kind} topology requires members")
+            if members is None:
+                raise ValueError(f"{kind} topology requires members")
+        _setfield(self, "context", context)
+        _setfield(self, "kind", kind)
+        _setfield(self, "members", members)
+        _setfield(self, "subbasis", subbasis)
+        _setvalues(self, (context, kind, members, subbasis))
+        _setfield(self, "_member_masks", frozenset(s.masks for _, s in members or ()))
 
     @property
     def is_extensional(self) -> bool:
         return self.kind != DISCRETE
-
-    @cached_property
-    def _member_masks(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(s.masks for _, s in self.members) if self.members else frozenset()
 
     def contains(self, s: SoftSet) -> bool:
         if s.context != self.context:
@@ -212,16 +217,17 @@ def generate_topology(context: Context, subbasis, cap: int = DEFAULT_CAP) -> Sof
     return SoftTopology(context, GENERATED, members, subbasis=tuple(sub_items))
 
 
-@dataclass(frozen=True)
-class ScopeFunction:
+class ScopeFunction(_Frozen):
     """Total assignment of an open soft set to every point, stored in universe order."""
 
-    context: Context
-    assignment: tuple[SoftSet, ...]
+    __slots__ = ("context", "assignment")
 
-    def __post_init__(self):
-        if len(self.assignment) != self.context.n_points:
+    def __init__(self, context: Context, assignment: tuple[SoftSet, ...]):
+        if len(assignment) != context.n_points:
             raise ValueError("assignment must be total on the universe")
+        _setfield(self, "context", context)
+        _setfield(self, "assignment", assignment)
+        _setvalues(self, (context, assignment))
 
     def of(self, x: str) -> SoftSet:
         return self.assignment[self.context.point_index[x]]
@@ -277,18 +283,24 @@ def trivial_scope(topology: SoftTopology) -> ScopeFunction:
     return ScopeFunction(ctx, (SoftSet.absolute(ctx),) * ctx.n_points)
 
 
-@dataclass(frozen=True)
-class SoftAuraSpace:
-    """A context, a soft topology over it, and a scope function into it."""
+class SoftAuraSpace(_Frozen):
+    """A context, a soft topology over it, and a scope function into it.
 
-    context: Context
-    topology: SoftTopology
-    scope: ScopeFunction
+    scope_masks[xi][ei] is the bitmask of the scope slice of point xi at
+    parameter ei.
+    """
 
-    def __post_init__(self):
-        if self.topology.context != self.context or self.scope.context != self.context:
+    __slots__ = ("context", "topology", "scope", "scope_masks")
+
+    def __init__(self, context: Context, topology: SoftTopology, scope: ScopeFunction):
+        if topology.context != context or scope.context != context:
             raise ContextMismatch("topology and scope must share the space context")
-        _check_scope(self.context, self.topology, self.scope.assignment)
+        _check_scope(context, topology, scope.assignment)
+        _setfield(self, "context", context)
+        _setfield(self, "topology", topology)
+        _setfield(self, "scope", scope)
+        _setvalues(self, (context, topology, scope))
+        _setfield(self, "scope_masks", tuple(s.masks for s in scope.assignment))
 
     @classmethod
     def from_assignment(
@@ -300,11 +312,6 @@ class SoftAuraSpace:
         followed by the constructor would scan it twice.
         """
         return cls(context, topology, _ordered_scope(context, topology, assignment))
-
-    @cached_property
-    def scope_masks(self) -> tuple[tuple[int, ...], ...]:
-        """scope_masks[xi][ei]: bitmask of the scope slice of point xi at parameter ei."""
-        return tuple(s.masks for s in self.scope.assignment)
 
 
 def make_space(

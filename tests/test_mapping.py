@@ -1,6 +1,5 @@
 """Soft mappings, inverse images, continuity flags, and the two verifiers."""
 
-import functools
 import itertools
 import json
 import random
@@ -59,6 +58,24 @@ KINDS = (CECH, KURATOWSKI)
 # -- product references: every member of the target family, every target set --
 
 
+def per_space(fn):
+    """fn(space, *args) memoised per space object and args.
+
+    The key is the space's identity, since hashing a space walks every scope
+    set.  Each entry keeps its space alive, so no other space can take its id.
+    """
+    cache = {}
+
+    def memo(space, *args):
+        key = (id(space), *args)
+        if key not in cache:
+            cache[key] = (space, fn(space, *args))
+        return cache[key][1]
+
+    return memo
+
+
+@per_space
 def reference_family(space: SoftAuraSpace, target_family: str) -> list[SoftSet]:
     """The whole target family: the aura product, the fixpoint-complement scan, the ambient members."""
     if target_family == TARGET_AURA:
@@ -71,8 +88,23 @@ def reference_family(space: SoftAuraSpace, target_family: str) -> list[SoftSet]:
     return sets
 
 
-# mappings of one family share sources and inverse images, so classifications repeat
-cached_classify = functools.lru_cache(maxsize=1 << 14)(classify)
+def per_set(fn):
+    """fn(space, g, kind) memoised per space, masks of g and kind."""
+    memo = per_space(lambda space, masks, kind: fn(space, SoftSet(space.context, masks), kind))
+    return lambda space, g, kind: memo(space, g.masks, kind)
+
+
+# mappings of one family share sources and inverse images, so classifications
+# and source closures repeat
+cached_classify = per_set(classify)
+cached_closure = per_set(lambda space, g, kind: _closure_fn(space, kind)(g))
+
+
+@per_space
+def target_closures(space: SoftAuraSpace, kind: str) -> list[tuple[SoftSet, SoftSet]]:
+    """(G, cl G) for every soft set G over the space, in canonical rank order."""
+    cl = _closure_fn(space, kind)
+    return [(g, cl(g)) for g in iter_all_soft_sets(space.context)]
 
 
 def reference_profile(m, kind=CECH, target_family=TARGET_AURA) -> ContinuityProfile:
@@ -105,11 +137,10 @@ def reference_decomposition(m, kind=KURATOWSKI):
 
 def reference_closure_characterization(m, kind=CECH):
     """The containment over all 2^(|Y|·|K|) target sets, in canonical rank order."""
-    cl_src, cl_tgt = _closure_fn(m.source, kind), _closure_fn(m.target, kind)
     witness = next(
         (
-            g for g in iter_all_soft_sets(m.target.context)
-            if not cl_src(inverse_image(m, g)).is_subset_of(inverse_image(m, cl_tgt(g)))
+            g for g, cl_g in target_closures(m.target, kind)
+            if not cached_closure(m.source, inverse_image(m, g), kind).is_subset_of(inverse_image(m, cl_g))
         ),
         None,
     )
@@ -450,10 +481,14 @@ class TestClosureCharacterization:
 
         monkeypatch.setattr("softaura.mapping.inverse_image", enumerated)
         m = identity_mapping(chain)
-        for options in ({}, {"samples": 5}, {"cap": 1}):
-            # cap=1 is below the target's 2**3 soft sets: the kind is checked first
+        for options in ({}, {"samples": 5}):
             with pytest.raises(ValueError, match="unknown closure kind"):
                 verify_closure_characterization(m, kind="kuratowsky", **options)
+
+    def test_takes_no_cap(self, chain):
+        # nothing it does enumerates a family, so there is nothing to cap
+        with pytest.raises(TypeError, match="cap"):
+            verify_closure_characterization(identity_mapping(chain), cap=1)
 
 
 class TestDecomposition:
