@@ -4,7 +4,7 @@ Run `pytest tests/test_acceptance.py -v -s` to see the lines; without -s the
 criteria still run as ordinary assertions.  Criteria 4, 5, 6 and 8 share one
 exhaustive law-suite run over every space with at most three points and two
 parameters (4096 scope functions and 64 soft sets at the largest shape);
-criterion 10 repeats that run and pins the report bytes.
+criterion 10 pins that run's bytes and repeats cheaper sampled runs.
 
 All expected values are exact.  No tolerances are applied anywhere: soft sets
 are integer bitmasks and accuracy values are rational, so equality is the
@@ -32,6 +32,7 @@ from softaura import (
     aura_interior,
     decomposition_mapping_scan,
     discrete_topology,
+    iter_family_spaces,
     kuratowski_closure,
     make_soft_set,
     make_space,
@@ -319,15 +320,26 @@ def test_criterion_09_partition_equivalence():
 
 
 def test_criterion_10_deterministic_reports(exhaustive_suite):
+    # the exhaustive bytes are compared with a digest recorded by an earlier
+    # process; the in-process repeats run on cheaper families, one with
+    # alpha-meet findings and one with shapes too big for eager tables
     first, _ = exhaustive_suite
-    second = run_law_suite(SpaceFamilySpec(3, 2))
     first_bytes = first.to_json_bytes()
-    ok = second.to_json_bytes() == first_bytes
+    ok = hashlib.sha256(first_bytes).hexdigest() == EXHAUSTIVE_REPORT_SHA256
+    with_meets = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20)
+    lazy = SpaceFamilySpec(4, 4, scope_mode="sampled", seed=11, sample_count=4)
+    runs = {spec: run_law_suite(spec) for spec in (with_meets, lazy)}
+    ok = (
+        ok
+        and all(run_law_suite(spec).to_json_bytes() == run.to_json_bytes() for spec, run in runs.items())
+        and runs[with_meets].reports["alpha-meet-kuratowski"]["found"] > 0
+        and any(n * m > 12 for (n, m, _), _ in iter_family_spaces(lazy))
+    )
     _report(
         10,
         ok,
-        f"repeated suite run serialises to byte-identical reports "
-        f"({len(first_bytes)} bytes)",
+        f"exhaustive report matches its recorded digest ({len(first_bytes)} bytes); "
+        f"repeated sampled runs serialise to byte-identical reports",
     )
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from softaura import (
     CapExceeded,
     Context,
+    KuratowskiResult,
     LAWS,
     REPORT_ROWS,
     STRICTNESS_EDGES,
@@ -415,6 +416,122 @@ class TestComposedTables:
             # null plus each non-null slice at each parameter, never a set twice
             assert len(sets) == len(set(sets)) <= m * ((1 << n) - 1) + 1
             assert all(_non_null_slices(g) <= 1 for g in sets)
+
+
+def _sliced_and_full(spec, monkeypatch):
+    """The suite as run, with how many spaces the slice check decided, and the suite on the full pair scan alone."""
+    real = harness._slice_alpha_meets
+    decided = []
+
+    def counting(t, laws):
+        counts = real(t, laws)
+        decided.append(counts is not None)
+        return counts
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_slice_alpha_meets", counting)
+        sliced = run_law_suite(spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_slice_alpha_meets", lambda t, laws: None)
+        full = run_law_suite(spec)
+    return sliced, sum(decided), full
+
+
+class TestSlicePairs:
+    """Pair laws decided one parameter slice at a time report exactly what the full `_pair_row` scan reports."""
+
+    @pytest.mark.parametrize(
+        "spec, spaces, sets, alpha_meets",
+        [
+            (SpaceFamilySpec(2, 2), 22, 16, False),
+            (SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20), 20, 64, True),
+            # seed 9 draws a single 4 x 3 space, 4,096 sets and 8.4 M pairs
+            (SpaceFamilySpec(4, 3, scope_mode="sampled", seed=9, sample_count=1), 1, 4096, True),
+        ],
+    )
+    def test_equals_full_scan(self, spec, spaces, sets, alpha_meets, monkeypatch):
+        sliced, decided, full = _sliced_and_full(spec, monkeypatch)
+        assert decided == sliced.spaces_checked == spaces
+        assert sliced.sets_per_space_max == sets
+        assert (sliced.reports["alpha-meet-kuratowski"]["found"] > 0) == alpha_meets
+        assert sliced.to_json_dict() == full.to_json_dict()
+
+    def test_far_fewer_pair_evaluations(self, monkeypatch):
+        real = harness._pair_row
+        pairs = [0]
+
+        def counting(t, g, hs, hit):
+            pairs[0] += len(hs)
+            real(t, g, hs, hit)
+
+        monkeypatch.setattr(harness, "_pair_row", counting)
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        # m * 2^n (2^n + 1) / 2 single-slice pairs per space, against 2^nm (2^nm + 1) / 2
+        per_shape = {(1, 1): 3, (1, 2): 6, (2, 1): 10, (2, 2): 20}
+        counts = {(1, 1): 1, (1, 2): 1, (2, 1): 4, (2, 2): 16}
+        assert pairs[0] == sum(per_shape[s] * counts[s] for s in per_shape)
+        assert result.laws["closure-additivity"].checked == 3 + 10 + 4 * 10 + 16 * 136
+
+    def test_corrupted_fix_entry_takes_the_full_scan(self, monkeypatch):
+        # fix of the absolute set loses a point: no pair of single-slice sets
+        # reads that entry, so only the product check sends the space to the full scan
+        class Corrupted(harness._Tables):
+            def __init__(self, space, sets=None):
+                super().__init__(space, sets)
+                if space.context.n_params > 1:
+                    self.fix[self.full] &= self.full - 1
+
+        monkeypatch.setattr(harness, "_Tables", Corrupted)
+        sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
+        # only the spaces with one parameter are decided slice by slice
+        assert decided == 1 + 4
+        assert sliced.laws["kuratowski-additivity"].failures > 0
+        assert sliced.to_json_dict() == full.to_json_dict()
+
+    @pytest.mark.parametrize("op, found", [("aura_closure", 16), ("aura_interior", 64), ("kuratowski_closure", 0)])
+    def test_entry_outside_its_slice_takes_the_full_scan(self, op, found, monkeypatch):
+        # the operator on each single-slice set at e1 holding x1 also marks x1
+        # at e2: every table stays the OR of its single-slice entries and no
+        # pair of single-slice sets fails a law, but the tables are no longer
+        # decided slice by slice (with the closure, the slice formula would
+        # count no alpha-meet findings where the full scan counts 16)
+        real = getattr(harness, op)
+
+        def spill(ctx, s):
+            return SoftSet(ctx, (s.masks[0], s.masks[1] | 1))
+
+        def spills(space, g):
+            out = real(space, g)
+            if space.context.n_params > 1 and g.masks[0] & 1 and not any(g.masks[1:]):
+                if op == "kuratowski_closure":
+                    return KuratowskiResult(spill(space.context, out.closure), out.iterations)
+                return spill(space.context, out)
+            return out
+
+        monkeypatch.setattr(harness, op, spills)
+        spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20)
+        sliced, decided, full = _sliced_and_full(spec, monkeypatch)
+        assert decided == sum(m == 1 for (_, m, _), _ in iter_family_spaces(spec)) < 20
+        assert sliced.reports["alpha-meet-cech"]["found"] == found
+        assert sliced.to_json_dict() == full.to_json_dict()
+
+    def test_law_failing_on_slice_pairs_takes_the_full_scan(self, monkeypatch):
+        # a closure that sends each whole slice at e1 to the null set keeps
+        # every table a product, but fails additivity on single-slice pairs
+        real = harness.aura_closure
+
+        def empties(space, g):
+            ctx = space.context
+            if ctx.n_points > 1 and g.masks == (ctx.full_mask,) + (0,) * (ctx.n_params - 1):
+                return SoftSet.null(ctx)
+            return real(space, g)
+
+        monkeypatch.setattr(harness, "aura_closure", empties)
+        sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
+        # the two one-point spaces alone are decided slice by slice
+        assert decided == 2
+        assert sliced.laws["closure-additivity"].failures > 0
+        assert sliced.to_json_dict() == full.to_json_dict()
 
 
 def reference_mapping_scan(per_shape: int) -> harness.MappingScanResult:
