@@ -31,7 +31,7 @@ import json
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DocumentError, _Frozen, _setfield, _setvalues
+from .errors import DocumentError, _Frozen, _freeze
 from .softset import Context, SoftSet
 from .space import (
     ABSOLUTE_NAME,
@@ -116,10 +116,7 @@ class DecodedSpace(_Frozen):
     __slots__ = ("space", "named_sets", "scope_refs")
 
     def __init__(self, space: SoftAuraSpace, named_sets: dict[str, SoftSet], scope_refs: dict[str, str | None]):
-        _setfield(self, "space", space)
-        _setfield(self, "named_sets", named_sets)
-        _setfield(self, "scope_refs", scope_refs)
-        _setvalues(self, (space, named_sets, scope_refs))
+        _freeze(self, space, named_sets, scope_refs)
 
     def resolve(self, name: str) -> SoftSet:
         """Look up a set name: namedSets, then topology members, then reserved."""

@@ -39,13 +39,21 @@ class _Record:
 class _Frozen(_Record):
     """A record fixed at construction: hashable, and never reassigned.
 
-    __init__ sets each slot through _setfield and also stores the values of
-    `_fields`, in order, as the tuple `_values`; equality and hashing read
-    that one tuple instead of every field.  Later assignment raises
+    Every __init__ validates its arguments and ends with one call,
+    `_freeze(self, *values)`, the values in `_fields` order.  _freeze sets
+    each field slot and keeps the same values as the tuple `_values`, which
+    equality and hashing read instead of every field.  Only derived slots
+    outside `_fields` are set with _setfield.  Later assignment raises
     AttributeError.
     """
 
     __slots__ = ("_values",)
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__init__" in cls.__dict__:
+            # each field slot's own setter, resolved once per class
+            cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -67,9 +75,15 @@ class _Frozen(_Record):
             _setfield(self, name, value)
 
 
-#: Sets `_values` of a frozen record; the slot's own setter skips the
-#: attribute lookup that _setfield makes.
+#: Sets `_values` of a frozen record; only _freeze calls it.
 _setvalues = _Frozen._values.__set__
+
+
+def _freeze(record: _Frozen, *values) -> None:
+    """Set the fields of `record`, given in `_fields` order, then its `_values`."""
+    for setter, value in zip(record._setters, values):
+        setter(record, value)
+    _setvalues(record, values)
 
 
 class SoftAuraError(Exception):
@@ -157,9 +171,7 @@ class MembershipViolation(_Frozen):
     __slots__ = ("point", "param")
 
     def __init__(self, point: str, param: str):
-        _setfield(self, "point", point)
-        _setfield(self, "param", param)
-        _setvalues(self, (point, param))
+        _freeze(self, point, param)
 
     def __str__(self) -> str:
         return f"scope of {self.point!r} does not contain it at {self.param!r}"
@@ -171,8 +183,7 @@ class NotOpen(_Frozen):
     __slots__ = ("point",)
 
     def __init__(self, point: str):
-        _setfield(self, "point", point)
-        _setvalues(self, (point,))
+        _freeze(self, point)
 
     def __str__(self) -> str:
         return f"scope of {self.point!r} is not a topology member"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import PreconditionUnmet, _Frozen, _setfield, _setvalues
+from .errors import PreconditionUnmet, _Frozen, _freeze
 from .operators import CECH, _closure_fn, aura_interior
 from .softset import SoftSet
 from .space import SoftAuraSpace
@@ -42,14 +42,7 @@ class OpennessProfile(_Frozen):
         beta_open: bool,
         closure_kind: str,
     ):
-        _setfield(self, "a_open", a_open)
-        _setfield(self, "alpha_open", alpha_open)
-        _setfield(self, "semi_open", semi_open)
-        _setfield(self, "pre_open", pre_open)
-        _setfield(self, "b_open", b_open)
-        _setfield(self, "beta_open", beta_open)
-        _setfield(self, "closure_kind", closure_kind)
-        _setvalues(self, (a_open, alpha_open, semi_open, pre_open, b_open, beta_open, closure_kind))
+        _freeze(self, a_open, alpha_open, semi_open, pre_open, b_open, beta_open, closure_kind)
 
     def flag(self, openness_class: str) -> bool:
         return {
@@ -109,10 +102,7 @@ class AlphaMeetWitness(_Frozen):
     __slots__ = ("space", "left", "right")
 
     def __init__(self, space: SoftAuraSpace, left: SoftSet, right: SoftSet):
-        _setfield(self, "space", space)
-        _setfield(self, "left", left)
-        _setfield(self, "right", right)
-        _setvalues(self, (space, left, right))
+        _freeze(self, space, left, right)
 
     def replay(self, kind: str = CECH) -> bool:
         """Re-evaluate the three classifications; True when the witness still holds."""

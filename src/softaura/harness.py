@@ -26,7 +26,7 @@ from functools import cached_property, partial, reduce
 from operator import and_
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import CapExceeded, SizeGuard, _Frozen, _Record, _setfield, _setvalues
+from .errors import CapExceeded, SizeGuard, _Frozen, _Record, _freeze
 from .genopen import classify
 from .operators import (
     CECH,
@@ -39,7 +39,7 @@ from .operators import (
 )
 from .rough import accuracy, lower_approx, upper_approx
 from .separation import separation_report, t1_singleton_closure, t1_via_singleton_scopes
-from .softset import Context, SoftSet, _trusted, make_soft_set
+from .softset import DEFAULT_UNIVERSE_LIMIT, Context, SoftSet, _trusted, make_soft_set
 from .space import (
     DEFAULT_CAP,
     DISCRETE,
@@ -64,6 +64,7 @@ class SpaceFamilySpec(_Frozen):
     scope_mode "all" enumerates every scope function over every shape up to
     (max_universe, max_params); it requires max_universe * max_params <= 12.
     scope_mode "sampled" draws `sample_count` >= 1 spaces from `seed` instead.
+    Either way max_universe is at most DEFAULT_UNIVERSE_LIMIT (64).
     topology_kind "generated" (random saturated subbases) is only available
     in sampled mode.
     """
@@ -81,6 +82,8 @@ class SpaceFamilySpec(_Frozen):
     ):
         if max_universe < 1 or max_params < 1:
             raise ValueError("bounds must be at least 1")
+        if max_universe > DEFAULT_UNIVERSE_LIMIT:
+            raise ValueError(f"max_universe is {max_universe}, the universe limit is {DEFAULT_UNIVERSE_LIMIT}")
         if topology_kind not in (DISCRETE, GENERATED):
             raise ValueError(f"unsupported family topology kind {topology_kind!r}")
         if scope_mode == "all":
@@ -99,13 +102,7 @@ class SpaceFamilySpec(_Frozen):
                 raise ValueError("seed must fit in 64 bits")
         else:
             raise ValueError(f"unknown scope mode {scope_mode!r}")
-        _setfield(self, "max_universe", max_universe)
-        _setfield(self, "max_params", max_params)
-        _setfield(self, "topology_kind", topology_kind)
-        _setfield(self, "scope_mode", scope_mode)
-        _setfield(self, "seed", seed)
-        _setfield(self, "sample_count", sample_count)
-        _setvalues(self, (max_universe, max_params, topology_kind, scope_mode, seed, sample_count))
+        _freeze(self, max_universe, max_params, topology_kind, scope_mode, seed, sample_count)
 
 
 def _family_context(n: int, m: int) -> Context:
@@ -313,12 +310,7 @@ class Witness(_Frozen):
     __slots__ = ("kind", "name", "space", "rank", "sets")
 
     def __init__(self, kind: str, name: str, space: dict, rank: tuple[int, ...], sets: tuple[dict, ...]):
-        _setfield(self, "kind", kind)
-        _setfield(self, "name", name)
-        _setfield(self, "space", space)
-        _setfield(self, "rank", rank)
-        _setfield(self, "sets", sets)
-        _setvalues(self, (kind, name, space, rank, sets))
+        _freeze(self, kind, name, space, rank, sets)
 
     def to_json_dict(self) -> dict:
         return {
@@ -763,10 +755,7 @@ class LawSpec(_Frozen):
     __slots__ = ("arity", "evaluator", "description")
 
     def __init__(self, arity: str, evaluator: Callable, description: str):
-        _setfield(self, "arity", arity)
-        _setfield(self, "evaluator", evaluator)
-        _setfield(self, "description", description)
-        _setvalues(self, (arity, evaluator, description))
+        _freeze(self, arity, evaluator, description)
 
 
 LAWS: dict[str, LawSpec] = {
@@ -1095,15 +1084,7 @@ class MappingScanResult(_Frozen):
         cech_mismatches: int,
         cech_first_mismatch: dict | None,
     ):
-        _setfield(self, "mappings_checked", mappings_checked)
-        _setfield(self, "kuratowski_failures", kuratowski_failures)
-        _setfield(self, "kuratowski_first_failure", kuratowski_first_failure)
-        _setfield(self, "cech_mismatches", cech_mismatches)
-        _setfield(self, "cech_first_mismatch", cech_first_mismatch)
-        _setvalues(
-            self,
-            (mappings_checked, kuratowski_failures, kuratowski_first_failure, cech_mismatches, cech_first_mismatch),
-        )
+        _freeze(self, mappings_checked, kuratowski_failures, kuratowski_first_failure, cech_mismatches, cech_first_mismatch)
 
 
 def _family_space_selection(per_shape: int) -> list[SoftAuraSpace]:

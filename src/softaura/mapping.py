@@ -30,8 +30,8 @@ from .errors import (
     UnknownParameter,
     UnknownPoint,
     _Frozen,
+    _freeze,
     _setfield,
-    _setvalues,
 )
 from .genopen import classify
 from .operators import (
@@ -86,11 +86,7 @@ class SoftMapping(_Frozen):
         for e in param_map:
             if e not in src.param_index:
                 raise UnknownParameter(e)
-        _setfield(self, "source", source)
-        _setfield(self, "target", target)
-        _setfield(self, "point_map", point_map)
-        _setfield(self, "param_map", param_map)
-        _setvalues(self, (source, target, point_map, param_map))
+        _freeze(self, source, target, point_map, param_map)
         # _point_preimage[y]: bitmask of the source points mapping to target point y;
         # _param_image[e]: the target parameter index of source parameter e
         preimage = [0] * tgt.n_points
@@ -167,16 +163,7 @@ class ContinuityProfile(_Frozen):
         beta_continuous: bool,
         closure_kind: str,
     ):
-        _setfield(self, "continuous", continuous)
-        _setfield(self, "alpha_continuous", alpha_continuous)
-        _setfield(self, "semi_continuous", semi_continuous)
-        _setfield(self, "pre_continuous", pre_continuous)
-        _setfield(self, "beta_continuous", beta_continuous)
-        _setfield(self, "closure_kind", closure_kind)
-        _setvalues(
-            self,
-            (continuous, alpha_continuous, semi_continuous, pre_continuous, beta_continuous, closure_kind),
-        )
+        _freeze(self, continuous, alpha_continuous, semi_continuous, pre_continuous, beta_continuous, closure_kind)
 
 
 def continuity_profile(

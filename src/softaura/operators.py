@@ -16,15 +16,7 @@ per-parameter families.
 from __future__ import annotations
 
 import itertools
-from .errors import (
-    CapExceeded,
-    InternalNonMonotone,
-    NotSingletonE,
-    UnknownParameter,
-    _Frozen,
-    _setfield,
-    _setvalues,
-)
+from .errors import CapExceeded, InternalNonMonotone, NotSingletonE, UnknownParameter, _Frozen, _freeze
 from .softset import SoftSet, _require_same_context, _trusted
 from .space import DEFAULT_CAP, SoftAuraSpace
 
@@ -56,14 +48,6 @@ def _closure_slice(scope_masks, n: int, ei: int, g: int) -> int:
     return out
 
 
-def _interior_slice(scope_masks, n: int, ei: int, g: int) -> int:
-    out = 0
-    for xi in range(n):
-        if scope_masks[xi][ei] & ~g == 0:
-            out |= 1 << xi
-    return out
-
-
 def aura_closure(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     """Slicewise: every point whose scope slice meets the corresponding slice of g."""
     _require_same_context(space.context, g.context)
@@ -76,13 +60,14 @@ def aura_closure(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
 
 
 def aura_interior(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
-    """Slicewise: every point whose scope slice is contained in the corresponding slice of g."""
+    """Slicewise X - cl(X - g): every point whose scope slice misses X - g, so lies inside g."""
     _require_same_context(space.context, g.context)
     sm = space.scope_masks
     n = space.context.n_points
+    full = space.context.full_mask
     return _trusted(
         space.context,
-        tuple(_interior_slice(sm, n, ei, gm) for ei, gm in enumerate(g.masks)),
+        tuple(full ^ _closure_slice(sm, n, ei, full ^ gm) for ei, gm in enumerate(g.masks)),
     )
 
 
@@ -97,9 +82,7 @@ class KuratowskiResult(_Frozen):
     __slots__ = ("closure", "iterations")
 
     def __init__(self, closure: SoftSet, iterations: dict[str, int]):
-        _setfield(self, "closure", closure)
-        _setfield(self, "iterations", iterations)
-        _setvalues(self, (closure, iterations))
+        _freeze(self, closure, iterations)
 
 
 def kuratowski_closure(space: SoftAuraSpace, g: SoftSet) -> KuratowskiResult:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InvalidPartition, _Frozen, _setfield, _setvalues
+from .errors import InvalidPartition, _Frozen, _freeze
 from .operators import aura_closure, aura_interior
 from .softset import Context, SoftSet, _trusted
 from .space import ScopeFunction, SoftAuraSpace, discrete_topology
@@ -49,11 +49,7 @@ class Accuracy(_Frozen):
     __slots__ = ("value", "lower_total", "upper_total", "convention_applied")
 
     def __init__(self, value: Fraction, lower_total: int, upper_total: int, convention_applied: bool):
-        _setfield(self, "value", value)
-        _setfield(self, "lower_total", lower_total)
-        _setfield(self, "upper_total", upper_total)
-        _setfield(self, "convention_applied", convention_applied)
-        _setvalues(self, (value, lower_total, upper_total, convention_applied))
+        _freeze(self, value, lower_total, upper_total, convention_applied)
 
     def display(self) -> str:
         """Unreduced ratio plus a decimal rendered to 6 significant digits."""
@@ -92,13 +88,7 @@ class ApproximationReport(_Frozen):
         accuracy: Accuracy,
         per_parameter: tuple[tuple[str, int, int], ...],
     ):
-        _setfield(self, "target", target)
-        _setfield(self, "lower", lower)
-        _setfield(self, "upper", upper)
-        _setfield(self, "boundary", boundary)
-        _setfield(self, "accuracy", accuracy)
-        _setfield(self, "per_parameter", per_parameter)
-        _setvalues(self, (target, lower, upper, boundary, accuracy, per_parameter))
+        _freeze(self, target, lower, upper, boundary, accuracy, per_parameter)
 
 
 def approximation_report(space: SoftAuraSpace, g: SoftSet) -> ApproximationReport:
@@ -130,9 +120,7 @@ class PawlakPartition(_Frozen):
         if len(seen) != context.n_points:
             missing = [x for x in context.universe if x not in seen]
             raise InvalidPartition(f"points not covered: {missing}")
-        _setfield(self, "context", context)
-        _setfield(self, "blocks", blocks)
-        _setvalues(self, (context, blocks))
+        _freeze(self, context, blocks)
 
     def block_of(self, x: str) -> tuple[str, ...]:
         for block in self.blocks:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import _Frozen, _setfield, _setvalues
+from .errors import _Frozen, _freeze
 from .operators import _reach_masks, aura_closure
 from .softset import SoftSet
 from .space import SoftAuraSpace
@@ -34,10 +34,7 @@ class PairWitness(_Frozen):
     __slots__ = ("x", "y", "param")
 
     def __init__(self, x: str, y: str, param: str | None = None):
-        _setfield(self, "x", x)
-        _setfield(self, "y", y)
-        _setfield(self, "param", param)
-        _setvalues(self, (x, y, param))
+        _freeze(self, x, y, param)
 
 
 class RegularityWitness(_Frozen):
@@ -46,10 +43,7 @@ class RegularityWitness(_Frozen):
     __slots__ = ("point", "param", "closed_set")
 
     def __init__(self, point: str, param: str, closed_set: SoftSet):
-        _setfield(self, "point", point)
-        _setfield(self, "param", param)
-        _setfield(self, "closed_set", closed_set)
-        _setvalues(self, (point, param, closed_set))
+        _freeze(self, point, param, closed_set)
 
 
 class SeparationReport(_Frozen):
@@ -64,13 +58,7 @@ class SeparationReport(_Frozen):
         t3: bool,
         witnesses: Mapping[str, PairWitness | RegularityWitness],
     ):
-        _setfield(self, "t0", t0)
-        _setfield(self, "t1", t1)
-        _setfield(self, "t2", t2)
-        _setfield(self, "regular", regular)
-        _setfield(self, "t3", t3)
-        _setfield(self, "witnesses", witnesses)
-        _setvalues(self, (t0, t1, t2, regular, t3, witnesses))
+        _freeze(self, t0, t1, t2, regular, t3, witnesses)
 
 
 def _t0(space: SoftAuraSpace) -> tuple[bool, PairWitness | None]:
@@ -174,9 +162,7 @@ class SingletonClosureCheck(_Frozen):
     __slots__ = ("holds", "vacuous")
 
     def __init__(self, holds: bool, vacuous: bool):
-        _setfield(self, "holds", holds)
-        _setfield(self, "vacuous", vacuous)
-        _setvalues(self, (holds, vacuous))
+        _freeze(self, holds, vacuous)
 
 
 def t1_singleton_closure(space: SoftAuraSpace) -> SingletonClosureCheck:

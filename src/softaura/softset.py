@@ -17,8 +17,8 @@ from .errors import (
     MissingParameter,
     UnknownPoint,
     _Frozen,
+    _freeze,
     _setfield,
-    _setvalues,
 )
 
 #: Default ceiling on universe size.  Bitmask integers scale past this; the
@@ -61,9 +61,7 @@ class Context(_Frozen):
                 f"universe has {len(universe)} points, limit is {limit}; "
                 "pass Context(..., limit=...) to raise it deliberately"
             )
-        _setfield(self, "universe", universe)
-        _setfield(self, "parameters", parameters)
-        _setvalues(self, (universe, parameters))
+        _freeze(self, universe, parameters)
         _setfield(self, "limit", limit)
         _setfield(self, "point_index", {x: i for i, x in enumerate(universe)})
         _setfield(self, "param_index", {e: i for i, e in enumerate(parameters)})

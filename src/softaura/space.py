@@ -24,8 +24,8 @@ from .errors import (
     ScopeViolations,
     TopologyViolation,
     _Frozen,
+    _freeze,
     _setfield,
-    _setvalues,
 )
 from .softset import Context, SoftSet, _require_same_context
 
@@ -66,11 +66,7 @@ class SoftTopology(_Frozen):
         else:
             if members is None:
                 raise ValueError(f"{kind} topology requires members")
-        _setfield(self, "context", context)
-        _setfield(self, "kind", kind)
-        _setfield(self, "members", members)
-        _setfield(self, "subbasis", subbasis)
-        _setvalues(self, (context, kind, members, subbasis))
+        _freeze(self, context, kind, members, subbasis)
         _setfield(self, "_member_masks", frozenset(s.masks for _, s in members or ()))
 
     @property
@@ -225,9 +221,7 @@ class ScopeFunction(_Frozen):
     def __init__(self, context: Context, assignment: tuple[SoftSet, ...]):
         if len(assignment) != context.n_points:
             raise ValueError("assignment must be total on the universe")
-        _setfield(self, "context", context)
-        _setfield(self, "assignment", assignment)
-        _setvalues(self, (context, assignment))
+        _freeze(self, context, assignment)
 
     def of(self, x: str) -> SoftSet:
         return self.assignment[self.context.point_index[x]]
@@ -296,10 +290,7 @@ class SoftAuraSpace(_Frozen):
         if topology.context != context or scope.context != context:
             raise ContextMismatch("topology and scope must share the space context")
         _check_scope(context, topology, scope.assignment)
-        _setfield(self, "context", context)
-        _setfield(self, "topology", topology)
-        _setfield(self, "scope", scope)
-        _setvalues(self, (context, topology, scope))
+        _freeze(self, context, topology, scope)
         _setfield(self, "scope_masks", tuple(s.masks for s in scope.assignment))
 
     @classmethod

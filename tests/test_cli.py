@@ -356,6 +356,20 @@ class TestSuite:
         assert captured.out == ""
         assert "sample_count must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("bounds", [["65"], ["200", "--max-params", "1"]])
+    def test_universe_bound_is_checked_before_any_space(self, bounds, tmp_path, capsys, monkeypatch):
+        def no_spaces(*args, **kwargs):
+            raise AssertionError("a space was built before the universe bound was checked")
+
+        monkeypatch.setattr("softaura.harness.iter_family_spaces", no_spaces)
+        out = tmp_path / "r.json"
+        rc = main(["suite", "--max-universe", *bounds, "--seed", "1", "--count", "40", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit is 64" in captured.err
+        assert not out.exists()
+
     def test_sampled_generated(self, capsys):
         rc = main(
             [

@@ -108,6 +108,12 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             SpaceFamilySpec(0, 1)
 
+    @pytest.mark.parametrize("mode", [{}, {"scope_mode": "sampled", "seed": 1, "sample_count": 3}])
+    def test_universe_bound_within_limit(self, mode):
+        with pytest.raises(ValueError, match="limit is 64"):
+            SpaceFamilySpec(65, 1, **mode)
+        assert SpaceFamilySpec(64, 1, scope_mode="sampled", seed=1, sample_count=1).max_universe == 64
+
     @pytest.mark.parametrize("count", [0, -5])
     def test_sample_count_positive(self, count):
         with pytest.raises(ValueError, match="sample_count"):

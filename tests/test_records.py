@@ -8,11 +8,14 @@ pickle round trip.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import softaura
 from softaura import (
     Accuracy,
     AlphaMeetWitness,
@@ -39,6 +42,7 @@ from softaura import (
     SuiteResult,
     Witness,
 )
+from softaura.errors import _Record
 from softaura.harness import LawResult, LawSpec
 
 CTX_REPR = "Context(universe=('x', 'y'), parameters=('e',))"
@@ -187,6 +191,19 @@ def test_record_semantics(cls, kwargs, text, hashable, frozen):
     else:
         setattr(a, field, 7)
         assert getattr(a, field) == 7 and a != b
+
+
+def test_every_record_type_has_a_case():
+    for info in pkgutil.iter_modules(softaura.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            importlib.import_module(f"softaura.{info.name}")
+    found, todo = set(), [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("softaura.") and not sub.__name__.startswith("_"):
+                found.add(sub)
+    assert found == {c[0] for c in CASES}
 
 
 # SoftSet compares its two fields directly; every other frozen record compares _values
