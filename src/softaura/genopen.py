@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import PreconditionUnmet, _Frozen, _freeze
-from .operators import CECH, _closure_fn, aura_interior
-from .softset import SoftSet
+from .operators import CECH, _closure_slice, _slice_closure_fn
+from .softset import SoftSet, _require_same_context
 from .space import SoftAuraSpace
 
 UNION_CLOSED_CLASSES = ("semi", "pre", "beta")
@@ -56,20 +56,33 @@ class OpennessProfile(_Frozen):
 
 
 def classify(space: SoftAuraSpace, g: SoftSet, kind: str = CECH) -> OpennessProfile:
-    """Evaluate every defining containment directly and report all six flags."""
-    cl = _closure_fn(space, kind)
-    ig = aura_interior(space, g)
-    cl_ig = cl(ig)
-    cl_g = cl(g)
-    i_cl_g = aura_interior(space, cl_g)
+    """Evaluate every defining containment and report all six flags.
+
+    Every composite works one parameter at a time, so each containment is
+    decided slice by slice on the masks and holds when it holds at every
+    parameter.  An unknown `kind` raises ValueError before the context check.
+    """
+    cl = _slice_closure_fn(space, kind)
+    _require_same_context(space.context, g.context)
+    sm = space.scope_masks
+    n = space.context.n_points
+    full = space.context.full_mask
+    # Points of g outside each composite, accumulated over the parameters.
+    not_open = not_alpha = not_semi = not_pre = not_b = not_beta = 0
+    for ei, gm in enumerate(g.masks):
+        ig = full ^ _closure_slice(sm, n, ei, full ^ gm)
+        cl_ig = cl(ei, ig)
+        cl_g = cl(ei, gm)
+        i_cl_g = full ^ _closure_slice(sm, n, ei, full ^ cl_g)
+        i_cl_ig = full ^ _closure_slice(sm, n, ei, full ^ cl_ig)
+        not_open |= gm ^ ig
+        not_alpha |= gm & ~i_cl_ig
+        not_semi |= gm & ~cl_ig
+        not_pre |= gm & ~i_cl_g
+        not_b |= gm & ~(cl_ig | i_cl_g)
+        not_beta |= gm & ~cl(ei, i_cl_g)
     return OpennessProfile(
-        a_open=ig == g,
-        alpha_open=g.is_subset_of(aura_interior(space, cl_ig)),
-        semi_open=g.is_subset_of(cl_ig),
-        pre_open=g.is_subset_of(i_cl_g),
-        b_open=g.is_subset_of(cl_ig.union(i_cl_g)),
-        beta_open=g.is_subset_of(cl(i_cl_g)),
-        closure_kind=kind,
+        not not_open, not not_alpha, not not_semi, not not_pre, not not_b, not not_beta, kind
     )
 
 

@@ -31,13 +31,27 @@ TARGET_KURATOWSKI = "kuratowski"
 TARGET_AMBIENT = "ambient"
 
 
-def _closure_fn(space: SoftAuraSpace, kind: str):
-    """The closure operator of `space` named by `kind`; ValueError for any other kind."""
+def _slice_closure_fn(space: SoftAuraSpace, kind: str):
+    """The closure of `space` named by `kind` on one slice, (ei, mask) -> mask; ValueError for any other kind."""
     if kind == CECH:
-        return lambda s: aura_closure(space, s)
+        sm = space.scope_masks
+        n = space.context.n_points
+        return lambda ei, g: _closure_slice(sm, n, ei, g)
     if kind == KURATOWSKI:
-        return lambda s: kuratowski_closure(space, s).closure
+        return lambda ei, g: _fixpoint_slice(space, ei, g)[0]
     raise ValueError(f"unknown closure kind {kind!r}")
+
+
+def _closure_fn(space: SoftAuraSpace, kind: str):
+    """The closure operator of `space` named by `kind`, on soft sets; ValueError for any other kind."""
+    cl = _slice_closure_fn(space, kind)
+    ctx = space.context
+
+    def closure(g: SoftSet) -> SoftSet:
+        _require_same_context(ctx, g.context)
+        return _trusted(ctx, tuple(cl(ei, gm) for ei, gm in enumerate(g.masks)))
+
+    return closure
 
 
 def _closure_slice(scope_masks, n: int, ei: int, g: int) -> int:
@@ -46,6 +60,24 @@ def _closure_slice(scope_masks, n: int, ei: int, g: int) -> int:
         if scope_masks[xi][ei] & g:
             out |= 1 << xi
     return out
+
+
+def _fixpoint_slice(space: SoftAuraSpace, ei: int, g: int) -> tuple[int, int]:
+    """(fixpoint, strictly growing steps) of the closure iterated on slice g at ei.
+
+    A step that shrinks the slice raises InternalNonMonotone naming the parameter.
+    """
+    sm = space.scope_masks
+    n = space.context.n_points
+    growth = 0
+    while True:
+        nxt = _closure_slice(sm, n, ei, g)
+        if g & ~nxt:
+            raise InternalNonMonotone(f"slice shrank at parameter {space.context.parameters[ei]!r}")
+        if nxt == g:
+            return g, growth
+        g = nxt
+        growth += 1
 
 
 def aura_closure(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
@@ -94,23 +126,12 @@ def kuratowski_closure(space: SoftAuraSpace, g: SoftSet) -> KuratowskiResult:
     and raises InternalNonMonotone.
     """
     _require_same_context(space.context, g.context)
-    sm = space.scope_masks
-    n = space.context.n_points
     out_masks = []
     iterations: dict[str, int] = {}
     for ei, e in enumerate(space.context.parameters):
-        cur = g.masks[ei]
-        growth = 0
-        while True:
-            nxt = _closure_slice(sm, n, ei, cur)
-            if cur & ~nxt:
-                raise InternalNonMonotone(f"slice shrank at parameter {e!r}")
-            if nxt == cur:
-                break
-            cur = nxt
-            growth += 1
+        mask, growth = _fixpoint_slice(space, ei, g.masks[ei])
         iterations[e] = max(growth, 1)
-        out_masks.append(cur)
+        out_masks.append(mask)
     return KuratowskiResult(_trusted(space.context, tuple(out_masks)), iterations)
 
 

@@ -1,5 +1,7 @@
 """Generalized openness classes, their hierarchy, and the alpha-meet search."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,16 +9,59 @@ from softaura import (
     CECH,
     KURATOWSKI,
     AlphaMeetWitness,
+    ContextMismatch,
     PreconditionUnmet,
     SoftSet,
+    SpaceFamilySpec,
+    aura_closure,
+    aura_interior,
     check_union_closure,
     classify,
+    iter_all_soft_sets,
+    iter_family_spaces,
+    kuratowski_closure,
     make_soft_set,
     make_space,
     search_alpha_intersection_failure,
 )
 
-from conftest import space_with_sets
+from conftest import named_context, space_with_sets
+
+
+def reference_classify(space, g, kind):
+    """The six flags from SoftSet composites and containments, as the paper defines them."""
+    cl = {
+        CECH: lambda s: aura_closure(space, s),
+        KURATOWSKI: lambda s: kuratowski_closure(space, s).closure,
+    }[kind]
+    ig = aura_interior(space, g)
+    cl_ig = cl(ig)
+    cl_g = cl(g)
+    i_cl_g = aura_interior(space, cl_g)
+    return (
+        ig == g,
+        g.is_subset_of(aura_interior(space, cl_ig)),
+        g.is_subset_of(cl_ig),
+        g.is_subset_of(i_cl_g),
+        g.is_subset_of(cl_ig.union(i_cl_g)),
+        g.is_subset_of(cl(i_cl_g)),
+    )
+
+
+def assert_matches_reference(space, sets):
+    for g in sets:
+        for kind in (CECH, KURATOWSKI):
+            p = classify(space, g, kind)
+            got = (p.a_open, p.alpha_open, p.semi_open, p.pre_open, p.b_open, p.beta_open)
+            assert got == reference_classify(space, g, kind), (g.as_dict(), kind)
+            assert p.closure_kind == kind
+
+
+def random_sets(ctx, rng, count):
+    return [
+        SoftSet(ctx, tuple(rng.randrange(ctx.full_mask + 1) for _ in range(ctx.n_params)))
+        for _ in range(count)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +147,40 @@ class TestClassify:
         a = make_soft_set(cyclic.context, {"e1": ["x1", "x2"]})
         assert not classify(cyclic, a, CECH).alpha_open
         assert classify(cyclic, a, KURATOWSKI).alpha_open
+
+    def test_unknown_kind_checked_before_context(self, chain):
+        foreign = SoftSet.null(named_context(2, 1))
+        with pytest.raises(ValueError, match="transfinite"):
+            classify(chain, foreign, "transfinite")
+        for kind in (CECH, KURATOWSKI):
+            with pytest.raises(ContextMismatch):
+                classify(chain, foreign, kind)
+
+
+class TestClassifyAgainstReference:
+    def test_every_set_of_the_exhaustive_2x2_family(self):
+        for _, space in iter_family_spaces(SpaceFamilySpec(2, 2)):
+            assert_matches_reference(space, iter_all_soft_sets(space.context))
+
+    def test_seeded_spaces_up_to_8x3(self):
+        rng = random.Random(5)
+        spec = SpaceFamilySpec(8, 3, scope_mode="sampled", seed=5, sample_count=20)
+        for _, space in iter_family_spaces(spec):
+            ctx = space.context
+            extremes = [SoftSet.null(ctx), SoftSet.absolute(ctx)]
+            assert_matches_reference(space, extremes + random_sets(ctx, rng, 40))
+
+    def test_64_point_chain(self):
+        # x_i -> {x_i, x_i+1}: the fixpoint closure of x64 takes 63 steps
+        names = [f"x{i + 1}" for i in range(64)]
+        space = make_space(
+            names,
+            ["e1", "e2"],
+            {x: {"e1": names[i:i + 2], "e2": names[i:i + 2]} for i, x in enumerate(names)},
+        )
+        ctx = space.context
+        points = [SoftSet(ctx, (1 << i, 1 << (63 - i))) for i in (0, 1, 31, 62, 63)]
+        assert_matches_reference(space, points + random_sets(ctx, random.Random(64), 20))
 
 
 class TestHierarchy:

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softaura import (
+    KURATOWSKI,
     CapExceeded,
+    InternalNonMonotone,
     NotSingletonE,
     SoftMapping,
     SoftSet,
@@ -14,6 +16,7 @@ from softaura import (
     aura_closure,
     aura_interior,
     boundary,
+    classify,
     enumerate_aura_topology,
     harness,
     inverse_image,
@@ -23,6 +26,7 @@ from softaura import (
     kuratowski_closure,
     make_soft_set,
     make_space,
+    operators,
     oracle_closure,
     oracle_interior,
     per_parameter_alexandrov,
@@ -122,6 +126,26 @@ class TestGuards:
         )
         with pytest.raises(CapExceeded):
             per_parameter_alexandrov(sp, "e1", cap=4)
+
+    def test_shrinking_slice_is_internal_non_monotone(self, monkeypatch):
+        # a closure kernel that drops x1 at e2 breaks the fixpoint's shrink check there
+        sp = make_space(
+            ["x1", "x2"],
+            ["e1", "e2"],
+            {x: {"e1": ["x1", "x2"], "e2": [x]} for x in ["x1", "x2"]},
+        )
+        g = make_soft_set(sp.context, {"e1": [], "e2": ["x1"]})
+        real = operators._closure_slice
+
+        def dropping(scope_masks, n, ei, mask):
+            out = real(scope_masks, n, ei, mask)
+            return out & ~1 if ei == 1 else out
+
+        monkeypatch.setattr(operators, "_closure_slice", dropping)
+        with pytest.raises(InternalNonMonotone, match="slice shrank at parameter 'e2'"):
+            kuratowski_closure(sp, g)
+        with pytest.raises(InternalNonMonotone, match="slice shrank at parameter 'e2'"):
+            classify(sp, g, KURATOWSKI)
 
 
 class TestTrivialScope:

@@ -1,23 +1,25 @@
 """Start-up cost of each CLI subcommand, against a bare interpreter start.
 
-    python tools/sweep_startup.py SRC --label NAME [--repeat 21]
+    python tools/sweep_startup.py LABEL=SRC [LABEL=SRC ...] [--repeat 21]
         [--out BENCH_startup.json]
 
-SRC is the `src` directory of the softaura checkout to time, so two
-checkouts (say a parent commit and a change) can be measured by the same
-script.  Each round starts, one after another, a bare `python -c pass`, a
-process that only imports `softaura.cli`, and one `python -m softaura`
-process per subcommand on the test fixtures: validate, approx, classify
-under both closure kinds, axioms, continuity and a 2x2 suite.  Rounds are
-interleaved, so drift on the machine hits every command alike.  For every
-command the row keeps the median and quartiles of the process wall time;
-the import process also reports the time `import softaura.cli` takes
-inside it.  One further run per subcommand lists the modules it loads
-beyond those a bare interpreter has.
+Each SRC is the `src` directory of a softaura checkout, so a parent commit
+and a change are timed by the same script in one run.  The commands are a
+bare `python -c pass`, a process that only imports `softaura.cli`, and one
+`python -m softaura` process per subcommand on the test fixtures:
+validate, approx, classify under both closure kinds, axioms, continuity
+and a 2x2 suite.  Each round starts every command once per checkout, the
+checkouts one right after the other, and their order alternates between
+rounds, so drift on the machine hits every checkout and command alike.
+For every command a checkout's row keeps the median and quartiles of the
+process wall time; the import process also reports the time
+`import softaura.cli` takes inside it.  One further run per subcommand
+and checkout lists the modules it loads beyond those a bare interpreter
+has.
 
 Children inherit the environment, PYTHONDONTWRITEBYTECODE included (the
-row records it), with PYTHONPATH set to SRC.  Rows are merged into the
---out JSON under --label, replacing earlier rows of the same label.
+rows record it), with PYTHONPATH set to SRC.  Rows are merged into the
+--out JSON under their labels, replacing earlier rows of the same label.
 Standard library only.
 """
 
@@ -82,65 +84,79 @@ def spread(samples: list[float]) -> dict:
     return {"median_ms": round(median * 1e3, 3), "q1_ms": round(q1 * 1e3, 3), "q3_ms": round(q3 * 1e3, 3)}
 
 
-def measure(src: Path, repeat: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("SOFTAURA_CAP", None)
+def measure(sides: dict[str, Path], repeat: int) -> dict[str, dict]:
+    envs = {}
+    for label, src in sides.items():
+        envs[label] = dict(os.environ, PYTHONPATH=str(src))
+        envs[label].pop("SOFTAURA_CAP", None)
     commands = {"bare": [sys.executable, "-c", "pass"], "import": [sys.executable, "-c", IMPORT_CODE]}
     for sub in SUBCOMMANDS:
         commands[sub] = [sys.executable, "-m", "softaura", *argv_of(sub)]
-    walls: dict[str, list[float]] = {key: [] for key in commands}
-    imports: list[float] = []
+    labels = list(sides)
+    walls = {label: {key: [] for key in commands} for label in labels}
+    imports: dict[str, list[float]] = {label: [] for label in labels}
     for i in range(repeat):
+        order = labels if i % 2 == 0 else labels[::-1]
         for key, argv in commands.items():
-            took, out = run(argv, env)
-            walls[key].append(took)
-            if key == "import":
-                imports.append(float(out))
+            for label in order:
+                took, out = run(argv, envs[label])
+                walls[label][key].append(took)
+                if key == "import":
+                    imports[label].append(float(out))
         print(f"round {i + 1}/{repeat}", file=sys.stderr)
 
-    loaded = {}
-    for sub in SUBCOMMANDS:
-        _, out = run([sys.executable, "-c", LOADED_CODE, *argv_of(sub)], env)
-        rc, modules = json.loads(out)
-        if rc != 0:
-            raise AssertionError(f"{sub} returned {rc}")
-        loaded[sub] = modules
-    bare = statistics.median(walls["bare"])
-    return {
-        "wall": {key: spread(samples) for key, samples in walls.items()},
-        "after_start_ms": {
-            key: round((statistics.median(samples) - bare) * 1e3, 3)
-            for key, samples in walls.items() if key != "bare"
-        },
-        "import_softaura_cli": spread(imports),
-        "modules_loaded": loaded,
-    }
+    rows = {}
+    for label in labels:
+        loaded = {}
+        for sub in SUBCOMMANDS:
+            _, out = run([sys.executable, "-c", LOADED_CODE, *argv_of(sub)], envs[label])
+            rc, modules = json.loads(out)
+            if rc != 0:
+                raise AssertionError(f"{sub} returned {rc} under {label}")
+            loaded[sub] = modules
+        bare = statistics.median(walls[label]["bare"])
+        rows[label] = {
+            "wall": {key: spread(samples) for key, samples in walls[label].items()},
+            "after_start_ms": {
+                key: round((statistics.median(samples) - bare) * 1e3, 3)
+                for key, samples in walls[label].items() if key != "bare"
+            },
+            "import_softaura_cli": spread(imports[label]),
+            "modules_loaded": loaded,
+        }
+    return rows
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", type=Path, help="src directory of the checkout to time")
-    parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
+    parser.add_argument("sides", nargs="+", help="LABEL=SRC, the src directory of a checkout to time")
     parser.add_argument("--repeat", type=int, default=21)
     parser.add_argument("--out", type=Path, default=Path("BENCH_startup.json"))
     args = parser.parse_args(argv)
     if args.repeat < 2:
         parser.error("--repeat must be at least 2")
+    sides = {}
+    for side in args.sides:
+        label, sep, src = side.partition("=")
+        if not sep or not label:
+            parser.error(f"expected LABEL=SRC, got {side!r}")
+        sides[label] = Path(src).resolve()
 
-    row = measure(args.src.resolve(), args.repeat)
+    rows = measure(sides, args.repeat)
     doc = {"rows": {}}
     if args.out.exists():
         doc = json.loads(args.out.read_text(encoding="utf-8"))
     doc["workload"] = (
         "process wall time of each softaura CLI subcommand on the test fixtures and of a bare "
-        "interpreter start, interleaved rounds; median and quartiles in ms"
+        "interpreter start, rounds interleaving the checkouts; median and quartiles in ms"
     )
-    doc["rows"][args.label] = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "repeat": args.repeat,
-        **row,
-    }
+    for label, row in rows.items():
+        doc["rows"][label] = {
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+            "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "repeat": args.repeat,
+            **row,
+        }
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 
