@@ -65,8 +65,8 @@ class SpaceFamilySpec(_Frozen):
     (max_universe, max_params); it requires max_universe * max_params <= 12.
     scope_mode "sampled" draws `sample_count` >= 1 spaces from `seed` instead.
     Either way max_universe is at most DEFAULT_UNIVERSE_LIMIT (64).
-    topology_kind "generated" (random saturated subbases) is only available
-    in sampled mode.
+    topology_kind "generated" (topologies generated from random subbases,
+    as unions of least open neighbourhoods) is only available in sampled mode.
     """
 
     __slots__ = ("max_universe", "max_params", "topology_kind", "scope_mode", "seed", "sample_count")

@@ -45,7 +45,7 @@ from .operators import (
     _reach_masks,
 )
 from .softset import Context, SoftSet, _trusted
-from .space import DEFAULT_CAP, SoftAuraSpace
+from .space import DEFAULT_CAP, SoftAuraSpace, _least_opens
 
 
 def _single_slice(ctx: Context, i: int, mask: int) -> SoftSet:
@@ -134,13 +134,8 @@ def _target_basis(space: SoftAuraSpace, cap: int, target_family: str) -> list[li
         return [[0, *(1 << yi for yi in range(n))]] * m
     if len(topo) > cap:
         raise CapExceeded(len(topo), cap, "ambient members")
-    basis = [[0] + [ctx.full_mask] * n for _ in range(m)]
-    for _, v in topo:  # members meet in members, so each meet is a member's projection
-        for ki, s in enumerate(v.masks):
-            for yi in range(n):
-                if s >> yi & 1:
-                    basis[ki][yi + 1] &= s
-    return basis
+    # members meet in members, so each least slice is a meet of member projections
+    return [[0, *_least_opens((v.masks[ki] for _, v in topo), n)] for ki in range(m)]
 
 
 class ContinuityProfile(_Frozen):
@@ -256,8 +251,9 @@ def verify_decomposition(
     target open set, in the aura family's canonical product order, whose
     inverse image decides the mismatch, or None.  Alpha implies semi and
     pre, so that set is null but for the first deciding open slice at the
-    last target parameter that has one.  Only then, on a mismatch, are the
-    2^|Y| candidate slices of that one parameter walked, under `cap`.
+    last target parameter that has one.  Only then, on a mismatch, is that
+    parameter's open-slice family, the unions of its basic slices, walked;
+    2^|Y| > cap fails the cap first.
     """
     prof = continuity_profile(m, kind=kind, cap=cap)
     if prof.alpha_continuous == (prof.semi_continuous and prof.pre_continuous):

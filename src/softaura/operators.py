@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from .errors import CapExceeded, InternalNonMonotone, NotSingletonE, UnknownParameter, _Frozen, _freeze
 from .softset import SoftSet, _require_same_context, _trusted
-from .space import DEFAULT_CAP, SoftAuraSpace
+from .space import DEFAULT_CAP, SoftAuraSpace, _unions
 
 #: Closure-kind tags used wherever an operator variant can be selected.
 CECH = "cech"
@@ -166,27 +166,14 @@ def _alexandrov_slice_masks(
 ) -> list[int]:
     """Masks S with: every point of S has its scope slice at ei inside S; ascending.
 
-    The 2^|X| candidates are capped, and a cap failure names `family`.
+    These are the unions of the least aura-open slices R_e(x), enumerated
+    from the reach masks.  A space with 2^|X| > cap fails the cap before
+    any enumeration, and the failure names `family`.
     """
     n = space.context.n_points
     if 1 << n > cap:
         raise CapExceeded(1 << n, cap, family)
-    sm = space.scope_masks
-    scopes = [sm[xi][ei] for xi in range(n)]
-    out = []
-    for s in range(1 << n):
-        ok = True
-        rest = s
-        while rest:
-            low = rest & -rest
-            xi = low.bit_length() - 1
-            if scopes[xi] & ~s:
-                ok = False
-                break
-            rest ^= low
-        if ok:
-            out.append(s)
-    return out
+    return _unions(_reach_masks(space, ei), cap)
 
 
 def per_parameter_alexandrov(space: SoftAuraSpace, param: str, cap: int = DEFAULT_CAP):

@@ -156,13 +156,50 @@ def validate_topology(context: Context, sets) -> SoftTopology:
     return SoftTopology(context, EXPLICIT, tuple(items))
 
 
+def _least_opens(masks: Iterable[int], width: int) -> list[int]:
+    """Per bit p < width, the meet of the masks holding p (full if none): p's least open neighbourhood."""
+    least = [(1 << width) - 1] * width
+    for s in masks:
+        rest = s
+        while rest:
+            low = rest & -rest
+            least[low.bit_length() - 1] &= s
+            rest ^= low
+    return least
+
+
+def _unions(basis: Iterable[int], limit: int) -> list[int] | None:
+    """Every union of basis masks, 0 included, ascending; None once more than `limit` turn up.
+
+    A frontier search from {0} under `| u`: members times distinct basis masks
+    steps, and past `limit` members it stops within one member's expansion.
+    """
+    basis = set(basis)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        grown = []
+        for s in frontier:
+            for u in basis:
+                t = s | u
+                if t not in seen:
+                    seen.add(t)
+                    grown.append(t)
+            if len(seen) > limit:
+                return None
+        frontier = grown
+    return sorted(seen)
+
+
 def generate_topology(context: Context, subbasis, cap: int = DEFAULT_CAP) -> SoftTopology:
     """Smallest topology containing the subbasis.
 
-    Saturates the family {null, absolute} ∪ subbasis under pairwise
-    intersections, then pairwise unions; on a finite family that yields all
-    subfamily unions of the intersection basis, hence a topology.  Raises
-    CapExceeded as soon as the member count would pass `cap`.
+    Soft sets pack into n*m-bit masks, parameter i at bit i*n up, so canonical
+    order is integer order.  The members are the unions of the least open
+    neighbourhoods U(p), the meets of the subbasis members holding p
+    (Alexandroff).  Beyond max(cap, s0) members, s0 counting the distinct
+    null, absolute and subbasis masks, CapExceeded is raised after about
+    that many times n*m set operations.
 
     Derived members are named G1, G2, ... in canonical bitmask order; the
     result keeps the subbasis for round-tripping.
@@ -171,45 +208,22 @@ def generate_topology(context: Context, subbasis, cap: int = DEFAULT_CAP) -> Sof
     for _, s in sub_items:
         _require_same_context(context, s.context)
     reserved = {NULL_NAME, ABSOLUTE_NAME}
-    for n, _ in sub_items:
-        if n in reserved:
-            raise ValueError(f"subbasis name {n!r} is reserved")
+    for name, _ in sub_items:
+        if name in reserved:
+            raise ValueError(f"subbasis name {name!r} is reserved")
 
-    family: dict[tuple[int, ...], None] = {}
-    family[SoftSet.null(context).masks] = None
-    family[SoftSet.absolute(context).masks] = None
-    for _, s in sub_items:
-        family[s.masks] = None
-
-    def saturate(op) -> None:
-        while True:
-            current = list(family)
-            added = False
-            for a, b in itertools.combinations(current, 2):
-                derived = tuple(op(x, y) for x, y in zip(a, b))
-                if derived not in family:
-                    family[derived] = None
-                    added = True
-                    if len(family) > cap:
-                        raise CapExceeded(len(family), cap, "topology generation")
-            if not added:
-                return
-
-    saturate(lambda x, y: x & y)
-    saturate(lambda x, y: x | y)
-
-    named: dict[tuple[int, ...], str] = {
-        SoftSet.null(context).masks: NULL_NAME,
-        SoftSet.absolute(context).masks: ABSOLUTE_NAME,
-    }
-    for n, s in sub_items:
-        named.setdefault(s.masks, n)
-    ordered = sorted(family, key=lambda masks: tuple(reversed(masks)))
-    counter = itertools.count(1)
-    members = tuple(
-        (named.get(masks) or f"G{next(counter)}", SoftSet(context, masks))
-        for masks in ordered
-    )
+    n, m = context.n_points, context.n_params
+    named = {SoftSet.null(context).masks: NULL_NAME, SoftSet.absolute(context).masks: ABSOLUTE_NAME}
+    for name, s in sub_items:
+        named.setdefault(s.masks, name)
+    limit = max(len(named), cap)
+    packed = (sum(mask << (i * n) for i, mask in enumerate(s.masks)) for _, s in sub_items)
+    family = _unions(_least_opens(packed, n * m), limit)
+    if family is None:
+        raise CapExceeded(limit + 1, cap, "topology generation")
+    full, counter = context.full_mask, itertools.count(1)
+    unpacked = (tuple(p >> (i * n) & full for i in range(m)) for p in family)
+    members = tuple((named.get(masks) or f"G{next(counter)}", SoftSet(context, masks)) for masks in unpacked)
     return SoftTopology(context, GENERATED, members, subbasis=tuple(sub_items))
 
 

@@ -39,6 +39,21 @@ def named_context(n: int, m: int) -> Context:
     )
 
 
+def brute_open_slices(space: SoftAuraSpace, ei: int) -> list[int]:
+    """The aura-open slices at parameter index ei, ascending, by filtering all 2^|X| masks.
+
+    A mask is kept when every point in it has its scope slice inside it.  The
+    reference shares no code with the reach masks the library derives the
+    same family from.
+    """
+    scopes = [masks[ei] for masks in space.scope_masks]
+    return [
+        s
+        for s in range(1 << space.context.n_points)
+        if all(scope & ~s == 0 for xi, scope in enumerate(scopes) if s >> xi & 1)
+    ]
+
+
 @st.composite
 def aura_spaces(draw, max_points: int = 4, max_params: int = 3) -> SoftAuraSpace:
     """A discrete-topology space with a random membership-respecting scope."""

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,70 @@ class TestContinuity:
         assert doc["closureKind"] == "kuratowski"
         assert doc["targetFamily"] == "kuratowski"
         assert doc["continuous"] is True
+
+
+def singleton_subbasis_doc(k: int) -> dict:
+    """k points, one parameter, absolute scopes, and the topology generated by the k singletons (2^k members)."""
+    points = [f"x{i}" for i in range(1, k + 1)]
+    return {
+        "universe": points,
+        "parameters": ["e1"],
+        "topology": {"kind": "generated", "subbasis": {f"S{x}": {"e1": [x]} for x in points}},
+        "scope": {x: {"e1": points} for x in points},
+    }
+
+
+K14_COMMANDS = {
+    "validate": ["validate", "space.json"],
+    "approx": ["approx", "space.json", "--target", "Sx3"],
+    "classify-cech": ["classify", "space.json", "--set", "Sx3", "--closure", "cech"],
+    "classify-kuratowski": ["classify", "space.json", "--set", "Sx3", "--closure", "kuratowski"],
+    "axioms": ["axioms", "space.json"],
+    "continuity-aura": ["continuity", "mapping.json", "--target-family", "aura"],
+    "continuity-kuratowski": ["continuity", "mapping.json", "--target-family", "kuratowski"],
+    "continuity-ambient": ["continuity", "mapping.json", "--target-family", "ambient"],
+}
+
+
+class TestAdversarialBudget:
+    """Generated topologies at the cap's edge finish, or exit 4, in bounded time."""
+
+    BUDGET_S = 10.0
+
+    @pytest.fixture(scope="class")
+    def k14(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("budget")
+        (root / "space.json").write_text(json.dumps(singleton_subbasis_doc(14)), encoding="utf-8")
+        mapping = {
+            "source": {"ref": "space.json"},
+            "target": {"ref": "space.json"},
+            "pointMap": {f"x{i}": f"x{i % 14 + 1}" for i in range(1, 15)},
+            "paramMap": {"e1": "e1"},
+        }
+        (root / "mapping.json").write_text(json.dumps(mapping), encoding="utf-8")
+        return root
+
+    def run_within_budget(self, argv, code, capsys):
+        start = time.perf_counter()
+        rc = main(argv)
+        took = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == code, captured.err
+        assert took < self.BUDGET_S, f"{argv[0]} took {took:.1f} s"
+        return captured
+
+    @pytest.mark.parametrize("command", list(K14_COMMANDS))
+    def test_k14_subcommands_finish(self, k14, command, capsys):
+        argv = [str(k14 / a) if a.endswith(".json") else a for a in K14_COMMANDS[command]]
+        out = self.run_within_budget(argv, 0, capsys).out
+        if command == "validate":
+            assert "topology: generated (16384 members)" in out
+
+    def test_k20_validate_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(singleton_subbasis_doc(20)), encoding="utf-8")
+        err = self.run_within_budget(["validate", str(path)], 4, capsys).err
+        assert "topology generation: enumeration needs 1000001 members, cap is 1000000" in err
 
 
 class TestSuite:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from softaura import (
     CECH,
-    DEFAULT_CAP,
     GENERATED,
     KURATOWSKI,
     TARGET_AMBIENT,
@@ -47,9 +46,9 @@ from softaura import (
 from softaura.cli import main
 from softaura.documents import decode_space, load_mapping
 from softaura.mapping import _single_slice, _target_basis
-from softaura.operators import _alexandrov_slice_masks, _closure_fn
+from softaura.operators import _closure_fn
 
-from conftest import aura_spaces, fixture_path, load_fixture_doc, named_context
+from conftest import aura_spaces, brute_open_slices, fixture_path, load_fixture_doc, named_context
 
 FAMILIES = (TARGET_AURA, TARGET_KURATOWSKI, TARGET_AMBIENT)
 KINDS = (CECH, KURATOWSKI)
@@ -155,7 +154,7 @@ def slice_family(space: SoftAuraSpace, target_family: str) -> list:
     ctx = space.context
     full, n = ctx.full_mask, ctx.n_points
     if target_family == TARGET_AURA:
-        return [_alexandrov_slice_masks(space, ki, DEFAULT_CAP) for ki in range(ctx.n_params)]
+        return [brute_open_slices(space, ki) for ki in range(ctx.n_params)]
     if target_family == TARGET_KURATOWSKI:
         def fixed(ki, s):
             g = _single_slice(ctx, ki, full & ~s).union(_single_slice(ctx, ki, full).complement())

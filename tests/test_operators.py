@@ -1,5 +1,7 @@
 """Closure/interior operators, the fixpoint closure, and the induced topology."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,8 +35,9 @@ from softaura import (
     singleton_e_inclusion_check,
 )
 from softaura.mapping import _single_slice
+from softaura.operators import _alexandrov_slice_masks
 
-from conftest import space_with_sets
+from conftest import brute_open_slices, named_context, space_with_sets
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,21 @@ class TestChainValues:
     def test_alexandrov_family(self, chain):
         fam = per_parameter_alexandrov(chain, "e")
         assert fam == [(), ("3",), ("2", "3"), ("1", "2", "3")]
+
+    def test_alexandrov_matches_brute_filter(self):
+        # seeded spaces up to 7 points x 3 parameters, scope slices from sparse to dense
+        rng = random.Random(16)
+        for _ in range(400):
+            ctx = named_context(rng.randint(1, 7), rng.randint(1, 3))
+            n, m = ctx.n_points, ctx.n_params
+            density = rng.random()
+            scope = {
+                x: {e: [x] + [y for y in ctx.universe if rng.random() < density] for e in ctx.parameters}
+                for x in ctx.universe
+            }
+            space = make_space(ctx.universe, ctx.parameters, scope)
+            for ei in range(m):
+                assert _alexandrov_slice_masks(space, ei, 1 << n) == brute_open_slices(space, ei)
 
     def test_alexandrov_unknown_parameter(self, chain):
         with pytest.raises(UnknownParameter):

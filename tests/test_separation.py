@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from softaura import (
-    DEFAULT_CAP,
     PairWitness,
     RegularityWitness,
     SoftSet,
@@ -16,12 +15,11 @@ from softaura import (
     t1_singleton_closure,
     t1_via_singleton_scopes,
 )
-from softaura.operators import _alexandrov_slice_masks
 
-from conftest import aura_spaces
+from conftest import aura_spaces, brute_open_slices
 
 
-def reference_regular(space, cap=DEFAULT_CAP):
+def reference_regular(space):
     """Regularity by brute-force search of the enumerated open-slice families.
 
     For every point, parameter and aura-open slice holding the point, look for
@@ -35,7 +33,7 @@ def reference_regular(space, cap=DEFAULT_CAP):
     # extends to a full aura-closed set (absolute slices elsewhere).
     ctx = space.context
     full = ctx.full_mask
-    families = [_alexandrov_slice_masks(space, ei, cap) for ei in range(ctx.n_params)]
+    families = [brute_open_slices(space, ei) for ei in range(ctx.n_params)]
     for xi in range(ctx.n_points):
         for ei, opens in enumerate(families):
             around_x = [u for u in opens if u >> xi & 1]

@@ -1,8 +1,12 @@
 """Topology validation/generation, scope functions, and space assembly."""
 
+import itertools
+import random
+
 import pytest
 
 from softaura import (
+    DEFAULT_CAP,
     CapExceeded,
     Context,
     ContextMismatch,
@@ -127,7 +131,67 @@ class TestValidateTopology:
         assert not topo.contains(make_soft_set(ctx, {"e1": ["x1"]}))
 
 
+def saturated_topology(context, subbasis, cap=DEFAULT_CAP):
+    """(name, masks) members of the topology generated by named (name, SoftSet) pairs.
+
+    The reference saturates {null, absolute} and the subbasis under pairwise
+    intersections, then pairwise unions, until a round adds nothing.  It
+    counts the seed members without checking the cap, and raises CapExceeded
+    with the family size as soon as a derived member takes it past `cap`.
+    """
+    family = dict.fromkeys([SoftSet.null(context).masks, SoftSet.absolute(context).masks])
+    family.update(dict.fromkeys(s.masks for _, s in subbasis))
+
+    def saturate(op):
+        added = True
+        while added:
+            added = False
+            for a, b in itertools.combinations(list(family), 2):
+                derived = tuple(op(x, y) for x, y in zip(a, b))
+                if derived not in family:
+                    family[derived] = None
+                    added = True
+                    if len(family) > cap:
+                        raise CapExceeded(len(family), cap, "topology generation")
+
+    saturate(lambda x, y: x & y)
+    saturate(lambda x, y: x | y)
+    named = {SoftSet.null(context).masks: "null", SoftSet.absolute(context).masks: "absolute"}
+    for name, s in subbasis:
+        named.setdefault(s.masks, name)
+    counter = itertools.count(1)
+    return [
+        (named.get(masks) or f"G{next(counter)}", masks)
+        for masks in sorted(family, key=lambda masks: tuple(reversed(masks)))
+    ]
+
+
 class TestGenerateTopology:
+    def test_matches_saturation_reference(self):
+        # members, names and order, or every CapExceeded field, on seeded random subbases
+        rng = random.Random(16)
+        caps = (1, 2, 3, 5, 8, 20, 100, DEFAULT_CAP)
+        raised = 0
+        for trial in range(3200):
+            ctx = named_context(rng.randint(1, 4), rng.randint(1, 3))
+            subbasis = [
+                (f"S{k}", SoftSet(ctx, tuple(rng.randint(0, ctx.full_mask) for _ in ctx.parameters)))
+                for k in range(rng.randint(0, 5))
+            ]
+            cap = caps[trial % len(caps)]
+            try:
+                expected = saturated_topology(ctx, subbasis, cap)
+            except CapExceeded as exc:
+                raised += 1
+                with pytest.raises(CapExceeded) as info:
+                    generate_topology(ctx, subbasis, cap=cap)
+                got = info.value
+                assert (got.required, got.cap, got.family) == (exc.required, exc.cap, exc.family)
+            else:
+                got = generate_topology(ctx, subbasis, cap=cap)
+                assert [(name, s.masks) for name, s in got] == expected
+        assert 300 < raised < 3000
+
     def test_round_trip_members(self):
         ctx = named_context(3, 2)
         f1, f2, f3 = three_point_members(ctx)

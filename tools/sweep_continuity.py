@@ -1,17 +1,17 @@
 """Size sweep of the continuity deciders on singleton-scope identities.
 
-    python tools/sweep_continuity.py SRC --label NAME [--max-n 64] [--repeat 3]
-        [--cli-n 19] [--out BENCH_continuity.json]
+    python tools/sweep_continuity.py LABEL=SRC [LABEL=SRC ...] [--max-n 64]
+        [--repeat 3] [--rounds 3] [--cli-n 19] [--out BENCH_continuity.json]
 
-SRC is the `src` directory of the softaura checkout to time, so two
-checkouts (say a parent commit and a change) can be swept by the same
-script.  For every n in 8, 10, 12, 14, 16, 20, 24, 32, 48, 64 up to
---max-n, and for 1 and 4 parameters, the space of n points whose every
-scope slice is the point's singleton is built over the discrete topology,
-and `continuity_profile` of its identity is timed in process for each
-target family (aura, kuratowski, ambient) and closure kind (cech,
-kuratowski): the best of --repeat runs, each 1-parameter and 4-parameter
-row also giving the total over all six family and kind pairs.
+Each SRC is the `src` directory of a softaura checkout, so a parent commit
+and a change can be swept by the same script.  For every n in 8, 10, 12,
+14, 16, 20, 24, 32, 48, 64 up to --max-n, and for 1 and 4 parameters, the
+space of n points whose every scope slice is the point's singleton is
+built over the discrete topology, and `continuity_profile` of its identity
+is timed in process for each target family (aura, kuratowski, ambient) and
+closure kind (cech, kuratowski): the best of --repeat runs, each
+1-parameter and 4-parameter row also giving the total over all six family
+and kind pairs.
 
 With --cli-n N (0 to skip) the script also times
 `python -m softaura continuity` processes on the identity of 3 and of N
@@ -19,8 +19,11 @@ such points with one parameter at the default cap, next to a bare
 `python -c pass` start: the best of --repeat interleaved runs each, and
 the time each command spends after interpreter start.
 
-Rows are merged into the --out JSON under --label, replacing earlier rows
-of the same label.  Standard library only.
+Every round sweeps each checkout once, in process in a fresh child and
+then through the CLI, and the checkouts' order alternates between rounds,
+so drift on the machine hits them alike.  Each figure is the median over
+the rounds.  Rows are merged into the --out JSON under their labels,
+replacing earlier rows of the same label.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -117,22 +121,55 @@ def sweep_cli(src: Path, n: int, repeat: int) -> dict:
     }
 
 
+def child(src: Path, max_n: int, repeat: int) -> list[dict]:
+    argv = [sys.executable, __file__, "--child", "--max-n", str(max_n), "--repeat", str(repeat), f"child={src}"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{argv} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def median_of(rounds: list[dict]) -> dict:
+    """The CLI figures of one checkout, each the median over the rounds."""
+    out = {"interpreter_s": round(statistics.median(r["interpreter_s"] for r in rounds), 6)}
+    for key in ("command_s", "after_start_s"):
+        out[key] = {size: round(statistics.median(r[key][size] for r in rounds), 6) for size in rounds[0][key]}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", type=Path, help="src directory of the checkout to time")
-    parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
+    parser.add_argument("sides", nargs="+", help="LABEL=SRC, the src directory of a checkout to time")
     parser.add_argument("--max-n", type=int, default=64)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--cli-n", type=int, default=19)
     parser.add_argument("--out", type=Path, default=Path("BENCH_continuity.json"))
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
+    if min(args.repeat, args.rounds) < 1:
+        parser.error("--repeat and --rounds must be at least 1")
+    sides = {}
+    for side in args.sides:
+        label, sep, src = side.partition("=")
+        if not sep or not label:
+            parser.error(f"expected LABEL=SRC, got {side!r}")
+        sides[label] = Path(src).resolve()
 
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    rows = sweep_in_process(args.max_n, args.repeat)
-    cli = sweep_cli(src, args.cli_n, args.repeat) if args.cli_n > 0 else None
+    if args.child:
+        sys.path.insert(0, str(sides["child"]))
+        json.dump(sweep_in_process(args.max_n, args.repeat), sys.stdout)
+        return 0
+
+    labels = list(sides)
+    profiles = {label: [] for label in labels}
+    clis = {label: [] for label in labels}
+    for r in range(args.rounds):
+        for label in labels if r % 2 == 0 else labels[::-1]:
+            print(f"round {r + 1} {label}", file=sys.stderr)
+            profiles[label].append(child(sides[label], args.max_n, args.repeat))
+            if args.cli_n > 0:
+                clis[label].append(sweep_cli(sides[label], args.cli_n, args.repeat))
 
     doc = {"rows": {}}
     if args.out.exists():
@@ -141,12 +178,18 @@ def main(argv=None) -> int:
         "continuity_profile of the identity on n singleton-scope points over the discrete "
         "topology, best of repeats, per target family and closure kind"
     )
-    doc["rows"][args.label] = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "repeat": args.repeat,
-        "profiles": rows,
-        "cli": cli,
-    }
+    for label in labels:
+        rows = [
+            dict(row, seconds=round(statistics.median(run[k]["seconds"] for run in profiles[label]), 6))
+            for k, row in enumerate(profiles[label][0])
+        ]
+        doc["rows"][label] = {
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+            "repeat": args.repeat,
+            "rounds": args.rounds,
+            "profiles": rows,
+            "cli": median_of(clis[label]) if clis[label] else None,
+        }
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 
