@@ -5,7 +5,8 @@ either a human table or canonical JSON (insertion-ordered keys, two-space
 indent, trailing newline).  Exit codes: 0 success, 2 domain error (failed
 laws, unknown names), 3 parse, schema or output-file error, or a cap below 1,
 4 enumeration cap exceeded (the message names the family).  The cap defaults
-to the SOFTAURA_CAP environment variable when set.
+to the SOFTAURA_CAP environment variable when set; it also bounds the
+topology generation of every document a subcommand reads.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _slices_json(s) -> dict:
 
 
 def _cmd_validate(args) -> int:
-    decoded = load_space(args.space)
+    decoded = load_space(args.space, _default_cap())
     space = decoded.space
     topo = space.topology
     members = len(topo) if topo.is_extensional else None
@@ -87,7 +88,7 @@ def _cmd_validate(args) -> int:
 def _cmd_approx(args) -> int:
     from .rough import approximation_report
 
-    decoded = load_space(args.space)
+    decoded = load_space(args.space, _default_cap())
     target = resolve_target_set(decoded, args.target)
     report = approximation_report(decoded.space, target)
     if args.format == "json":
@@ -102,7 +103,7 @@ def _cmd_approx(args) -> int:
                     "display": acc.display(),
                     "numerator": acc.lower_total,
                     "denominator": acc.upper_total,
-                    "value": float(acc.value),
+                    "value": float(acc),
                     "conventionApplied": acc.convention_applied,
                 },
                 "perParameter": [
@@ -132,7 +133,7 @@ def _cmd_approx(args) -> int:
 def _cmd_classify(args) -> int:
     from .genopen import classify
 
-    decoded = load_space(args.space)
+    decoded = load_space(args.space, _default_cap())
     target = resolve_target_set(decoded, args.set)
     profile = classify(decoded.space, target, args.closure)
     flags = [
@@ -182,7 +183,7 @@ def _axiom_witness_text(name: str, w) -> str:
 def _cmd_axioms(args) -> int:
     from .separation import separation_report
 
-    decoded = load_space(args.space)
+    decoded = load_space(args.space, _default_cap())
     report = separation_report(decoded.space)
     axioms = [
         ("t0", report.t0),
@@ -213,7 +214,7 @@ def _cmd_axioms(args) -> int:
 def _cmd_continuity(args) -> int:
     from .mapping import continuity_profile
 
-    mapping, _, _ = load_mapping(args.mapping)
+    mapping, _, _ = load_mapping(args.mapping, args.cap)
     profile = continuity_profile(
         mapping, kind=args.closure, cap=args.cap, target_family=args.target_family
     )

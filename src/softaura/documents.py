@@ -35,6 +35,7 @@ from .errors import DocumentError, _Frozen, _freeze
 from .softset import Context, SoftSet
 from .space import (
     ABSOLUTE_NAME,
+    DEFAULT_CAP,
     DISCRETE,
     EXPLICIT,
     GENERATED,
@@ -126,7 +127,7 @@ class DecodedSpace(_Frozen):
         return found
 
 
-def _decode_topology(context: Context, section) -> SoftTopology:
+def _decode_topology(context: Context, section, cap: int) -> SoftTopology:
     section = _require_dict(section, "topology")
     kind = section.get("kind")
     if kind in (DISCRETE, INDISCRETE):
@@ -147,12 +148,12 @@ def _decode_topology(context: Context, section) -> SoftTopology:
         if set(section) != {"kind", "subbasis"}:
             raise DocumentError('generated topology needs exactly "kind" and "subbasis"')
         subbasis = _decode_named_sets(context, section["subbasis"], "topology.subbasis")
-        return generate_topology(context, subbasis)
+        return generate_topology(context, subbasis, cap)
     raise DocumentError(f"unknown topology kind {kind!r}")
 
 
-def decode_space(doc) -> DecodedSpace:
-    """Build a validated space from a parsed document."""
+def decode_space(doc, cap: int = DEFAULT_CAP) -> DecodedSpace:
+    """Build a validated space from a parsed document; `cap` bounds topology generation."""
     doc = _require_dict(doc, "document")
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
@@ -168,7 +169,7 @@ def decode_space(doc) -> DecodedSpace:
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
-    topology = _decode_topology(context, doc["topology"])
+    topology = _decode_topology(context, doc["topology"], cap)
     named_sets = (
         _decode_named_sets(context, doc["namedSets"], "namedSets")
         if "namedSets" in doc
@@ -266,17 +267,18 @@ def _read_json(path: str | Path):
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def load_space(path: str | Path) -> DecodedSpace:
-    """Read and decode a space document file."""
-    return decode_space(_read_json(path))
+def load_space(path: str | Path, cap: int = DEFAULT_CAP) -> DecodedSpace:
+    """Read and decode a space document file; `cap` as for decode_space."""
+    return decode_space(_read_json(path), cap)
 
 
-def decode_mapping(doc, base_dir: str | Path | None = None):
+def decode_mapping(doc, base_dir: str | Path | None = None, cap: int = DEFAULT_CAP):
     """Build a mapping from a document with embedded or referenced endpoint spaces.
 
     Endpoints are either full space documents or {"ref": "file.json"} with the
-    path resolved against base_dir.  Returns (mapping, source, target) with
-    the decoded endpoints so callers keep their name environments.
+    path resolved against base_dir; `cap` bounds each endpoint's topology
+    generation.  Returns (mapping, source, target) with the decoded
+    endpoints so callers keep their name environments.
     """
     from .mapping import SoftMapping
 
@@ -296,8 +298,8 @@ def decode_mapping(doc, base_dir: str | Path | None = None):
             if not isinstance(ref, str):
                 raise DocumentError(f"{where}.ref must be a string")
             path = Path(base_dir or ".") / ref
-            return load_space(path)
-        return decode_space(section)
+            return load_space(path, cap)
+        return decode_space(section, cap)
 
     source = endpoint(doc["source"], "source")
     target = endpoint(doc["target"], "target")
@@ -311,9 +313,9 @@ def decode_mapping(doc, base_dir: str | Path | None = None):
     return mapping, source, target
 
 
-def load_mapping(path: str | Path):
-    """Read and decode a mapping document file; refs resolve against its directory."""
-    return decode_mapping(_read_json(path), base_dir=Path(path).parent)
+def load_mapping(path: str | Path, cap: int = DEFAULT_CAP):
+    """Read and decode a mapping document file; refs resolve against its directory, `cap` as for decode_mapping."""
+    return decode_mapping(_read_json(path), base_dir=Path(path).parent, cap=cap)
 
 
 def resolve_target_set(decoded: DecodedSpace, text: str) -> SoftSet:

@@ -3,10 +3,11 @@
 The engine enumerates every scope function over the discrete topology for
 each universe/parameter shape up to the requested bounds, builds per-space
 lookup tables from public operator calls (closure and interior composed
-slice by slice, see _Tables), and then evaluates every law as comparisons of
-those library-produced values.  Each law is defined once, as a predicate
-over the tables; replay_witness evaluates the same predicate on tables built
-for the witness space.  Pair laws are decided one parameter slice at a
+slice by slice, their single-slice entries shared by the spaces of one run
+that have the same scope column, see _Tables), and then evaluates every law
+as comparisons of those library-produced values.  Each law is defined once,
+as a predicate over the tables; replay_witness evaluates the same predicate
+on tables built for the witness space.  Pair laws are decided one parameter slice at a
 time wherever the tables are products of their single-slice entries, as
 the paper's operators are.  Set ranks, pair ranks, scope ranks and shape
 ranks are all canonical, so every reported witness is the first one in
@@ -387,33 +388,59 @@ def _openness_row(cl, int_, g: int) -> tuple[bool, ...]:
     )
 
 
-def _slice_product(entry, n: int, m: int) -> list[int]:
-    """The whole packed table whose entry for g is the OR of `entry` on g's non-null single-slice parts.
+def _slice_rows(entry, n: int, m: int) -> list[list[int]]:
+    """Per parameter i, 0 then `entry` of each non-null single-slice set a << i*n."""
+    return [[0] + [entry[a << (i * n)] for a in range(1, 1 << n)] for i in range(m)]
 
-    The null set keeps `entry[0]`.  Each parameter's single-slice entries
-    are read once and the list is built as their product, in packed order.
+
+def _slice_product(rows: list[list[int]], null: int) -> list[int]:
+    """The whole packed table whose entry for g is the OR of its non-null single-slice parts' entries in `rows`.
+
+    The null set's entry is `null`.  The list is built as the product of the
+    rows, in packed order.
     """
     table = [0]
-    for i in range(m):
-        row = [0] + [entry[a << (i * n)] for a in range(1, 1 << n)]
+    for row in rows:
         table = [hi | lo for hi in row for lo in table]
-    table[0] = entry[0]
+    table[0] = null
     return table
 
 
-def _slicewise(op: Callable, space: SoftAuraSpace, sets, eager: bool):
+def _column_rows(tag: str, op: Callable, space: SoftAuraSpace, sets, columns: dict) -> list[list[int]]:
+    """`_slice_rows` of `op(space, G)`, each row computed once per key of the `columns` memo.
+
+    On a single-slice set a slicewise operator reads one scope column of
+    the space, so a row is keyed by the operator's tag, the shape, the
+    parameter (which fix the sets asked) and that column.  A row that leaks
+    out of its slice is shared like any other; `_slice_products` sees the
+    leak on every space that uses it.
+    """
+    n, m = space.context.n_points, space.context.n_params
+    rows = []
+    for i in range(m):
+        key = (tag, n, m, i, tuple(scope[i] for scope in space.scope_masks))
+        row = columns.get(key)
+        if row is None:
+            row = columns[key] = [0] + [_pack(op(space, sets[a << (i * n)]).masks, n) for a in range(1, 1 << n)]
+        rows.append(row)
+    return rows
+
+
+def _slicewise(tag: str, op: Callable, space: SoftAuraSpace, sets, columns: dict | None):
     """Packed table of `op(space, G)`, for an operator that acts slice by slice.
 
     The null set and each single-slice set get one `op` call; any other entry
-    is the OR of its single-slice parts' entries.  An eager table is a list
-    built as the product of those entries, a lazy one a dict filled on
+    is the OR of its single-slice parts' entries.  Given a `columns` memo
+    the table is a list built as the product of those entries, which share
+    the memo's rows (see _column_rows); without one it is a dict filled on
     first lookup.
     """
     ctx = space.context
     n = ctx.n_points
+    if columns is not None:
+        rows = _column_rows(tag, op, space, sets, columns)
+        return _slice_product(rows, _pack(op(space, sets[0]).masks, n))
     part = _Lazy(lambda g: _pack(op(space, sets[g]).masks, n))
-    if eager:
-        return _slice_product(part, n, ctx.n_params)
     slice_masks = [ctx.full_mask << (i * n) for i in range(ctx.n_params)]
 
     def fill(g: int) -> int:
@@ -437,27 +464,31 @@ class _Tables:
     `cl`, `int_` and the `oracle` tables are composed slice by slice
     (`_slicewise`); `fix_result` holds one public `kuratowski_closure` call
     per set, since its iteration counts are checked.  Given a shape's full
-    set list the tables are lists filled up front (`eager`); without one
-    they are dicts filled on first lookup.  No stored function refers to the
+    set list the tables are lists filled up front (`eager`), and their
+    single-slice rows come from `columns`, a memo that one suite run shares
+    across its spaces (a fresh one by default); without a set list they are
+    dicts filled on first lookup.  No stored function refers to the
     instance, so reference counting frees the tables.
     """
 
-    def __init__(self, space: SoftAuraSpace, sets: Sequence[SoftSet] | None = None):
+    def __init__(self, space: SoftAuraSpace, sets: Sequence[SoftSet] | None = None, columns: dict | None = None):
         ctx = space.context
         n = ctx.n_points
         eager = sets is not None
         if sets is None:
             sets = _Lazy(lambda g: _unpack(ctx, g))
+        elif columns is None:
+            columns = {}
 
         def table(fill):
             return [fill(g) for g in range(len(sets))] if eager else _Lazy(fill)
 
         self.space = space
-        self.eager = eager
+        self.columns = columns
         self.full = _pack((ctx.full_mask,) * ctx.n_params, n)
         self.sets = sets
-        self.cl = cl = _slicewise(aura_closure, space, sets, eager)
-        self.int_ = int_ = _slicewise(aura_interior, space, sets, eager)
+        self.cl = cl = _slicewise("cl", aura_closure, space, sets, columns)
+        self.int_ = int_ = _slicewise("int", aura_interior, space, sets, columns)
         self.fix_result = fix_result = table(lambda g: kuratowski_closure(space, sets[g]))
         self.fix = table(lambda g: _pack(fix_result[g].closure.masks, n))
         self.rows = {
@@ -480,8 +511,8 @@ class _Tables:
         """Packed `oracle_closure` and `oracle_interior` tables, composed like `cl` and `int_`."""
         scopes = oracle_scopes(self.space)
         return tuple(
-            _slicewise(partial(f, scopes=scopes), self.space, self.sets, self.eager)
-            for f in (oracle_closure, oracle_interior)
+            _slicewise(tag, partial(f, scopes=scopes), self.space, self.sets, self.columns)
+            for tag, f in (("oracle-cl", oracle_closure), ("oracle-int", oracle_interior))
         )
 
 
@@ -600,14 +631,13 @@ def _rough_sandwich(t, g):
 
 
 def _rough_accuracy(t, g):
-    acc = accuracy(t.space, t.sets[g])
-    # a Fraction is normalised with a positive denominator
-    num, den = acc.value.numerator, acc.value.denominator
-    return (
-        0 <= num <= den
-        and (num == den) == (t.cl[g] == t.int_[g])
-        and acc.convention_applied == (t.cl[g] == 0)
-    )
+    try:
+        acc = accuracy(t.space, t.sets[g])
+    except ValueError:
+        # counts that no pair of approximations has; Accuracy refuses them
+        return False
+    # Accuracy ties convention_applied to a null upper count
+    return acc.lower_total == t.int_[g].bit_count() and acc.upper_total == t.cl[g].bit_count()
 
 
 def _oracle_equivalence(t, g):
@@ -676,7 +706,7 @@ def _slice_products(t) -> bool:
         for table in (t.cl, t.int_, t.fix):
             if any(table[a << (i * n)] & outside for a in range(1 << n)):
                 return False
-    return t.fix == _slice_product(t.fix, n, m)
+    return t.fix == _slice_product(_slice_rows(t.fix, n, m), t.fix[0])
 
 
 def _slice_alpha_meets(t, laws) -> dict[str, int] | None:
@@ -790,7 +820,7 @@ LAWS: dict[str, LawSpec] = {
     "rough-monotonicity": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-monotonicity"]), "approximations are monotone"),
     "rough-upper-join": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-upper-join"]), "upper approximation distributes over union"),
     "rough-lower-meet": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-lower-meet"]), "lower approximation distributes over intersection"),
-    "rough-accuracy": LawSpec("set", _rough_accuracy, "accuracy in [0,1]; 1 exactly when the boundary is null; convention flagged on null upper"),
+    "rough-accuracy": LawSpec("set", _rough_accuracy, "accuracy counts the lower and upper approximations; convention flagged on null upper"),
     "oracle-equivalence": LawSpec("set", _oracle_equivalence, "bitmask operators equal the literal oracles"),
 }
 
@@ -961,6 +991,8 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     }
     strictness: dict[str, Witness | None] = {e: None for e in STRICTNESS_EDGES}
     shape_sets: dict[tuple[int, int], list[SoftSet]] = {}
+    # single-slice rows shared by this run's spaces
+    columns: dict = {}
     spaces_checked = 0
     sets_max = 0
 
@@ -973,7 +1005,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
             packed: Sequence[int] = range(1 << (n * m))
             if (n, m) not in shape_sets:
                 shape_sets[n, m] = [_unpack(ctx, g) for g in packed]
-            t = _Tables(space, shape_sets[n, m])
+            t = _Tables(space, shape_sets[n, m], columns)
         else:
             t = _Tables(space)
             packed = _sampled_sets(ctx, spec.seed or 0, rank3)
@@ -1136,6 +1168,22 @@ def _continuity_bits(space: SoftAuraSpace, g: SoftSet) -> int:
     return sum(flag << j for j, flag in enumerate(flags))
 
 
+def _survivor_bits(row: tuple[int, ...], family: tuple[int, ...], maps: list) -> int:
+    """Six bitsets over the point maps u of `maps`, flag j at bits j*len(maps) up.
+
+    Bit r of bitset j is set when flag j of `row` holds on the pull-back
+    u^-1(V) of every slice V in `family`, u the r-th map.
+    """
+    size = len(maps)
+    bits = 0
+    for r, (_, pre) in enumerate(maps):
+        flags = reduce(and_, [row[pre[v]] for v in family])
+        for j in range(6):
+            if flags >> j & 1:
+                bits |= 1 << (j * size + r)
+    return bits
+
+
 def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64) -> MappingScanResult:
     """Check mapping-level decomposition over an exhaustive family of mappings.
 
@@ -1151,14 +1199,17 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     a union of the reach sets R_k(y) there.  So (u, p) is in a class iff,
     for each source parameter e and V the null slice or a reach set at
     p(e), the set with u^-1(V) at e and null elsewhere is: only those sets
-    are classified (public classify()), their flags ANDed per (e, target
-    parameter) once per u.
+    are classified (public classify()).  Per (source row, target basis
+    family) six bitsets over the point maps u hold which flags survive
+    every such pull-back (_survivor_bits), built once per pair of rows and
+    shapes; per parameter map p they are ANDed across the source
+    parameters, and the failures of every u are counted at once.
 
     Preimages come from one slice table per (|Y|, u).  Counting (mapping,
     target aura-open set) pairs in scan order, every `cross_check_every`-th
     set's preimage is assembled from the table by p and compared with the
-    public inverse_image().  ValueError for `per_shape` < 2 or
-    `cross_check_every` < 1.
+    public inverse_image(); the scan jumps from one such mapping to the
+    next.  ValueError for `per_shape` < 2 or `cross_check_every` < 1.
     """
     from .mapping import SoftMapping, _target_basis, inverse_image
 
@@ -1168,64 +1219,74 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     # rows[ei][s]: flag bits of the source set with slice s at ei, null elsewhere
     source_rows = [
         [
-            [_continuity_bits(sp, _unpack(sp.context, s << (ei * sp.context.n_points)))
-             for s in range(1 << sp.context.n_points)]
+            tuple(_continuity_bits(sp, _unpack(sp.context, s << (ei * sp.context.n_points)))
+                  for s in range(1 << sp.context.n_points))
             for ei in range(sp.context.n_params)
         ]
         for sp in spaces
     ]
     # tau only feeds the preimage cross-check
     taus = [enumerate_aura_topology(sp) for sp in spaces]
-    bases = [_target_basis(sp, DEFAULT_CAP, TARGET_AURA) for sp in spaces]
-    preimages: dict[tuple, list[int]] = {}
-
-    checked = 0
-    kur_failures = 0
-    kur_first = None
-    cech_mismatches = 0
-    cech_first = None
-    evals = 0
+    bases = [[tuple(fam) for fam in _target_basis(sp, DEFAULT_CAP, TARGET_AURA)] for sp in spaces]
+    # (|X|, |Y|) -> every point map u in scan order, with its slice preimage table
+    point_maps: dict[tuple[int, int], list] = {}
+    survivors: dict[tuple, int] = {}
+    checked = evals = 0
+    # per kind, fixpoint then one-step: failing mappings and the first one's description
+    failures = [0, 0]
+    firsts: list[dict | None] = [None, None]
 
     for src, rows in zip(spaces, source_rows):
         nx, ne = src.context.n_points, src.context.n_params
         for tgt, tau, basis in zip(spaces, taus, bases):
             ny, nk = tgt.context.n_points, tgt.context.n_params
-            param_maps = list(itertools.product(range(nk), repeat=ne))
-            for u in itertools.product(range(ny), repeat=nx):
-                pre = preimages.get((ny, u))
-                if pre is None:
-                    pre = preimages[ny, u] = [
-                        sum(1 << xi for xi, y in enumerate(u) if s >> y & 1) for s in range(1 << ny)
-                    ]
-                # per_param[ei][k]: AND of the flags of every pull-back of a basic slice at k, placed at ei
-                per_param = [
-                    [reduce(and_, [row[pre[v]] for v in fam]) for fam in basis]
-                    for row in rows
+            maps = point_maps.get((nx, ny))
+            if maps is None:
+                maps = point_maps[nx, ny] = [
+                    (u, [sum(1 << xi for xi, y in enumerate(u) if s >> y & 1) for s in range(1 << ny)])
+                    for u in itertools.product(range(ny), repeat=nx)
                 ]
-                for p in param_maps:
-                    checked += 1
-                    # bits 0-2 one-step alpha, semi, pre; bits 3-5 the same under the fixpoint closure
-                    flags = 0b111111
+            for row in rows:
+                for fam in basis:
+                    if (ny, row, fam) not in survivors:
+                        survivors[ny, row, fam] = _survivor_bits(row, fam, maps)
+            per_param = [[survivors[ny, row, fam] for fam in basis] for row in rows]
+            size = len(maps)
+            low = (1 << size) - 1
+            param_maps = list(itertools.product(range(nk), repeat=ne))
+            checked += size * len(param_maps)
+            # per kind, the lowest (rank of u, p) failing in this pair
+            lowest: list[tuple | None] = [None, None]
+            for p in param_maps:
+                bits = reduce(and_, [per_param[ei][k] for ei, k in enumerate(p)])
+                # flags 0-2 one-step alpha, semi, pre; 3-5 the same under the fixpoint closure
+                f = [bits >> (j * size) & low for j in range(6)]
+                for kind, fails in enumerate((f[3] ^ (f[4] & f[5]), f[0] ^ (f[1] & f[2]))):
+                    failures[kind] += fails.bit_count()
+                    rank = (fails & -fails).bit_length() - 1
+                    if fails and (lowest[kind] is None or rank < lowest[kind][0]):
+                        lowest[kind] = (rank, p)
+            for kind, at in enumerate(lowest):
+                if firsts[kind] is None and at is not None:
+                    firsts[kind] = _mapping_desc(src, tgt, maps[at[0]][0], at[1])
+
+            # cross-check the sets at global index -1 (mod cross_check_every),
+            # mapping q of this pair holding indices [start + q*T, start + (q+1)*T)
+            width = len(tau)
+            start, evals = evals, evals + size * len(param_maps) * width
+            idx = start + (-start - 1) % cross_check_every
+            while idx < evals:
+                q = (idx - start) // width
+                (u, pre), p = maps[q // len(param_maps)], param_maps[q % len(param_maps)]
+                mapping = SoftMapping(src, tgt, *_mapping_tables(src, tgt, u, p))
+                for v in tau[idx - start - q * width::cross_check_every]:
+                    h = 0
                     for ei, k in enumerate(p):
-                        flags &= per_param[ei][k]
-                    first = (-evals - 1) % cross_check_every
-                    evals += len(tau)
-                    if first < len(tau):
-                        mapping = SoftMapping(src, tgt, *_mapping_tables(src, tgt, u, p))
-                        for v in tau[first::cross_check_every]:
-                            h = 0
-                            for ei, k in enumerate(p):
-                                h |= pre[v.masks[k]] << (ei * nx)
-                            if _pack(inverse_image(mapping, v).masks, nx) != h:
-                                raise AssertionError(
-                                    "packed preimage kernel disagrees with inverse_image"
-                                )
-                    if (flags & 0b001000 != 0) != (flags & 0b110000 == 0b110000):
-                        kur_failures += 1
-                        if kur_first is None:
-                            kur_first = _mapping_desc(src, tgt, u, p)
-                    if (flags & 0b000001 != 0) != (flags & 0b000110 == 0b000110):
-                        cech_mismatches += 1
-                        if cech_first is None:
-                            cech_first = _mapping_desc(src, tgt, u, p)
-    return MappingScanResult(checked, kur_failures, kur_first, cech_mismatches, cech_first)
+                        h |= pre[v.masks[k]] << (ei * nx)
+                    if _pack(inverse_image(mapping, v).masks, nx) != h:
+                        raise AssertionError(
+                            "packed preimage kernel disagrees with inverse_image"
+                        )
+                end = start + (q + 1) * width
+                idx = end + (-end - 1) % cross_check_every
+    return MappingScanResult(checked, failures[0], firsts[0], failures[1], firsts[1])

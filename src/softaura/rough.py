@@ -11,12 +11,11 @@ partition-based approximation at every parameter.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidPartition, _Frozen, _freeze
-from .operators import aura_closure, aura_interior
-from .softset import Context, SoftSet, _trusted
+from .operators import _closure_slice, aura_closure, aura_interior
+from .softset import Context, SoftSet, _require_same_context, _trusted
 from .space import ScopeFunction, SoftAuraSpace, discrete_topology
 
 
@@ -43,31 +42,57 @@ class Accuracy(_Frozen):
     """Exact rational accuracy with its unreduced counts.
 
     convention_applied marks the degenerate case of a null upper
-    approximation, where the value is defined to be 1.
+    approximation, where the value is defined to be 1.  The record holds
+    the counts; `value`, the Fraction lower_total / upper_total, is built
+    when it is read, so `fractions` is imported only then.  A `value`
+    passed to the constructor must equal it; the library passes None.
     """
 
-    __slots__ = ("value", "lower_total", "upper_total", "convention_applied")
+    __slots__ = _fields = ("lower_total", "upper_total", "convention_applied")
 
-    def __init__(self, value: Fraction, lower_total: int, upper_total: int, convention_applied: bool):
-        _freeze(self, value, lower_total, upper_total, convention_applied)
+    def __init__(self, value, lower_total: int, upper_total: int, convention_applied: bool):
+        if convention_applied != (upper_total == 0) or not 0 <= lower_total <= upper_total:
+            raise ValueError(
+                f"accuracy counts {lower_total}/{upper_total} do not fit convention_applied={convention_applied}"
+            )
+        _freeze(self, lower_total, upper_total, convention_applied)
+        if value is not None and value != self.value:
+            raise ValueError(f"accuracy value {value!r} is not {lower_total}/{upper_total}")
+
+    @property
+    def value(self):
+        from fractions import Fraction
+
+        return Fraction(1) if self.convention_applied else Fraction(self.lower_total, self.upper_total)
+
+    def __float__(self) -> float:
+        # the correctly rounded quotient of the totals, as float(self.value)
+        return 1.0 if self.convention_applied else self.lower_total / self.upper_total
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in ("value", *self._fields))
+        return f"Accuracy({fields})"
 
     def display(self) -> str:
         """Unreduced ratio plus a decimal rendered to 6 significant digits."""
         if self.convention_applied:
             return "0/0 = 1 (convention: null upper approximation)"
-        return f"{self.lower_total}/{self.upper_total} = {float(self.value):.6g}"
+        return f"{self.lower_total}/{self.upper_total} = {float(self):.6g}"
 
 
 def accuracy(space: SoftAuraSpace, g: SoftSet) -> Accuracy:
-    return _accuracy(lower_approx(space, g), upper_approx(space, g))
+    """Accuracy of g in one pass over its slices: the lower slice is X - cl(X - g), the upper cl(g)."""
+    _require_same_context(space.context, g.context)
+    sm, n, full = space.scope_masks, space.context.n_points, space.context.full_mask
+    lower_total = upper_total = 0
+    for ei, gm in enumerate(g.masks):
+        lower_total += (full ^ _closure_slice(sm, n, ei, full ^ gm)).bit_count()
+        upper_total += _closure_slice(sm, n, ei, gm).bit_count()
+    return _accuracy(lower_total, upper_total)
 
 
-def _accuracy(low: SoftSet, up: SoftSet) -> Accuracy:
-    lower_total = sum(m.bit_count() for m in low.masks)
-    upper_total = sum(m.bit_count() for m in up.masks)
-    if upper_total == 0:
-        return Accuracy(Fraction(1), 0, 0, True)
-    return Accuracy(Fraction(lower_total, upper_total), lower_total, upper_total, False)
+def _accuracy(lower_total: int, upper_total: int) -> Accuracy:
+    return Accuracy(None, lower_total, upper_total, upper_total == 0)
 
 
 class ApproximationReport(_Frozen):
@@ -98,7 +123,8 @@ def approximation_report(space: SoftAuraSpace, g: SoftSet) -> ApproximationRepor
         (e, low.masks[ei].bit_count(), up.masks[ei].bit_count())
         for ei, e in enumerate(space.context.parameters)
     )
-    return ApproximationReport(g, low, up, _difference(up, low), _accuracy(low, up), rows)
+    acc = _accuracy(sum(row[1] for row in rows), sum(row[2] for row in rows))
+    return ApproximationReport(g, low, up, _difference(up, low), acc, rows)
 
 
 class PawlakPartition(_Frozen):

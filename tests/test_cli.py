@@ -194,8 +194,9 @@ class TestAxioms:
         assert doc["t3"] == {"holds": False}
 
     def test_takes_no_cap(self, capsys, monkeypatch):
-        # Regularity is decided without enumerating anything, so neither the
-        # environment cap nor a --cap flag applies to axioms.
+        # Regularity is decided without enumerating anything, so axioms has no
+        # --cap flag, and the environment cap bounds only the decoding of a
+        # generated topology, which this discrete document does not have.
         monkeypatch.setenv("SOFTAURA_CAP", "1")
         assert main(["axioms", fixture_path("two_point_space.json")]) == 0
         assert capsys.readouterr().out == AXIOMS_TABLE
@@ -490,6 +491,38 @@ class TestExitCodes:
         assert rc == 4
         assert "ambient members: enumeration needs 8 members, cap is 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["approx", "--target", "Sx3"], ["classify", "--set", "Sx3"], ["axioms"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_env_cap_bounds_topology_generation(self, argv, tmp_path, capsys, monkeypatch):
+        # eight singletons generate 256 members: under the default cap, not under 5
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(singleton_subbasis_doc(8)), encoding="utf-8")
+        args = [argv[0], str(path), *argv[1:]]
+        assert main(args) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("SOFTAURA_CAP", "5")
+        assert main(args) == 4
+        assert "topology generation: enumeration needs 11 members, cap is 5" in capsys.readouterr().err
+
+    def test_continuity_cap_bounds_topology_generation(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "space.json").write_text(json.dumps(singleton_subbasis_doc(8)), encoding="utf-8")
+        mapping = {
+            "source": {"ref": "space.json"},
+            "target": {"ref": "space.json"},
+            "pointMap": {f"x{i}": f"x{i}" for i in range(1, 9)},
+            "paramMap": {"e1": "e1"},
+        }
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps(mapping), encoding="utf-8")
+        assert main(["continuity", str(path), "--cap", "5"]) == 4
+        assert "topology generation: enumeration needs 11 members, cap is 5" in capsys.readouterr().err
+        monkeypatch.setenv("SOFTAURA_CAP", "5")
+        assert main(["continuity", str(path)]) == 4
+        assert main(["continuity", str(path), "--cap", "256"]) == 0
+
     def test_env_cap_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SOFTAURA_CAP", "lots")
         rc = main(["continuity", fixture_path("chain_endo_mapping.json")])
@@ -565,7 +598,7 @@ print(json.dumps([rc, sorted(sys.modules)]))
 COMPUTE_MODULES = {"harness", "mapping", "separation", "rough", "genopen"}
 
 #: Standard-library modules that cost start-up time and that no subcommand needs.
-HEAVY_STDLIB = {"dataclasses", "inspect"}
+HEAVY_STDLIB = {"dataclasses", "inspect", "fractions"}
 
 
 class TestEntryPoint:

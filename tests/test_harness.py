@@ -1,5 +1,6 @@
 """Family enumeration, the law suite engine, and the mapping scan."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -14,6 +15,7 @@ from softaura import (
     Context,
     KuratowskiResult,
     LAWS,
+    OpennessProfile,
     REPORT_ROWS,
     STRICTNESS_EDGES,
     SizeGuard,
@@ -333,9 +335,10 @@ def _lazy_spaces(n: int, m: int, seeds):
         yield SoftAuraSpace(ctx, topo, harness._sample_scope(ctx, topo, random.Random(seed)))
 
 
-def _eager_tables(space):
+def _eager_tables(space, columns=None):
     ctx = space.context
-    return harness._Tables(space, [harness._unpack(ctx, g) for g in range(1 << ctx.n_points * ctx.n_params)])
+    sets = [harness._unpack(ctx, g) for g in range(1 << ctx.n_points * ctx.n_params)]
+    return harness._Tables(space, sets, columns)
 
 
 def _non_null_slices(g) -> int:
@@ -354,6 +357,40 @@ class TestComposedTables:
                 s = harness._unpack(t.space.context, g)
                 assert t.cl[g] == harness._pack(aura_closure(t.space, s).masks, n)
                 assert t.int_[g] == harness._pack(aura_interior(t.space, s).masks, n)
+
+    @pytest.mark.parametrize("kind", ["discrete", "generated"])
+    def test_shared_column_rows_equal_fresh_tables(self, kind):
+        # one memo across a sampled family, as run_law_suite shares it,
+        # against tables built for each space alone
+        spec = SpaceFamilySpec(3, 2, topology_kind=kind, scope_mode="sampled", seed=17, sample_count=60)
+        columns = {}
+        slices = 0
+        for _, space in iter_family_spaces(spec):
+            shared = _eager_tables(space, columns)
+            fresh = _eager_tables(space)
+            assert shared.cl == fresh.cl
+            assert shared.int_ == fresh.int_
+            assert shared.oracle == fresh.oracle
+            slices += space.context.n_params
+        rows = [key for key in columns if key[0] == "cl"]
+        # the rows were shared: fewer (shape, parameter, column) keys than slices
+        assert 0 < len(rows) < slices
+        assert len(rows) == len({key for key in columns if key[0] == "oracle-int"})
+
+    def test_memo_lasts_one_run(self, monkeypatch):
+        real = harness.aura_closure
+        calls = [0]
+
+        def counting(space, g):
+            calls[0] += 1
+            return real(space, g)
+
+        monkeypatch.setattr(harness, "aura_closure", counting)
+        spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20)
+        run_law_suite(spec)
+        first = calls[0]
+        run_law_suite(spec)
+        assert calls[0] == 2 * first
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_tables_freed_without_the_cyclic_collector(self, lazy):
@@ -384,8 +421,29 @@ class TestComposedTables:
 
         monkeypatch.setattr(rough, "aura_closure", adds_a_point)
         result = run_law_suite(SpaceFamilySpec(2, 2))
-        assert {name for name, row in result.laws.items() if row.failures} == {"rough-delegation", "rough-accuracy"}
+        # accuracy() counts on the slice kernel, not through upper_approx (see below)
+        assert {name for name, row in result.laws.items() if row.failures} == {"rough-delegation"}
         assert all(replay_witness(w) for w in result.laws["rough-delegation"].witnesses)
+
+    @pytest.mark.parametrize("fault", ["adds-x1", "null"])
+    def test_accuracy_kernel_fault_is_reported_by_rough_accuracy(self, fault, monkeypatch):
+        # accuracy() counts both approximations on the slice kernel in one pass;
+        # a kernel that adds x1 to every non-null closure slice there, or one
+        # that returns null slices (so the counts no longer fit and Accuracy
+        # refuses them), is seen by rough-accuracy alone, since every other
+        # row reads other code
+        real = rough._closure_slice
+        if fault == "adds-x1":
+            kernel = lambda sm, n, ei, g: real(sm, n, ei, g) | (1 if g else 0)
+        else:
+            kernel = lambda sm, n, ei, g: 0
+        monkeypatch.setattr(rough, "_closure_slice", kernel)
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        assert {name for name, row in result.laws.items() if row.failures} == {"rough-accuracy"}
+        witnesses = result.laws["rough-accuracy"].witnesses
+        assert witnesses and all(replay_witness(w) for w in witnesses)
+        monkeypatch.undo()
+        assert not any(replay_witness(w) for w in witnesses)
 
     def test_single_slice_fault_is_reported_by_the_oracle(self, monkeypatch):
         real = harness.aura_closure
@@ -415,13 +473,28 @@ class TestComposedTables:
             return real(space, g, scopes)
 
         monkeypatch.setattr(harness, "oracle_closure", counting)
-        run_law_suite(SpaceFamilySpec(2, 2))
+        spec = SpaceFamilySpec(2, 2)
+        run_law_suite(spec)
         assert len(calls) == 22
+        seen = set()
         for space, sets in calls.items():
-            n, m = space.context.n_points, space.context.n_params
-            # null plus each non-null slice at each parameter, never a set twice
-            assert len(sets) == len(set(sets)) <= m * ((1 << n) - 1) + 1
+            # the null set once per space, never a set twice, never two non-null slices
+            assert len(sets) == len(set(sets))
+            assert sum(g.is_null() for g in sets) == 1
             assert all(_non_null_slices(g) <= 1 for g in sets)
+            for g in sets:
+                for i, mk in enumerate(g.masks):
+                    if mk:
+                        seen.add((g.context.n_params, i, tuple(s[i] for s in space.scope_masks), mk))
+        # each single-slice set of each (shape, parameter, scope column) reaches
+        # the oracle once per run: 1 + 2 + 4 * 3 + 8 * 3 sets over the family
+        keys = {
+            (n, m, i, tuple(s[i] for s in space.scope_masks))
+            for (n, m, _), space in iter_family_spaces(spec)
+            for i in range(m)
+        }
+        non_null = sum(len(sets) for sets in calls.values()) - 22
+        assert non_null == len(seen) == sum((1 << n) - 1 for n, *_ in keys) == 39
 
 
 def _sliced_and_full(spec, monkeypatch):
@@ -482,8 +555,8 @@ class TestSlicePairs:
         # fix of the absolute set loses a point: no pair of single-slice sets
         # reads that entry, so only the product check sends the space to the full scan
         class Corrupted(harness._Tables):
-            def __init__(self, space, sets=None):
-                super().__init__(space, sets)
+            def __init__(self, space, sets=None, columns=None):
+                super().__init__(space, sets, columns)
                 if space.context.n_params > 1:
                     self.fix[self.full] &= self.full - 1
 
@@ -586,25 +659,74 @@ def reference_mapping_scan(per_shape: int) -> harness.MappingScanResult:
     return harness.MappingScanResult(checked, kur_failures, kur_first, cech_mismatches, cech_first)
 
 
+@functools.lru_cache(maxsize=None)
+def cached_reference_scan(per_shape: int) -> harness.MappingScanResult:
+    return reference_mapping_scan(per_shape)
+
+
+#: Public inverse_image calls of the scan by (per_shape, cross_check_every):
+#: how many (mapping, target aura-open set) pairs it cross-checks.
+SCAN_CROSS_CHECKS = [
+    (10, 64, 6758),
+    (2, 1, 35672),
+    (3, 7, 12712),
+    (5, 64, 3280),
+    (10, 200, 2162),
+    (4, 3, 30936),
+]
+
+
+def _counting_inverse_image(monkeypatch) -> list:
+    calls = []
+    real = mapping.inverse_image
+
+    def counting(m, g):
+        calls.append(m.param_map)
+        return real(m, g)
+
+    monkeypatch.setattr(mapping, "inverse_image", counting)
+    return calls
+
+
 class TestMappingScan:
     @pytest.mark.parametrize("per_shape", [10, 3])
     def test_equals_product_scan(self, per_shape):
-        assert decomposition_mapping_scan(per_shape=per_shape) == reference_mapping_scan(per_shape)
+        assert decomposition_mapping_scan(per_shape=per_shape) == cached_reference_scan(per_shape)
+
+    @pytest.mark.parametrize("per_shape, every, pinned", SCAN_CROSS_CHECKS)
+    def test_cross_checks_pinned(self, per_shape, every, pinned, monkeypatch):
+        calls = _counting_inverse_image(monkeypatch)
+        res = decomposition_mapping_scan(per_shape=per_shape, cross_check_every=every)
+        assert len(calls) == pinned
+        assert res == cached_reference_scan(per_shape)
 
     def test_default_scan_pins_and_cross_checks(self, monkeypatch):
-        calls = []
-        real = mapping.inverse_image
-
-        def counting(m, g):
-            calls.append(m.param_map)
-            return real(m, g)
-
-        monkeypatch.setattr(mapping, "inverse_image", counting)
+        calls = _counting_inverse_image(monkeypatch)
         res = decomposition_mapping_scan()
         assert (res.mappings_checked, res.kuratowski_failures, res.cech_mismatches) == (35290, 0, 656)
-        assert len(calls) >= 6758
+        assert len(calls) == 6758
         # parameter maps that merge and that swap parameters are both cross-checked
         assert {("e1", "e1"), ("e2", "e1")} <= {(pm["e1"], pm["e2"]) for pm in calls if len(pm) == 2}
+
+    @pytest.mark.parametrize("per_shape", [3, 4])
+    def test_equals_product_scan_with_failures_under_both_kinds(self, per_shape, monkeypatch):
+        # alpha-open sets that have no slice equal to {x2}: still decided
+        # slice by slice, union-closed and holding the null set, so the scan
+        # stays exact, but alpha != semi and pre on many mappings under both
+        # kinds, first in a pair where several point maps fail
+        real = harness.classify
+
+        def no_x2_slice(space, g, kind):
+            p = real(space, g, kind)
+            if 2 not in g.masks:
+                return p
+            return OpennessProfile(p.a_open, False, p.semi_open, p.pre_open, p.b_open, p.beta_open, p.closure_kind)
+
+        monkeypatch.setattr(harness, "classify", no_x2_slice)
+        monkeypatch.setitem(globals(), "classify", no_x2_slice)
+        res = decomposition_mapping_scan(per_shape=per_shape)
+        assert res.kuratowski_failures > 0 and res.cech_mismatches > 0
+        assert res == reference_mapping_scan(per_shape)
 
     def test_wrong_inverse_image_is_caught(self, monkeypatch):
         real = mapping.inverse_image

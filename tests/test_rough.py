@@ -134,6 +134,21 @@ class TestAccuracyDisplay:
         acc = Accuracy(Fraction(1, 4), 2, 8, False)
         assert acc.display().startswith("2/8 = ")
 
+    def test_value_comes_from_the_counts(self):
+        # the library builds Accuracy from its counts; a value given must match them
+        assert Accuracy(None, 2, 8, False) == Accuracy(Fraction(1, 4), 2, 8, False)
+        assert Accuracy(None, 2, 8, False).value == Fraction(1, 4)
+        assert Accuracy(None, 0, 0, True).value == Fraction(1)
+        with pytest.raises(ValueError, match="not 1/2"):
+            Accuracy(Fraction(1, 3), 1, 2, False)
+        # counts that no pair of approximations has are refused, given a value or not
+        for value, low, up, convention in ((None, 1, 0, False), (None, 0, 0, False), (None, 0, 4, True),
+                                           (None, 3, 2, False), (None, -1, 2, False), (Fraction(1), 1, 0, False)):
+            with pytest.raises(ValueError, match="do not fit"):
+                Accuracy(value, low, up, convention)
+        for low, up in ((1, 3), (2, 7), (5, 9), (10, 10), (0, 4), (123, 457)):
+            assert float(Accuracy(None, low, up, False)) == float(Fraction(low, up))
+
 
 class TestOperatorClauses:
     @given(space_with_sets(count=1))

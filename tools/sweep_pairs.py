@@ -18,7 +18,9 @@ order alternates between rounds, so drift hits them alike.  A shape's row
 keeps each round's mean seconds per space and their median.  With
 --suite-rounds K (0 to skip) the exhaustive 3x2 suite,
 `run_law_suite(SpaceFamilySpec(3, 2))`, is timed K times per checkout in
-the same alternating way, with the sha256 of its report.
+the same alternating way, with the sha256 of its report; the same child
+then times `decomposition_mapping_scan()` at its defaults, the best of
+SCAN_REPEAT calls, with the sha256 of the result's repr.
 
 Rows are merged into the --out JSON under their labels, replacing earlier
 rows of the same label.  Standard library only.
@@ -38,6 +40,8 @@ import time
 from pathlib import Path
 
 SHAPES = ((2, 2), (3, 2), (2, 4), (4, 2), (3, 3), (6, 2), (4, 3))
+# mapping scans per suite child, the best one kept
+SCAN_REPEAT = 5
 
 
 def shape_seeds(n: int, m: int, count: int) -> list[int]:
@@ -108,11 +112,19 @@ def measure_shapes(spaces: int, repeat: int) -> list[dict]:
 
 
 def measure_suite() -> dict:
-    from softaura import SpaceFamilySpec, run_law_suite
+    from softaura import SpaceFamilySpec, decomposition_mapping_scan, run_law_suite
 
     start = time.perf_counter()
     data = run_law_suite(SpaceFamilySpec(3, 2)).to_json_bytes()
-    return {"seconds": time.perf_counter() - start, "sha256": hashlib.sha256(data).hexdigest()}
+    out = {"seconds": time.perf_counter() - start, "sha256": hashlib.sha256(data).hexdigest()}
+    scans = []
+    for _ in range(SCAN_REPEAT):
+        start = time.perf_counter()
+        result = decomposition_mapping_scan()
+        scans.append(time.perf_counter() - start)
+    out["scan_seconds"] = min(scans)
+    out["scan_sha256"] = hashlib.sha256(repr(result).encode("utf-8")).hexdigest()
+    return out
 
 
 def child(src: Path, what: str, spaces: int, repeat: int) -> dict | list:
@@ -159,7 +171,11 @@ def main(argv=None) -> int:
                 print(f"round {r + 1} {label}: shapes done", file=sys.stderr)
             if r < args.suite_rounds:
                 suites[label].append(child(sides[label], "suite", args.spaces, args.repeat))
-                print(f"round {r + 1} {label}: 3x2 suite {suites[label][-1]['seconds']:.2f} s", file=sys.stderr)
+                last = suites[label][-1]
+                print(
+                    f"round {r + 1} {label}: 3x2 suite {last['seconds']:.2f} s, scan {last['scan_seconds']:.3f} s",
+                    file=sys.stderr,
+                )
 
     doc = {"rows": {}}
     if args.out.exists():
@@ -195,6 +211,12 @@ def main(argv=None) -> int:
                 "seconds": [round(s["seconds"], 3) for s in suite],
                 "median_s": round(statistics.median(s["seconds"] for s in suite), 3) if suite else None,
                 "sha256": sorted({s["sha256"] for s in suite}),
+            },
+            "mapping_scan": {
+                "scan_repeat": SCAN_REPEAT,
+                "seconds": [round(s["scan_seconds"], 4) for s in suite],
+                "median_s": round(statistics.median(s["scan_seconds"] for s in suite), 4) if suite else None,
+                "sha256": sorted({s["scan_sha256"] for s in suite}),
             },
         }
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
