@@ -38,8 +38,6 @@ _EXPORTS = {
         "DEFAULT_UNIVERSE_LIMIT",
         "Context",
         "SoftSet",
-        "big_intersect",
-        "big_union",
         "iter_all_soft_sets",
         "make_soft_set",
     ),
@@ -56,7 +54,6 @@ _EXPORTS = {
         "generate_topology",
         "indiscrete_topology",
         "make_space",
-        "trivial_scope",
         "validate_scope",
         "validate_topology",
     ),
@@ -125,7 +122,6 @@ _EXPORTS = {
         "Witness",
         "decomposition_mapping_scan",
         "enumerate_scope_functions",
-        "find_strictness_witnesses",
         "iter_family_spaces",
         "oracle_closure",
         "oracle_interior",
@@ -136,7 +132,6 @@ _EXPORTS = {
     ),
     "documents": (
         "DecodedSpace",
-        "canonicalize_space_doc",
         "decode_mapping",
         "decode_space",
         "encode_space",

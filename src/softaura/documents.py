@@ -251,10 +251,6 @@ def encode_space(decoded: DecodedSpace) -> dict:
     return doc
 
 
-def canonicalize_space_doc(doc) -> dict:
-    return encode_space(decode_space(doc))
-
-
 def _read_json(path: str | Path):
     """Parse a JSON document file; unreadable files and bad JSON are DocumentErrors."""
     try:

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from functools import cached_property, partial, reduce
 from operator import and_
 from typing import Callable, Iterator, Mapping, Sequence
 
+from .documents import DecodedSpace, decode_space, encode_space
 from .errors import CapExceeded, SizeGuard, _Frozen, _Record, _freeze
 from .genopen import classify
 from .operators import (
@@ -120,6 +122,17 @@ def _admissible_members(topology: SoftTopology, xi: int) -> list[SoftSet]:
     return sorted(members, key=lambda s: tuple(reversed(s.masks)))
 
 
+def _scope_choices(context: Context, topology: SoftTopology) -> list[list[SoftSet]]:
+    """Per point, its admissible scope sets in canonical order (ascending combined bitmask)."""
+    if topology.kind != DISCRETE:
+        return [_admissible_members(topology, xi) for xi in range(context.n_points)]
+    per_point = []
+    for xi in range(context.n_points):
+        slices = [s for s in range(context.full_mask + 1) if s >> xi & 1]
+        per_point.append([SoftSet(context, masks) for masks in itertools.product(slices, repeat=context.n_params)])
+    return per_point
+
+
 def enumerate_scope_functions(
     context: Context,
     topology: SoftTopology,
@@ -132,24 +145,8 @@ def enumerate_scope_functions(
     product order with the last point varying fastest.  The total count is
     capped before anything is yielded.
     """
-    n, m = context.n_points, context.n_params
-    per_point: list[list[SoftSet]] = []
-    if topology.kind == DISCRETE:
-        full = context.full_mask
-        for xi in range(n):
-            bit = 1 << xi
-            slices = [s for s in range(full + 1) if s & bit]
-            choices = [
-                SoftSet(context, masks)
-                for masks in itertools.product(slices, repeat=m)
-            ]
-            per_point.append(choices)
-    else:
-        per_point = [_admissible_members(topology, xi) for xi in range(n)]
-
-    total = 1
-    for choices in per_point:
-        total *= len(choices)
+    per_point = _scope_choices(context, topology)
+    total = math.prod(map(len, per_point))
     if total > cap:
         raise CapExceeded(total, cap, "scope functions")
     for combo in itertools.product(*per_point):
@@ -259,44 +256,9 @@ def oracle_interior(space: SoftAuraSpace, g: SoftSet, scopes=None) -> SoftSet:
 # -- witnesses ---------------------------------------------------------------
 
 
-def _space_desc(space: SoftAuraSpace) -> dict:
-    topo: dict = {"kind": space.topology.kind}
-    if space.topology.kind == GENERATED:
-        topo["subbasis"] = {
-            name: {e: list(s.points(e)) for e in space.context.parameters}
-            for name, s in (space.topology.subbasis or ())
-        }
-    return {
-        "universe": list(space.context.universe),
-        "parameters": list(space.context.parameters),
-        "topology": topo,
-        "scope": {
-            x: {e: list(s.points(e)) for e in space.context.parameters}
-            for x, s in space.scope.items()
-        },
-    }
-
-
 def replay_space(desc: Mapping) -> SoftAuraSpace:
-    """Rebuild a witness space from its description."""
-    ctx = Context(tuple(desc["universe"]), tuple(desc["parameters"]))
-    kind = desc["topology"]["kind"]
-    if kind == DISCRETE:
-        topo = discrete_topology(ctx)
-    elif kind == GENERATED:
-        topo = generate_topology(
-            ctx,
-            {
-                name: SoftSet.from_slices(ctx, slices)
-                for name, slices in desc["topology"]["subbasis"].items()
-            },
-        )
-    else:
-        raise ValueError(f"cannot replay topology kind {kind!r}")
-    assignment = {
-        x: SoftSet.from_slices(ctx, slices) for x, slices in desc["scope"].items()
-    }
-    return SoftAuraSpace.from_assignment(ctx, topo, assignment)
+    """Rebuild a witness space from its space document, which `softaura validate` also reads."""
+    return decode_space(desc).space
 
 
 class Witness(_Frozen):
@@ -329,7 +291,7 @@ def _witness(kind: str, name: str, space: SoftAuraSpace, rank, sets: Sequence[So
     return Witness(
         kind,
         name,
-        _space_desc(space),
+        encode_space(DecodedSpace(space, {}, {})),
         tuple(rank),
         tuple(s.as_dict() for s in sets),
     )
@@ -1092,11 +1054,6 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     return SuiteResult(spec, results, reports, strictness, spaces_checked, sets_max)
 
 
-def find_strictness_witnesses(spec: SpaceFamilySpec) -> dict[str, Witness | None]:
-    """First witness per hierarchy edge in canonical family order (one-step closure)."""
-    return run_law_suite(spec, laws=["hierarchy-cech"]).strictness
-
-
 # -- mapping decomposition scan ----------------------------------------------
 
 
@@ -1130,16 +1087,18 @@ def _family_space_selection(per_shape: int) -> list[SoftAuraSpace]:
         for m in range(1, 3):
             ctx = _family_context(n, m)
             topo = discrete_topology(ctx)
-            all_scopes = list(enumerate_scope_functions(ctx, topo))
-            total = len(all_scopes)
-            if total <= per_shape:
-                chosen = all_scopes
-            else:
-                idxs = sorted(
-                    {round(j * (total - 1) / (per_shape - 1)) for j in range(per_shape)}
-                )
-                chosen = [all_scopes[i] for i in idxs]
-            spaces.extend(SoftAuraSpace(ctx, topo, s) for s in chosen)
+            per_point = _scope_choices(ctx, topo)
+            total = math.prod(map(len, per_point))
+            ranks = range(total) if total <= per_shape else sorted(
+                {round(j * (total - 1) / (per_shape - 1)) for j in range(per_shape)}
+            )
+            for rank in ranks:
+                # the rank-th product in enumerate_scope_functions order, last point fastest
+                picked = []
+                for choices in reversed(per_point):
+                    rank, i = divmod(rank, len(choices))
+                    picked.append(choices[i])
+                spaces.append(SoftAuraSpace(ctx, topo, ScopeFunction(ctx, tuple(reversed(picked)))))
     return spaces
 
 
@@ -1154,8 +1113,8 @@ def _mapping_tables(src: SoftAuraSpace, tgt: SoftAuraSpace, u: tuple[int, ...], 
 def _mapping_desc(src: SoftAuraSpace, tgt: SoftAuraSpace, u: tuple[int, ...], p: tuple[int, ...]) -> dict:
     point_map, param_map = _mapping_tables(src, tgt, u, p)
     return {
-        "source": _space_desc(src),
-        "target": _space_desc(tgt),
+        "source": encode_space(DecodedSpace(src, {}, {})),
+        "target": encode_space(DecodedSpace(tgt, {}, {})),
         "pointMap": point_map,
         "paramMap": param_map,
     }

@@ -221,22 +221,6 @@ def make_soft_set(context: Context, slices: Mapping[str, Iterable[str]]) -> Soft
     return SoftSet.from_slices(context, slices)
 
 
-def big_union(context: Context, sets: Iterable[SoftSet]) -> SoftSet:
-    """Union of any finite family; the empty family yields the null soft set."""
-    out = SoftSet.null(context)
-    for s in sets:
-        out = out.union(s)
-    return out
-
-
-def big_intersect(context: Context, sets: Iterable[SoftSet]) -> SoftSet:
-    """Intersection of any finite family; the empty family yields the absolute soft set."""
-    out = SoftSet.absolute(context)
-    for s in sets:
-        out = out.intersect(s)
-    return out
-
-
 def iter_all_soft_sets(context: Context) -> Iterator[SoftSet]:
     """Every soft set over the context, in canonical combined-bitmask order.
 

@@ -285,12 +285,6 @@ def validate_scope(context: Context, topology: SoftTopology, assignment: Mapping
     return scope
 
 
-def trivial_scope(topology: SoftTopology) -> ScopeFunction:
-    """The scope assigning the absolute soft set to every point (valid in any topology)."""
-    ctx = topology.context
-    return ScopeFunction(ctx, (SoftSet.absolute(ctx),) * ctx.n_points)
-
-
 class SoftAuraSpace(_Frozen):
     """A context, a soft topology over it, and a scope function into it.
 

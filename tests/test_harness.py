@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from softaura import (
     CapExceeded,
     Context,
+    DocumentError,
     KuratowskiResult,
     LAWS,
     OpennessProfile,
@@ -25,11 +26,13 @@ from softaura import (
     aura_closure,
     aura_interior,
     classify,
+    decode_mapping,
+    decode_space,
     decomposition_mapping_scan,
     discrete_topology,
+    encode_space,
     enumerate_aura_topology,
     enumerate_scope_functions,
-    find_strictness_witnesses,
     indiscrete_topology,
     iter_all_soft_sets,
     iter_family_spaces,
@@ -37,6 +40,7 @@ from softaura import (
     oracle_interior,
     run_law_suite,
     replay_witness,
+    verify_decomposition,
     witness_from_json,
 )
 
@@ -206,6 +210,8 @@ class TestLawSuite:
         assert replay_witness(w)
         for edge in ("open=>alpha", "alpha=>semi", "semi|pre=>b", "b=>beta"):
             assert small_suite.strictness[edge] is None
+        # the hierarchy law alone finds the same witnesses
+        assert run_law_suite(SpaceFamilySpec(2, 2), ["hierarchy-cech"]).strictness == small_suite.strictness
 
     def test_law_selection(self):
         res = run_law_suite(SpaceFamilySpec(2, 1), laws=["closure-grounding", "duality"])
@@ -295,6 +301,8 @@ class TestWitnessPlumbing:
         back = witness_from_json(w.to_json_dict())
         assert back == w
         assert replay_witness(back)
+        # the witness space is a canonical space document
+        assert encode_space(decode_space(w.space)) == w.space
 
     def test_law_witnesses_replay(self, monkeypatch):
         # a closure that sends the null set to the absolute set breaks
@@ -325,6 +333,9 @@ class TestWitnessPlumbing:
         broken = witness_from_json({**w.to_json_dict(), "kind": "mystery"})
         with pytest.raises(ValueError):
             replay_witness(broken)
+        odd_space = witness_from_json({**w.to_json_dict(), "space": {**w.space, "topology": {"kind": "mystery"}}})
+        with pytest.raises(DocumentError, match="unknown topology kind"):
+            replay_witness(odd_space)
 
 
 def _lazy_spaces(n: int, m: int, seeds):
@@ -747,12 +758,35 @@ class TestMappingScan:
         with pytest.raises(ValueError, match=next(iter(options))):
             decomposition_mapping_scan(**options)
 
+    @pytest.mark.parametrize("per_shape, built", [(2, 10), (3, 14), (10, 36)])
+    def test_space_selection_builds_only_the_chosen_scopes(self, per_shape, built, monkeypatch):
+        made = []
+        real = harness.ScopeFunction
+        monkeypatch.setattr(harness, "ScopeFunction", lambda ctx, sets: made.append(sets) or real(ctx, sets))
+        spaces = harness._family_space_selection(per_shape)
+        monkeypatch.undo()
+        assert len(made) == len(spaces) == built
+        # evenly spaced ranks of the full canonical enumeration, both ends included
+        want = []
+        for n in range(1, 4):
+            for m in range(1, 3):
+                ctx = named_context(n, m)
+                topo = discrete_topology(ctx)
+                scopes = list(enumerate_scope_functions(ctx, topo))
+                last = len(scopes) - 1
+                ranks = range(last + 1)
+                if last >= per_shape:
+                    ranks = sorted({round(j * last / (per_shape - 1)) for j in range(per_shape)})
+                want += [SoftAuraSpace(ctx, topo, scopes[i]) for i in ranks]
+        assert spaces == want
+
     def test_quick_scan(self):
         res = decomposition_mapping_scan(per_shape=3)
         assert res.mappings_checked > 0
         assert res.kuratowski_failures == 0
         assert res.kuratowski_first_failure is None
         assert res.cech_mismatches >= 0
-        if res.cech_mismatches:
-            d = res.cech_first_mismatch
-            assert set(d) >= {"source", "target", "pointMap", "paramMap"}
+        # the default scan's first one-step mismatch is a mapping document that replays
+        m, _, _ = decode_mapping(decomposition_mapping_scan().cech_first_mismatch)
+        assert verify_decomposition(m, kind="cech")[0] is False
+        assert verify_decomposition(m, kind="kuratowski")[0] is True

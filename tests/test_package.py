@@ -29,25 +29,23 @@ EXPORTED = [
     "SoftSet", "SoftTopology", "SpaceFamilySpec", "SpaceMismatch", "SuiteResult",
     "TARGET_AMBIENT", "TARGET_AURA", "TARGET_KURATOWSKI", "TopologyViolation",
     "UNION_CLOSED_CLASSES", "UnknownParameter", "UnknownPoint", "Witness", "accuracy",
-    "approximation_report", "aura_closure", "aura_interior", "big_intersect", "big_union",
-    "boundary", "canonicalize_space_doc", "check_union_closure", "classify", "compose",
-    "continuity_profile", "decode_mapping", "decode_space", "decomposition_mapping_scan",
-    "discrete_topology", "encode_space", "enumerate_aura_topology",
-    "enumerate_scope_functions", "find_strictness_witnesses", "generate_topology",
-    "identity_mapping", "indiscrete_topology", "inverse_image", "is_aura_closed",
-    "is_aura_open", "iter_all_soft_sets", "iter_family_spaces", "kuratowski_closure",
-    "load_mapping", "load_space", "lower_approx", "make_soft_set", "make_space",
-    "oracle_closure", "oracle_interior", "pawlak_equivalence_check", "pawlak_scope",
+    "approximation_report", "aura_closure", "aura_interior", "boundary", "check_union_closure",
+    "classify", "compose", "continuity_profile", "decode_mapping", "decode_space",
+    "decomposition_mapping_scan", "discrete_topology", "encode_space", "enumerate_aura_topology",
+    "enumerate_scope_functions", "generate_topology", "identity_mapping", "indiscrete_topology",
+    "inverse_image", "is_aura_closed", "is_aura_open", "iter_all_soft_sets", "iter_family_spaces",
+    "kuratowski_closure", "load_mapping", "load_space", "lower_approx", "make_soft_set",
+    "make_space", "oracle_closure", "oracle_interior", "pawlak_equivalence_check", "pawlak_scope",
     "per_parameter_alexandrov", "replay_space", "replay_witness", "resolve_target_set",
     "run_law_suite", "search_alpha_intersection_failure", "separation_report",
     "singleton_e_inclusion_check", "t1_singleton_closure", "t1_via_singleton_scopes",
-    "trivial_scope", "upper_approx", "validate_scope", "validate_topology",
+    "upper_approx", "validate_scope", "validate_topology",
     "verify_closure_characterization", "verify_decomposition", "witness_from_json",
 ]
 
 
 def test_all_is_pinned():
-    assert len(EXPORTED) == 110
+    assert len(EXPORTED) == 105
     assert sorted(softaura.__all__) == EXPORTED
 
 

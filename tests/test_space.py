@@ -25,7 +25,6 @@ from softaura import (
     make_space,
     pawlak_equivalence_check,
     replay_space,
-    trivial_scope,
     validate_scope,
     validate_topology,
 )
@@ -288,7 +287,7 @@ class TestValidateScope:
     def test_trivial_scope_is_always_valid(self):
         ctx = named_context(3, 2)
         topo = indiscrete_topology(ctx)
-        scope = trivial_scope(topo)
+        scope = ScopeFunction(ctx, (SoftSet.absolute(ctx),) * ctx.n_points)
         assert scope.of("x2") == SoftSet.absolute(ctx)
         SoftAuraSpace(ctx, topo, scope)
 
@@ -345,7 +344,7 @@ class TestSpaceAssembly:
         ctx = named_context(2, 1)
         other = named_context(3, 1)
         topo = discrete_topology(other)
-        scope = trivial_scope(discrete_topology(ctx))
+        scope = ScopeFunction(ctx, (SoftSet.absolute(ctx),) * ctx.n_points)
         with pytest.raises(ContextMismatch):
             SoftAuraSpace(ctx, topo, scope)
 
