@@ -31,7 +31,7 @@ import json
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DocumentError, _Frozen, _freeze
+from .errors import DocumentError, _Frozen
 from .softset import Context, SoftSet
 from .space import (
     ABSOLUTE_NAME,
@@ -41,7 +41,6 @@ from .space import (
     GENERATED,
     INDISCRETE,
     NULL_NAME,
-    ScopeFunction,
     SoftAuraSpace,
     SoftTopology,
     discrete_topology,
@@ -115,9 +114,6 @@ class DecodedSpace(_Frozen):
     """A document-backed space plus its name environment."""
 
     __slots__ = ("space", "named_sets", "scope_refs")
-
-    def __init__(self, space: SoftAuraSpace, named_sets: dict[str, SoftSet], scope_refs: dict[str, str | None]):
-        _freeze(self, space, named_sets, scope_refs)
 
     def resolve(self, name: str) -> SoftSet:
         """Look up a set name: namedSets, then topology members, then reserved."""
@@ -252,14 +248,14 @@ def encode_space(decoded: DecodedSpace) -> dict:
 
 
 def _read_json(path: str | Path):
-    """Parse a JSON document file; unreadable files and bad JSON are DocumentErrors."""
+    """Parse a JSON document file; a file or text it cannot read as JSON is a DocumentError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -319,7 +315,7 @@ def resolve_target_set(decoded: DecodedSpace, text: str) -> SoftSet:
     if text.lstrip().startswith("{"):
         try:
             slices = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DocumentError(f"invalid inline set JSON: {exc}") from exc
         return SoftSet.from_slices(
             decoded.space.context, _require_slices(slices, "inline set")

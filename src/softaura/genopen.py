@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import PreconditionUnmet, _Frozen, _freeze
+from .errors import PreconditionUnmet, _Frozen
 from .operators import CECH, _closure_slice, _slice_closure_fn
 from .softset import SoftSet, _require_same_context
 from .space import SoftAuraSpace
@@ -31,18 +31,6 @@ class OpennessProfile(_Frozen):
     """Six membership flags for one soft set, under one closure kind."""
 
     __slots__ = ("a_open", "alpha_open", "semi_open", "pre_open", "b_open", "beta_open", "closure_kind")
-
-    def __init__(
-        self,
-        a_open: bool,
-        alpha_open: bool,
-        semi_open: bool,
-        pre_open: bool,
-        b_open: bool,
-        beta_open: bool,
-        closure_kind: str,
-    ):
-        _freeze(self, a_open, alpha_open, semi_open, pre_open, b_open, beta_open, closure_kind)
 
     def flag(self, openness_class: str) -> bool:
         return {
@@ -113,9 +101,6 @@ class AlphaMeetWitness(_Frozen):
     """Two alpha-open sets whose intersection is not alpha-open."""
 
     __slots__ = ("space", "left", "right")
-
-    def __init__(self, space: SoftAuraSpace, left: SoftSet, right: SoftSet):
-        _freeze(self, space, left, right)
 
     def replay(self, kind: str = CECH) -> bool:
         """Re-evaluate the three classifications; True when the witness still holds."""

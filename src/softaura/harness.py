@@ -42,7 +42,7 @@ from .operators import (
 )
 from .rough import accuracy, lower_approx, upper_approx
 from .separation import separation_report, t1_singleton_closure, t1_via_singleton_scopes
-from .softset import DEFAULT_UNIVERSE_LIMIT, Context, SoftSet, _trusted, make_soft_set
+from .softset import DEFAULT_UNIVERSE_LIMIT, Context, SoftSet, _pack, _unpack, make_soft_set
 from .space import (
     DEFAULT_CAP,
     DISCRETE,
@@ -272,9 +272,6 @@ class Witness(_Frozen):
 
     __slots__ = ("kind", "name", "space", "rank", "sets")
 
-    def __init__(self, kind: str, name: str, space: dict, rank: tuple[int, ...], sets: tuple[dict, ...]):
-        _freeze(self, kind, name, space, rank, sets)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -309,18 +306,6 @@ def witness_from_json(d: Mapping) -> Witness:
 
 
 # -- per-space operator tables -----------------------------------------------
-
-
-def _pack(masks: Sequence[int], n: int) -> int:
-    out = 0
-    for i, m in enumerate(masks):
-        out |= m << (i * n)
-    return out
-
-
-def _unpack(ctx: Context, g: int) -> SoftSet:
-    n = ctx.n_points
-    return _trusted(ctx, tuple((g >> (i * n)) & ctx.full_mask for i in range(ctx.n_params)))
 
 
 class _Lazy(dict):
@@ -746,9 +731,6 @@ class LawSpec(_Frozen):
 
     __slots__ = ("arity", "evaluator", "description")
 
-    def __init__(self, arity: str, evaluator: Callable, description: str):
-        _freeze(self, arity, evaluator, description)
-
 
 LAWS: dict[str, LawSpec] = {
     "closure-grounding": LawSpec("space", _closure_grounding, "closure of null is null"),
@@ -845,22 +827,6 @@ class SuiteResult(_Record):
     """Outcome of one law-suite run; serialises to a deterministic JSON report."""
 
     __slots__ = ("spec", "laws", "reports", "strictness", "spaces_checked", "sets_per_space_max")
-
-    def __init__(
-        self,
-        spec: SpaceFamilySpec,
-        laws: dict[str, LawResult],
-        reports: dict[str, dict],
-        strictness: dict[str, Witness | None],
-        spaces_checked: int,
-        sets_per_space_max: int,
-    ):
-        self.spec = spec
-        self.laws = laws
-        self.reports = reports
-        self.strictness = strictness
-        self.spaces_checked = spaces_checked
-        self.sets_per_space_max = sets_per_space_max
 
     @property
     def total_failures(self) -> int:
@@ -1064,16 +1030,6 @@ class MappingScanResult(_Frozen):
         "mappings_checked", "kuratowski_failures", "kuratowski_first_failure",
         "cech_mismatches", "cech_first_mismatch",
     )
-
-    def __init__(
-        self,
-        mappings_checked: int,
-        kuratowski_failures: int,
-        kuratowski_first_failure: dict | None,
-        cech_mismatches: int,
-        cech_first_mismatch: dict | None,
-    ):
-        _freeze(self, mappings_checked, kuratowski_failures, kuratowski_first_failure, cech_mismatches, cech_first_mismatch)
 
 
 def _family_space_selection(per_shape: int) -> list[SoftAuraSpace]:

@@ -60,7 +60,8 @@ class SoftMapping(_Frozen):
     equality of mappings is extensional (same tables, same space values).
     """
 
-    __slots__ = ("source", "target", "point_map", "param_map", "_point_preimage", "_param_image")
+    _fields = ("source", "target", "point_map", "param_map")
+    __slots__ = (*_fields, "_point_preimage", "_param_image")
 
     def __init__(
         self,
@@ -148,17 +149,6 @@ class ContinuityProfile(_Frozen):
         "continuous", "alpha_continuous", "semi_continuous", "pre_continuous", "beta_continuous",
         "closure_kind",
     )
-
-    def __init__(
-        self,
-        continuous: bool,
-        alpha_continuous: bool,
-        semi_continuous: bool,
-        pre_continuous: bool,
-        beta_continuous: bool,
-        closure_kind: str,
-    ):
-        _freeze(self, continuous, alpha_continuous, semi_continuous, pre_continuous, beta_continuous, closure_kind)
 
 
 def continuity_profile(

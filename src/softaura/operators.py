@@ -16,7 +16,7 @@ per-parameter families.
 from __future__ import annotations
 
 import itertools
-from .errors import CapExceeded, InternalNonMonotone, NotSingletonE, UnknownParameter, _Frozen, _freeze
+from .errors import CapExceeded, InternalNonMonotone, NotSingletonE, UnknownParameter, _Frozen
 from .softset import SoftSet, _require_same_context, _trusted
 from .space import DEFAULT_CAP, SoftAuraSpace, _unions
 
@@ -112,9 +112,6 @@ class KuratowskiResult(_Frozen):
     """
 
     __slots__ = ("closure", "iterations")
-
-    def __init__(self, closure: SoftSet, iterations: dict[str, int]):
-        _freeze(self, closure, iterations)
 
 
 def kuratowski_closure(space: SoftAuraSpace, g: SoftSet) -> KuratowskiResult:

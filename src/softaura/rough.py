@@ -104,17 +104,6 @@ class ApproximationReport(_Frozen):
 
     __slots__ = ("target", "lower", "upper", "boundary", "accuracy", "per_parameter")
 
-    def __init__(
-        self,
-        target: SoftSet,
-        lower: SoftSet,
-        upper: SoftSet,
-        boundary: SoftSet,
-        accuracy: Accuracy,
-        per_parameter: tuple[tuple[str, int, int], ...],
-    ):
-        _freeze(self, target, lower, upper, boundary, accuracy, per_parameter)
-
 
 def approximation_report(space: SoftAuraSpace, g: SoftSet) -> ApproximationReport:
     low = lower_approx(space, g)

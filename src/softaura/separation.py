@@ -20,8 +20,6 @@ that order.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .errors import _Frozen, _freeze
 from .operators import _reach_masks, aura_closure
 from .softset import SoftSet
@@ -42,23 +40,9 @@ class RegularityWitness(_Frozen):
 
     __slots__ = ("point", "param", "closed_set")
 
-    def __init__(self, point: str, param: str, closed_set: SoftSet):
-        _freeze(self, point, param, closed_set)
-
 
 class SeparationReport(_Frozen):
     __slots__ = ("t0", "t1", "t2", "regular", "t3", "witnesses")
-
-    def __init__(
-        self,
-        t0: bool,
-        t1: bool,
-        t2: bool,
-        regular: bool,
-        t3: bool,
-        witnesses: Mapping[str, PairWitness | RegularityWitness],
-    ):
-        _freeze(self, t0, t1, t2, regular, t3, witnesses)
 
 
 def _t0(space: SoftAuraSpace) -> tuple[bool, PairWitness | None]:
@@ -160,9 +144,6 @@ class SingletonClosureCheck(_Frozen):
     """Result of the soft-point closure test; vacuous when the space is not T1."""
 
     __slots__ = ("holds", "vacuous")
-
-    def __init__(self, holds: bool, vacuous: bool):
-        _freeze(self, holds, vacuous)
 
 
 def t1_singleton_closure(space: SoftAuraSpace) -> SingletonClosureCheck:

@@ -9,7 +9,7 @@ canonical order used by every rendering and enumeration in the package.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ContextMismatch,
@@ -35,11 +35,8 @@ class Context(_Frozen):
     compared; the indexes and sizes are derived once, on construction.
     """
 
-    __slots__ = (
-        "universe", "parameters", "limit",
-        "point_index", "param_index", "n_points", "n_params", "full_mask",
-    )
     _fields = ("universe", "parameters")
+    __slots__ = (*_fields, "limit", "point_index", "param_index", "n_points", "n_params", "full_mask")
 
     def __init__(
         self,
@@ -216,22 +213,33 @@ def _trusted(context: Context, masks: tuple[int, ...]) -> SoftSet:
     return s
 
 
+def _pack(masks: Sequence[int], n: int) -> int:
+    """One n*m-bit integer for the slices of an n-point soft set, parameter i at bit i*n up.
+
+    Integer order on packed sets is the canonical order of soft sets.
+    """
+    out = 0
+    for i, m in enumerate(masks):
+        out |= m << (i * n)
+    return out
+
+
+def _unpack(ctx: Context, g: int) -> SoftSet:
+    """The soft set over ctx whose packed form is g."""
+    n = ctx.n_points
+    return _trusted(ctx, tuple((g >> (i * n)) & ctx.full_mask for i in range(ctx.n_params)))
+
+
 def make_soft_set(context: Context, slices: Mapping[str, Iterable[str]]) -> SoftSet:
     """Alias for SoftSet.from_slices."""
     return SoftSet.from_slices(context, slices)
 
 
 def iter_all_soft_sets(context: Context) -> Iterator[SoftSet]:
-    """Every soft set over the context, in canonical combined-bitmask order.
+    """Every soft set over the context, in canonical packed order (see _pack).
 
-    The combined rank places parameter 0 in the least significant bits; the
-    last parameter varies slowest.  Intended for small exhaustive scans; the
-    caller is responsible for sizing (2^(|X|*|E|) values).
+    The last parameter varies slowest.  Intended for small exhaustive scans;
+    the caller is responsible for sizing (2^(|X|*|E|) values).
     """
-    n = context.n_points
-    m = context.n_params
-    slice_mask = (1 << n) - 1
-    for combined in range(1 << (n * m)):
-        yield _trusted(
-            context, tuple((combined >> (i * n)) & slice_mask for i in range(m))
-        )
+    for g in range(1 << (context.n_points * context.n_params)):
+        yield _unpack(context, g)

@@ -27,7 +27,7 @@ from .errors import (
     _freeze,
     _setfield,
 )
-from .softset import Context, SoftSet, _require_same_context
+from .softset import Context, SoftSet, _pack, _require_same_context, _unpack
 
 #: Default ceiling for enumeration results, overridable per call.
 DEFAULT_CAP = 1_000_000
@@ -51,7 +51,8 @@ class SoftTopology(_Frozen):
     re-encoded in the form they were declared.
     """
 
-    __slots__ = ("context", "kind", "members", "subbasis", "_member_masks")
+    _fields = ("context", "kind", "members", "subbasis")
+    __slots__ = (*_fields, "_member_masks")
 
     def __init__(
         self,
@@ -132,6 +133,9 @@ def validate_topology(context: Context, sets) -> SoftTopology:
     first violation found, scanning null, absolute, then member pairs in
     declared order (union before intersection per pair), raises
     TopologyViolation.  Pairwise closure is sufficient on a finite family.
+    Closure itself is decided in one pass: a family holding null and
+    absolute is closed iff it equals the unions of its least open
+    neighbourhoods, so the pairwise scan runs only to name the violation.
     """
     items = _as_named_members(sets)
     for _, s in items:
@@ -145,13 +149,14 @@ def validate_topology(context: Context, sets) -> SoftTopology:
     if abs_masks not in by_masks:
         raise TopologyViolation("missing-absolute")
 
-    for (name_a, a), (name_b, b) in itertools.combinations(items, 2):
-        u = tuple(x | y for x, y in zip(a.masks, b.masks))
-        if u not in by_masks:
-            raise TopologyViolation("missing-union", (name_a, name_b))
-        n = tuple(x & y for x, y in zip(a.masks, b.masks))
-        if n not in by_masks:
-            raise TopologyViolation("missing-intersection", (name_a, name_b))
+    n = context.n_points
+    packed = sorted(_pack(masks, n) for masks in by_masks)
+    if _unions(_least_opens(packed, n * context.n_params), len(packed)) != packed:
+        for (name_a, a), (name_b, b) in itertools.combinations(items, 2):
+            if tuple(x | y for x, y in zip(a.masks, b.masks)) not in by_masks:
+                raise TopologyViolation("missing-union", (name_a, name_b))
+            if tuple(x & y for x, y in zip(a.masks, b.masks)) not in by_masks:
+                raise TopologyViolation("missing-intersection", (name_a, name_b))
 
     return SoftTopology(context, EXPLICIT, tuple(items))
 
@@ -194,8 +199,8 @@ def _unions(basis: Iterable[int], limit: int) -> list[int] | None:
 def generate_topology(context: Context, subbasis, cap: int = DEFAULT_CAP) -> SoftTopology:
     """Smallest topology containing the subbasis.
 
-    Soft sets pack into n*m-bit masks, parameter i at bit i*n up, so canonical
-    order is integer order.  The members are the unions of the least open
+    Soft sets pack into n*m-bit masks (softset._pack), so canonical order is
+    integer order.  The members are the unions of the least open
     neighbourhoods U(p), the meets of the subbasis members holding p
     (Alexandroff).  Beyond max(cap, s0) members, s0 counting the distinct
     null, absolute and subbasis masks, CapExceeded is raised after about
@@ -217,13 +222,12 @@ def generate_topology(context: Context, subbasis, cap: int = DEFAULT_CAP) -> Sof
     for name, s in sub_items:
         named.setdefault(s.masks, name)
     limit = max(len(named), cap)
-    packed = (sum(mask << (i * n) for i, mask in enumerate(s.masks)) for _, s in sub_items)
+    packed = (_pack(s.masks, n) for _, s in sub_items)
     family = _unions(_least_opens(packed, n * m), limit)
     if family is None:
         raise CapExceeded(limit + 1, cap, "topology generation")
-    full, counter = context.full_mask, itertools.count(1)
-    unpacked = (tuple(p >> (i * n) & full for i in range(m)) for p in family)
-    members = tuple((named.get(masks) or f"G{next(counter)}", SoftSet(context, masks)) for masks in unpacked)
+    counter = itertools.count(1)
+    members = tuple((named.get(s.masks) or f"G{next(counter)}", s) for s in (_unpack(context, g) for g in family))
     return SoftTopology(context, GENERATED, members, subbasis=tuple(sub_items))
 
 
@@ -292,7 +296,8 @@ class SoftAuraSpace(_Frozen):
     parameter ei.
     """
 
-    __slots__ = ("context", "topology", "scope", "scope_masks")
+    _fields = ("context", "topology", "scope")
+    __slots__ = (*_fields, "scope_masks")
 
     def __init__(self, context: Context, topology: SoftTopology, scope: ScopeFunction):
         if topology.context != context or scope.context != context:

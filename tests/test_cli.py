@@ -265,6 +265,31 @@ def singleton_subbasis_doc(k: int) -> dict:
     }
 
 
+def explicit_powerset_doc(k: int) -> dict:
+    """k points, one parameter, and every subset of the points declared as an explicit topology (2^k members)."""
+    points = [f"x{i}" for i in range(1, k + 1)]
+    subsets = [[x for i, x in enumerate(points) if g >> i & 1] for g in range(1, (1 << k) - 1)]
+    return {
+        "universe": points,
+        "parameters": ["e1"],
+        "topology": {"kind": "explicit", "sets": {f"G{g}": {"e1": pts} for g, pts in enumerate(subsets, 1)}},
+        "scope": {x: f"G{1 << i}" for i, x in enumerate(points)},
+    }
+
+
+def chain_doc(k: int, m: int) -> dict:
+    """k points, m parameters, the discrete topology, and scope(x_i) = {x_i, x_i+1} at every parameter."""
+    points = [f"x{i}" for i in range(1, k + 1)]
+    params = [f"e{j}" for j in range(1, m + 1)]
+    return {
+        "universe": points,
+        "parameters": params,
+        "topology": {"kind": "discrete"},
+        "namedSets": {"G": {e: points[j::m] for j, e in enumerate(params)}},
+        "scope": {x: {e: points[i : i + 2] for e in params} for i, x in enumerate(points)},
+    }
+
+
 K14_COMMANDS = {
     "validate": ["validate", "space.json"],
     "approx": ["approx", "space.json", "--target", "Sx3"],
@@ -277,23 +302,42 @@ K14_COMMANDS = {
 }
 
 
+EXPLICIT_COMMANDS = {
+    "validate": ["validate", "space.json"],
+    "approx": ["approx", "space.json", "--target", "G5"],
+    "classify": ["classify", "space.json", "--set", "G5"],
+    "axioms": ["axioms", "space.json"],
+    "continuity-ambient": ["continuity", "mapping.json", "--target-family", "ambient"],
+}
+
+
 class TestAdversarialBudget:
-    """Generated topologies at the cap's edge finish, or exit 4, in bounded time."""
+    """Documents at the limits (generated topologies at the cap's edge, a 4,096-member explicit
+    topology, a 64-point chain) finish, or exit 4, in bounded time."""
 
     BUDGET_S = 10.0
 
-    @pytest.fixture(scope="class")
-    def k14(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("budget")
-        (root / "space.json").write_text(json.dumps(singleton_subbasis_doc(14)), encoding="utf-8")
+    @staticmethod
+    def budget_docs(root, doc: dict) -> Path:
+        """Write doc as space.json and, as mapping.json, the cyclic shift of its points (one parameter)."""
+        k = len(doc["universe"])
+        (root / "space.json").write_text(json.dumps(doc), encoding="utf-8")
         mapping = {
             "source": {"ref": "space.json"},
             "target": {"ref": "space.json"},
-            "pointMap": {f"x{i}": f"x{i % 14 + 1}" for i in range(1, 15)},
+            "pointMap": {f"x{i}": f"x{i % k + 1}" for i in range(1, k + 1)},
             "paramMap": {"e1": "e1"},
         }
         (root / "mapping.json").write_text(json.dumps(mapping), encoding="utf-8")
         return root
+
+    @pytest.fixture(scope="class")
+    def k14(self, tmp_path_factory):
+        return self.budget_docs(tmp_path_factory.mktemp("budget"), singleton_subbasis_doc(14))
+
+    @pytest.fixture(scope="class")
+    def explicit4096(self, tmp_path_factory):
+        return self.budget_docs(tmp_path_factory.mktemp("explicit"), explicit_powerset_doc(12))
 
     def run_within_budget(self, argv, code, capsys):
         start = time.perf_counter()
@@ -310,6 +354,23 @@ class TestAdversarialBudget:
         out = self.run_within_budget(argv, 0, capsys).out
         if command == "validate":
             assert "topology: generated (16384 members)" in out
+
+    @pytest.mark.parametrize("command", list(EXPLICIT_COMMANDS))
+    def test_explicit_4096_members_finish(self, explicit4096, command, capsys):
+        argv = [str(explicit4096 / a) if a.endswith(".json") else a for a in EXPLICIT_COMMANDS[command]]
+        out = self.run_within_budget(argv, 0, capsys).out
+        if command == "validate":
+            assert "topology: explicit (4096 members)" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--set", "G", "--closure", "kuratowski"], ["axioms"], ["approx", "--target", "G"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_64_point_chain_finishes(self, argv, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(64, 4)), encoding="utf-8")
+        self.run_within_budget([argv[0], str(path), *argv[1:]], 0, capsys)
 
     def test_k20_validate_exits_4(self, tmp_path, capsys):
         path = tmp_path / "space.json"
@@ -471,6 +532,22 @@ class TestExitCodes:
 
     def test_missing_file_is_3(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 3
+
+    @pytest.mark.parametrize("case", ["deep-file", "undecodable-file", "deep-target"])
+    def test_unreadable_json_is_3(self, case, tmp_path, capsys):
+        p = tmp_path / "doc.json"
+        if case == "deep-file":
+            p.write_text("[" * 100_000, encoding="utf-8")
+            argv = ["validate", str(p)]
+        elif case == "undecodable-file":
+            p.write_bytes(b"\xff\xfe{}")
+            argv = ["validate", str(p)]
+        else:
+            argv = ["approx", fixture_path("chain_space.json"), "--target", '{"e": ' + "[" * 5000 + "]" * 5000 + "}"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_domain_error_is_2(self, tmp_path, capsys):
         doc = {

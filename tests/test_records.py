@@ -7,11 +7,14 @@ compare and hash equal to the keyword one, and so must its copies and its
 pickle round trip.
 """
 
+import ast
 import copy
 import importlib
+import inspect
 import pickle
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +194,63 @@ def test_record_semantics(cls, kwargs, text, hashable, frozen):
     else:
         setattr(a, field, 7)
         assert getattr(a, field) == 7 and a != b
+
+
+#: Constructor parameters that are not fields: Context.limit is neither shown
+#: nor compared, and Accuracy.value is checked against the counts.
+EXTRA_PARAMETERS = {Context: ("limit",), Accuracy: ("value",)}
+
+
+@pytest.mark.parametrize("cls, kwargs, text, hashable, frozen", CASES, ids=[c[0].__name__ for c in CASES])
+def test_constructor_takes_the_fields(cls, kwargs, text, hashable, frozen):
+    params = inspect.signature(cls).parameters
+    assert tuple(p for p in params if p not in EXTRA_PARAMETERS.get(cls, ())) == cls._fields
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    required = [name for name, p in params.items() if p.default is inspect.Parameter.empty]
+    if required:
+        given = kwargs()
+        del given[required[-1]]
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) missing 1 .*'{required[-1]}'$"):
+            cls(**given)
+
+
+def stores_only(init: ast.FunctionDef) -> bool:
+    """True when an __init__ without defaults only stores its parameters, in order."""
+    if init.args.defaults or init.args.kwonlyargs:
+        return False
+    params = [a.arg for a in init.args.args[1:]]
+    body = [ast.unparse(s) for s in init.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+    return body in ([f"_freeze(self, {', '.join(params)})"], [f"self.{p} = {p}" for p in params])
+
+
+def store_only_inits(source: str) -> list[str]:
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__" and stores_only(item)
+    ]
+
+
+def test_no_record_spells_out_a_store_only_init():
+    # such a constructor is the one the record base generates from __slots__
+    src = Path(softaura.__file__).parent
+    found = {path.name: store_only_inits(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    assert {name: classes for name, classes in found.items() if classes} == {}
+
+
+def test_store_only_guard_sees_both_bases():
+    frozen = 'class A(_Frozen):\n    def __init__(self, x, y):\n        """doc"""\n        _freeze(self, x, y)\n'
+    mutable = "class B(_Record):\n    def __init__(self, x, y):\n        self.x = x\n        self.y = y\n"
+    kept = [
+        "class C(_Frozen):\n    def __init__(self, x, y=None):\n        _freeze(self, x, y)\n",
+        "class D(_Frozen):\n    def __init__(self, x, y):\n        _freeze(self, y, x)\n",
+        "class E(_Record):\n    def __init__(self, x):\n        self.x = [] if x is None else x\n",
+    ]
+    assert store_only_inits(frozen + mutable) == ["A", "B"]
+    assert store_only_inits("".join(kept)) == []
 
 
 def test_every_record_type_has_a_case():

@@ -130,6 +130,54 @@ class TestValidateTopology:
         assert not topo.contains(make_soft_set(ctx, {"e1": ["x1"]}))
 
 
+def pairwise_violation(context, items):
+    """(kind, witness) of the first axiom failure by the declared-order pairwise scan, or None."""
+    masks = {s.masks for _, s in items}
+    if SoftSet.null(context).masks not in masks:
+        return "missing-null", ()
+    if SoftSet.absolute(context).masks not in masks:
+        return "missing-absolute", ()
+    for (name_a, a), (name_b, b) in itertools.combinations(items, 2):
+        if a.union(b).masks not in masks:
+            return "missing-union", (name_a, name_b)
+        if a.intersect(b).masks not in masks:
+            return "missing-intersection", (name_a, name_b)
+    return None
+
+
+class TestValidateTopologyReference:
+    def test_matches_pairwise_reference(self):
+        # accepted, or the same first violation, on seeded random families:
+        # generated topologies, some with one member dropped or one set added
+        rng = random.Random(19)
+        outcomes = {}
+        for _ in range(4000):
+            ctx = named_context(rng.randint(1, 3), rng.randint(1, 2))
+
+            def draw():
+                return SoftSet(ctx, tuple(rng.randint(0, ctx.full_mask) for _ in ctx.parameters))
+
+            sets = [s for _, s in generate_topology(ctx, [(f"S{k}", draw()) for k in range(rng.randint(0, 3))])]
+            change = rng.randrange(3)
+            if change == 1:
+                sets.pop(rng.randrange(len(sets)))
+            elif change == 2:
+                sets.append(draw())
+            rng.shuffle(sets)
+            items = [(f"F{k}", s) for k, s in enumerate(sets)]
+            expected = pairwise_violation(ctx, items)
+            try:
+                validate_topology(ctx, items)
+                got = None
+            except TopologyViolation as exc:
+                got = exc.kind, exc.witness
+            assert got == expected, items
+            kind = expected[0] if expected else "accepted"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert set(outcomes) == {"accepted", "missing-null", "missing-absolute", "missing-union", "missing-intersection"}
+        assert outcomes["accepted"] > 2000 and outcomes["missing-union"] + outcomes["missing-intersection"] > 250
+
+
 def saturated_topology(context, subbasis, cap=DEFAULT_CAP):
     """(name, masks) members of the topology generated by named (name, SoftSet) pairs.
 
