@@ -3,8 +3,8 @@
 Subcommands take a space or mapping document (see documents.py) and print
 either a human table or canonical JSON (insertion-ordered keys, two-space
 indent, trailing newline).  Exit codes: 0 success, 2 domain error (failed
-laws, unknown names), 3 parse, schema or output-file error, or a cap below 1,
-4 enumeration cap exceeded (the message names the family).  The cap defaults
+laws, unknown names), 3 parse, schema or output error (an unwritable output
+file or a closed stdout), or a cap below 1, 4 enumeration cap exceeded (the message names the family).  The cap defaults
 to the SOFTAURA_CAP environment variable when set; it also bounds the
 topology generation of every document a subcommand reads.
 """
@@ -359,7 +359,15 @@ def main(argv=None) -> int:
                 args.cap = _default_cap()
             elif args.cap < 1:
                 raise DocumentError("--cap must be positive")
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError as exc:
+        # Interpreter shutdown flushes stdout again; point it at devnull so
+        # that flush neither fails nor reports an ignored exception.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 3
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

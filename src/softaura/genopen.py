@@ -52,17 +52,15 @@ def classify(space: SoftAuraSpace, g: SoftSet, kind: str = CECH) -> OpennessProf
     """
     cl = _slice_closure_fn(space, kind)
     _require_same_context(space.context, g.context)
-    sm = space.scope_masks
-    n = space.context.n_points
     full = space.context.full_mask
     # Points of g outside each composite, accumulated over the parameters.
     not_open = not_alpha = not_semi = not_pre = not_b = not_beta = 0
-    for ei, gm in enumerate(g.masks):
-        ig = full ^ _closure_slice(sm, n, ei, full ^ gm)
+    for ei, (col, gm) in enumerate(zip(space.scope_columns, g.masks)):
+        ig = full ^ _closure_slice(col, full ^ gm)
         cl_ig = cl(ei, ig)
         cl_g = cl(ei, gm)
-        i_cl_g = full ^ _closure_slice(sm, n, ei, full ^ cl_g)
-        i_cl_ig = full ^ _closure_slice(sm, n, ei, full ^ cl_ig)
+        i_cl_g = full ^ _closure_slice(col, full ^ cl_g)
+        i_cl_ig = full ^ _closure_slice(col, full ^ cl_ig)
         not_open |= gm ^ ig
         not_alpha |= gm & ~i_cl_ig
         not_semi |= gm & ~cl_ig

@@ -365,7 +365,7 @@ def _column_rows(tag: str, op: Callable, space: SoftAuraSpace, sets, columns: di
     n, m = space.context.n_points, space.context.n_params
     rows = []
     for i in range(m):
-        key = (tag, n, m, i, tuple(scope[i] for scope in space.scope_masks))
+        key = (tag, n, m, i, space.scope_columns[i])
         row = columns.get(key)
         if row is None:
             row = columns[key] = [0] + [_pack(op(space, sets[a << (i * n)]).masks, n) for a in range(1, 1 << n)]

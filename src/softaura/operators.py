@@ -34,9 +34,8 @@ TARGET_AMBIENT = "ambient"
 def _slice_closure_fn(space: SoftAuraSpace, kind: str):
     """The closure of `space` named by `kind` on one slice, (ei, mask) -> mask; ValueError for any other kind."""
     if kind == CECH:
-        sm = space.scope_masks
-        n = space.context.n_points
-        return lambda ei, g: _closure_slice(sm, n, ei, g)
+        cols = space.scope_columns
+        return lambda ei, g: _closure_slice(cols[ei], g)
     if kind == KURATOWSKI:
         return lambda ei, g: _fixpoint_slice(space, ei, g)[0]
     raise ValueError(f"unknown closure kind {kind!r}")
@@ -54,11 +53,12 @@ def _closure_fn(space: SoftAuraSpace, kind: str):
     return closure
 
 
-def _closure_slice(scope_masks, n: int, ei: int, g: int) -> int:
+def _closure_slice(col, g: int) -> int:
+    """One closure step on slice g of one parameter: the bits of the points whose scope slice in `col` meets g."""
     out = 0
-    for xi in range(n):
-        if scope_masks[xi][ei] & g:
-            out |= 1 << xi
+    for bit, mask in col:
+        if mask & g:
+            out |= bit
     return out
 
 
@@ -67,11 +67,10 @@ def _fixpoint_slice(space: SoftAuraSpace, ei: int, g: int) -> tuple[int, int]:
 
     A step that shrinks the slice raises InternalNonMonotone naming the parameter.
     """
-    sm = space.scope_masks
-    n = space.context.n_points
+    col = space.scope_columns[ei]
     growth = 0
     while True:
-        nxt = _closure_slice(sm, n, ei, g)
+        nxt = _closure_slice(col, g)
         if g & ~nxt:
             raise InternalNonMonotone(f"slice shrank at parameter {space.context.parameters[ei]!r}")
         if nxt == g:
@@ -83,23 +82,16 @@ def _fixpoint_slice(space: SoftAuraSpace, ei: int, g: int) -> tuple[int, int]:
 def aura_closure(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     """Slicewise: every point whose scope slice meets the corresponding slice of g."""
     _require_same_context(space.context, g.context)
-    sm = space.scope_masks
-    n = space.context.n_points
-    return _trusted(
-        space.context,
-        tuple(_closure_slice(sm, n, ei, gm) for ei, gm in enumerate(g.masks)),
-    )
+    return _trusted(space.context, tuple(map(_closure_slice, space.scope_columns, g.masks)))
 
 
 def aura_interior(space: SoftAuraSpace, g: SoftSet) -> SoftSet:
     """Slicewise X - cl(X - g): every point whose scope slice misses X - g, so lies inside g."""
     _require_same_context(space.context, g.context)
-    sm = space.scope_masks
-    n = space.context.n_points
     full = space.context.full_mask
     return _trusted(
         space.context,
-        tuple(full ^ _closure_slice(sm, n, ei, full ^ gm) for ei, gm in enumerate(g.masks)),
+        tuple(full ^ _closure_slice(col, full ^ gm) for col, gm in zip(space.scope_columns, g.masks)),
     )
 
 

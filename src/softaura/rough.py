@@ -83,11 +83,11 @@ class Accuracy(_Frozen):
 def accuracy(space: SoftAuraSpace, g: SoftSet) -> Accuracy:
     """Accuracy of g in one pass over its slices: the lower slice is X - cl(X - g), the upper cl(g)."""
     _require_same_context(space.context, g.context)
-    sm, n, full = space.scope_masks, space.context.n_points, space.context.full_mask
+    full = space.context.full_mask
     lower_total = upper_total = 0
-    for ei, gm in enumerate(g.masks):
-        lower_total += (full ^ _closure_slice(sm, n, ei, full ^ gm)).bit_count()
-        upper_total += _closure_slice(sm, n, ei, gm).bit_count()
+    for col, gm in zip(space.scope_columns, g.masks):
+        lower_total += (full ^ _closure_slice(col, full ^ gm)).bit_count()
+        upper_total += _closure_slice(col, gm).bit_count()
     return _accuracy(lower_total, upper_total)
 
 

@@ -293,18 +293,23 @@ class SoftAuraSpace(_Frozen):
     """A context, a soft topology over it, and a scope function into it.
 
     scope_masks[xi][ei] is the bitmask of the scope slice of point xi at
-    parameter ei.
+    parameter ei.  scope_columns[ei] is the same table compiled for the
+    closure kernel: the (1 << xi, scope_masks[xi][ei]) pairs in universe
+    order.
     """
 
     _fields = ("context", "topology", "scope")
-    __slots__ = (*_fields, "scope_masks")
+    __slots__ = (*_fields, "scope_masks", "scope_columns")
 
     def __init__(self, context: Context, topology: SoftTopology, scope: ScopeFunction):
         if topology.context != context or scope.context != context:
             raise ContextMismatch("topology and scope must share the space context")
         _check_scope(context, topology, scope.assignment)
         _freeze(self, context, topology, scope)
-        _setfield(self, "scope_masks", tuple(s.masks for s in scope.assignment))
+        masks = tuple(s.masks for s in scope.assignment)
+        _setfield(self, "scope_masks", masks)
+        bits = [1 << xi for xi in range(context.n_points)]
+        _setfield(self, "scope_columns", tuple(tuple(zip(bits, col)) for col in zip(*masks)))
 
     @classmethod
     def from_assignment(

@@ -533,6 +533,32 @@ class TestExitCodes:
     def test_missing_file_is_3(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", fixture_path("monitoring.json")],
+            ["approx", fixture_path("monitoring.json"), "--target", "G"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout_is_3(self, argv):
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "softaura", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=source_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
     @pytest.mark.parametrize("case", ["deep-file", "undecodable-file", "deep-target"])
     def test_unreadable_json_is_3(self, case, tmp_path, capsys):
         p = tmp_path / "doc.json"

@@ -445,9 +445,9 @@ class TestComposedTables:
         # row reads other code
         real = rough._closure_slice
         if fault == "adds-x1":
-            kernel = lambda sm, n, ei, g: real(sm, n, ei, g) | (1 if g else 0)
+            kernel = lambda col, g: real(col, g) | (1 if g else 0)
         else:
-            kernel = lambda sm, n, ei, g: 0
+            kernel = lambda col, g: 0
         monkeypatch.setattr(rough, "_closure_slice", kernel)
         result = run_law_suite(SpaceFamilySpec(2, 2))
         assert {name for name, row in result.laws.items() if row.failures} == {"rough-accuracy"}

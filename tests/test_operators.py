@@ -1,5 +1,7 @@
 """Closure/interior operators, the fixpoint closure, and the induced topology."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from softaura import (
     KURATOWSKI,
     CapExceeded,
+    DecodedSpace,
     InternalNonMonotone,
     NotSingletonE,
     SoftMapping,
@@ -19,6 +22,8 @@ from softaura import (
     aura_interior,
     boundary,
     classify,
+    decode_space,
+    encode_space,
     enumerate_aura_topology,
     harness,
     inverse_image,
@@ -37,7 +42,7 @@ from softaura import (
 from softaura.mapping import _single_slice
 from softaura.operators import _alexandrov_slice_masks
 
-from conftest import brute_open_slices, named_context, space_with_sets
+from conftest import aura_spaces, brute_open_slices, named_context, space_with_sets
 
 
 @pytest.fixture(scope="module")
@@ -155,15 +160,81 @@ class TestGuards:
         g = make_soft_set(sp.context, {"e1": [], "e2": ["x1"]})
         real = operators._closure_slice
 
-        def dropping(scope_masks, n, ei, mask):
-            out = real(scope_masks, n, ei, mask)
-            return out & ~1 if ei == 1 else out
+        def dropping(col, mask):
+            out = real(col, mask)
+            return out & ~1 if col is sp.scope_columns[1] else out
 
         monkeypatch.setattr(operators, "_closure_slice", dropping)
         with pytest.raises(InternalNonMonotone, match="slice shrank at parameter 'e2'"):
             kuratowski_closure(sp, g)
         with pytest.raises(InternalNonMonotone, match="slice shrank at parameter 'e2'"):
             classify(sp, g, KURATOWSKI)
+
+
+def seeded_space(n: int, m: int, shape: str, seed: int):
+    """n points, m parameters, the discrete topology; each scope slice is its point plus
+    two random points (sparse) or three quarters of the points (dense)."""
+    rng = random.Random(f"{shape}-{n}-{m}-{seed}")
+    points = [f"x{i}" for i in range(1, n + 1)]
+    extra = 2 if shape == "sparse" else 3 * n // 4
+    scope = {x: {f"e{j}": [x, *rng.sample(points, extra)] for j in range(1, m + 1)} for x in points}
+    return make_space(points, [f"e{j}" for j in range(1, m + 1)], scope)
+
+
+def chain_space(n: int, m: int):
+    """scope(x_i) = {x_i, x_i+1} at every parameter: the fixpoint closure of x_n takes n - 1 steps."""
+    points = [f"x{i}" for i in range(1, n + 1)]
+    params = [f"e{j}" for j in range(1, m + 1)]
+    return make_space(points, params, {x: {e: points[i : i + 2] for e in params} for i, x in enumerate(points)})
+
+
+LARGE_SPACES = [("chain", 64, 4, 0)] + [
+    (shape, n, 3, seed) for shape in ("sparse", "dense") for n in (8, 32, 64) for seed in (1, 2)
+]
+
+
+class TestScopeColumns:
+    @given(aura_spaces(max_points=6, max_params=3))
+    @settings(max_examples=100)
+    def test_columns_transpose_scope_masks(self, space):
+        n, m = space.context.n_points, space.context.n_params
+        assert len(space.scope_columns) == m
+        for ei, col in enumerate(space.scope_columns):
+            assert col == tuple((1 << xi, space.scope_masks[xi][ei]) for xi in range(n))
+        decoded = DecodedSpace(space, {}, {})
+        for twin in (
+            copy.copy(space),
+            copy.deepcopy(space),
+            pickle.loads(pickle.dumps(space)),
+            decode_space(encode_space(decoded)).space,
+        ):
+            assert twin == space
+            assert twin.scope_columns == space.scope_columns
+
+    @pytest.mark.parametrize("shape, n, m, seed", LARGE_SPACES, ids=lambda v: str(v))
+    def test_large_spaces_match_the_oracles(self, shape, n, m, seed):
+        space = chain_space(n, m) if shape == "chain" else seeded_space(n, m, shape, seed)
+        ctx = space.context
+        scopes = harness.oracle_scopes(space)
+        rng = random.Random(f"sets-{shape}-{n}-{seed}")
+        sets = [SoftSet.null(ctx), SoftSet.absolute(ctx)]
+        sets += [SoftSet(ctx, tuple(1 << (n - 1 - ei) for ei in range(m)))]
+        sets += [SoftSet(ctx, tuple(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m))) for _ in range(6)]
+        for g in sets:
+            assert aura_closure(space, g) == oracle_closure(space, g, scopes)
+            assert aura_interior(space, g) == oracle_interior(space, g, scopes)
+            grown = dict.fromkeys(ctx.parameters, 0)
+            fix = g
+            while (nxt := oracle_closure(space, fix, scopes)) != fix:
+                for e in ctx.parameters:
+                    grown[e] += nxt.points(e) != fix.points(e)
+                fix = nxt
+            res = kuratowski_closure(space, g)
+            assert res.closure == fix
+            assert res.iterations == {e: max(k, 1) for e, k in grown.items()}
+        if shape == "chain":
+            # at e1 that set is {x_n}, whose fixpoint takes n - 1 growing steps
+            assert kuratowski_closure(space, sets[2]).iterations[ctx.parameters[0]] == n - 1
 
 
 class TestTrivialScope:

@@ -42,8 +42,8 @@ def test_quick_sweep_matches_committed_schema(sweep, tmp_path):
     assert {label: doc["rows"][label] for label in committed["rows"]} == committed["rows"]
     expected = key_tree(committed["rows"]["change"])
     if sweep == "continuity":
-        # the committed rows predate the "rounds" field, and --cli-n 0 skips the CLI timings
-        expected = dict(expected, rounds=None, cli=None)
+        # --cli-n 0 skips the CLI timings
+        expected = dict(expected, cli=None)
     for label in "ab":
         assert key_tree(doc["rows"][label]) == expected
 
