@@ -4,9 +4,15 @@ Subcommands take a space or mapping document (see documents.py) and print
 either a human table or canonical JSON (insertion-ordered keys, two-space
 indent, trailing newline).  Exit codes: 0 success, 2 domain error (failed
 laws, unknown names), 3 parse, schema or output error (an unwritable output
-file or a closed stdout), or a cap below 1, 4 enumeration cap exceeded (the message names the family).  The cap defaults
-to the SOFTAURA_CAP environment variable when set; it also bounds the
-topology generation of every document a subcommand reads.
+file or a closed stdout), or a cap below 1, 4 enumeration cap exceeded (the
+message names the family).  The cap is continuity's --cap when given, else
+the SOFTAURA_CAP environment variable when set; it also bounds the topology
+generation of every document a subcommand reads.
+
+Every document subcommand runs one pipeline in `main`: resolve the cap,
+decode the document, call the subcommand's handler, which computes and
+returns its JSON payload and its text lines, and print one of them as
+--format asks.  Handlers neither print nor read the environment.
 """
 
 from __future__ import annotations
@@ -25,7 +31,12 @@ from .space import DEFAULT_CAP, DISCRETE
 # only those; only `suite` loads the law harness.
 
 
-def _default_cap() -> int:
+def _resolve_cap(flag: int | None) -> int:
+    """The --cap flag when given, else SOFTAURA_CAP when set, else DEFAULT_CAP."""
+    if flag is not None:
+        if flag < 1:
+            raise DocumentError("--cap must be positive")
+        return flag
     raw = os.environ.get("SOFTAURA_CAP")
     if raw is None:
         return DEFAULT_CAP
@@ -38,19 +49,15 @@ def _default_cap() -> int:
     return cap
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
-
-
-def _render_table(columns: list[str], rows: list[list[str]]) -> str:
+def _render_table(columns: list[str], rows: list[list[str]]) -> list[str]:
     widths = [len(c) for c in columns]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(c.ljust(widths[i]) for i, c in enumerate(columns)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    return [
+        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        for row in [columns] + rows
+    ]
 
 
 def _cell(points) -> str:
@@ -61,81 +68,65 @@ def _slices_json(s) -> dict:
     return {e: list(pts) for e, pts in s.as_dict().items()}
 
 
-def _cmd_validate(args) -> int:
-    decoded = load_space(args.space, _default_cap())
+def _flag_report(head: list[tuple[str, str, str]], flags: list[tuple[str, bool]], width: int):
+    """A yes/no report: `head` holds (JSON key, text label, value) triples, names pad to `width`."""
+    payload = {key: value for key, _, value in head}
+    payload.update(flags)
+    lines = [f"{label}: {value}" for _, label, value in head]
+    lines += [f"{(name + ':').ljust(width)} {'yes' if value else 'no'}" for name, value in flags]
+    return payload, lines
+
+
+def _validate(decoded, args):
     space = decoded.space
     topo = space.topology
     members = len(topo) if topo.is_extensional else None
-    if args.format == "json":
-        _print_json(
-            {
-                "valid": True,
-                "universe": list(space.context.universe),
-                "parameters": list(space.context.parameters),
-                "topology": {"kind": topo.kind, "members": members},
-                "namedSets": sorted(decoded.named_sets),
-            }
-        )
-        return 0
-    print("valid")
-    print(f"universe: {' '.join(space.context.universe)}")
-    print(f"parameters: {' '.join(space.context.parameters)}")
+    payload = {
+        "valid": True,
+        "universe": list(space.context.universe),
+        "parameters": list(space.context.parameters),
+        "topology": {"kind": topo.kind, "members": members},
+        "namedSets": sorted(decoded.named_sets),
+    }
     suffix = f" ({members} members)" if members is not None else ""
-    print(f"topology: {topo.kind}{suffix}")
-    return 0
+    lines = [
+        "valid",
+        f"universe: {' '.join(space.context.universe)}",
+        f"parameters: {' '.join(space.context.parameters)}",
+        f"topology: {topo.kind}{suffix}",
+    ]
+    return payload, lines
 
 
-def _cmd_approx(args) -> int:
+def _approx(decoded, args):
     from .rough import approximation_report
 
-    decoded = load_space(args.space, _default_cap())
-    target = resolve_target_set(decoded, args.target)
-    report = approximation_report(decoded.space, target)
-    if args.format == "json":
-        acc = report.accuracy
-        _print_json(
-            {
-                "target": _slices_json(report.target),
-                "lower": _slices_json(report.lower),
-                "upper": _slices_json(report.upper),
-                "boundary": _slices_json(report.boundary),
-                "accuracy": {
-                    "display": acc.display(),
-                    "numerator": acc.lower_total,
-                    "denominator": acc.upper_total,
-                    "value": float(acc),
-                    "conventionApplied": acc.convention_applied,
-                },
-                "perParameter": [
-                    {"parameter": e, "lower": lo, "upper": up}
-                    for e, lo, up in report.per_parameter
-                ],
-            }
-        )
-        return 0
-    params = list(decoded.space.context.parameters)
-    rows = [
-        [label] + [_cell(s.points(e)) for e in params]
-        for label, s in (
-            ("target", report.target),
-            ("lower", report.lower),
-            ("upper", report.upper),
-            ("boundary", report.boundary),
-        )
+    report = approximation_report(decoded.space, resolve_target_set(decoded, args.target))
+    acc = report.accuracy
+    sets = {"target": report.target, "lower": report.lower, "upper": report.upper, "boundary": report.boundary}
+    payload = {name: _slices_json(s) for name, s in sets.items()}
+    payload["accuracy"] = {
+        "display": acc.display(),
+        "numerator": acc.lower_total,
+        "denominator": acc.upper_total,
+        "value": float(acc),
+        "conventionApplied": acc.convention_applied,
+    }
+    payload["perParameter"] = [
+        {"parameter": e, "lower": lo, "upper": up} for e, lo, up in report.per_parameter
     ]
-    print(_render_table([""] + params, rows))
-    print(f"accuracy: {report.accuracy.display()}")
+    params = list(decoded.space.context.parameters)
+    rows = [[name] + [_cell(s.points(e)) for e in params] for name, s in sets.items()]
     per = ", ".join(f"{e} {lo}/{up}" for e, lo, up in report.per_parameter)
-    print(f"per-parameter (lower/upper): {per}")
-    return 0
+    lines = _render_table([""] + params, rows)
+    lines += [f"accuracy: {acc.display()}", f"per-parameter (lower/upper): {per}"]
+    return payload, lines
 
 
-def _cmd_classify(args) -> int:
+def _classify(decoded, args):
     from .genopen import classify
 
-    decoded = load_space(args.space, _default_cap())
-    target = resolve_target_set(decoded, args.set)
-    profile = classify(decoded.space, target, args.closure)
+    profile = classify(decoded.space, resolve_target_set(decoded, args.set), args.closure)
     flags = [
         ("open", profile.a_open),
         ("alpha", profile.alpha_open),
@@ -144,80 +135,46 @@ def _cmd_classify(args) -> int:
         ("b", profile.b_open),
         ("beta", profile.beta_open),
     ]
-    if args.format == "json":
-        payload = {"closureKind": profile.closure_kind}
-        payload.update({name: value for name, value in flags})
-        _print_json(payload)
-        return 0
-    print(f"closure kind: {profile.closure_kind}")
-    for name, value in flags:
-        print(f"{name + ':':6} {'yes' if value else 'no'}")
-    return 0
+    return _flag_report([("closureKind", "closure kind", profile.closure_kind)], flags, 6)
 
 
-def _axiom_witness_json(w) -> dict | None:
+def _axiom_witness(name: str, w) -> tuple[dict | None, str]:
+    """An axiom's witness as JSON and as the table line's suffix; (None, "") for no witness."""
     if w is None:
-        return None
-    if hasattr(w, "closed_set"):
-        return {
-            "point": w.point,
-            "parameter": w.param,
-            "closedSet": _slices_json(w.closed_set),
-        }
-    out = {"x": w.x, "y": w.y}
+        return None, ""
+    if name == "regular":
+        found = {"point": w.point, "parameter": w.param, "closedSet": _slices_json(w.closed_set)}
+        return found, f" ({w.point} at {w.param} cannot be separated from a closed set)"
+    found = {"x": w.x, "y": w.y}
     if w.param is not None:
-        out["parameter"] = w.param
-    return out
-
-
-def _axiom_witness_text(name: str, w) -> str:
+        found["parameter"] = w.param
     if name == "t0":
-        return f"no parameter distinguishes {w.x} and {w.y}"
+        return found, f" (no parameter distinguishes {w.x} and {w.y})"
     if name == "t1":
-        return f"{w.y} lies in the scope of {w.x} at {w.param}"
-    if name == "t2":
-        return f"scopes of {w.x} and {w.y} overlap at {w.param}"
-    return f"{w.point} at {w.param} cannot be separated from a closed set"
+        return found, f" ({w.y} lies in the scope of {w.x} at {w.param})"
+    return found, f" (scopes of {w.x} and {w.y} overlap at {w.param})"
 
 
-def _cmd_axioms(args) -> int:
+def _axioms(decoded, args):
     from .separation import separation_report
 
-    decoded = load_space(args.space, _default_cap())
     report = separation_report(decoded.space)
-    axioms = [
-        ("t0", report.t0),
-        ("t1", report.t1),
-        ("t2", report.t2),
-        ("regular", report.regular),
-        ("t3", report.t3),
-    ]
-    if args.format == "json":
-        payload = {}
-        for name, holds in axioms:
-            entry: dict = {"holds": holds}
-            if name != "t3":
-                entry["witness"] = _axiom_witness_json(report.witnesses.get(name))
-            payload[name] = entry
-        _print_json(payload)
-        return 0
-    for name, holds in axioms:
+    payload, lines = {}, []
+    for name in ("t0", "t1", "t2", "regular", "t3"):
+        holds = getattr(report, name)
+        # only a failed axiom has a witness, and T3 never has one of its own
+        found, suffix = _axiom_witness(name, report.witnesses.get(name))
+        payload[name] = {"holds": holds} if name == "t3" else {"holds": holds, "witness": found}
         label = name.upper() if name.startswith("t") else name
-        line = f"{label}: {'yes' if holds else 'no'}"
-        w = report.witnesses.get(name)
-        if not holds and w is not None:
-            line += f" ({_axiom_witness_text(name, w)})"
-        print(line)
-    return 0
+        lines.append(f"{label}: {'yes' if holds else 'no'}{suffix}")
+    return payload, lines
 
 
-def _cmd_continuity(args) -> int:
+def _continuity(decoded, args):
     from .mapping import continuity_profile
 
-    mapping, _, _ = load_mapping(args.mapping, args.cap)
-    profile = continuity_profile(
-        mapping, kind=args.closure, cap=args.cap, target_family=args.target_family
-    )
+    mapping, _, _ = decoded
+    profile = continuity_profile(mapping, kind=args.closure, cap=args.cap, target_family=args.target_family)
     flags = [
         ("continuous", profile.continuous),
         ("alpha", profile.alpha_continuous),
@@ -225,19 +182,11 @@ def _cmd_continuity(args) -> int:
         ("pre", profile.pre_continuous),
         ("beta", profile.beta_continuous),
     ]
-    if args.format == "json":
-        payload = {
-            "closureKind": profile.closure_kind,
-            "targetFamily": args.target_family,
-        }
-        payload.update({name: value for name, value in flags})
-        _print_json(payload)
-        return 0
-    print(f"closure kind: {profile.closure_kind}")
-    print(f"target family: {args.target_family}")
-    for name, value in flags:
-        print(f"{name + ':':12} {'yes' if value else 'no'}")
-    return 0
+    head = [
+        ("closureKind", "closure kind", profile.closure_kind),
+        ("targetFamily", "target family", args.target_family),
+    ]
+    return _flag_report(head, flags, 12)
 
 
 def _check_writable(path: str) -> None:
@@ -257,7 +206,7 @@ def _check_writable(path: str) -> None:
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> None:
     from .harness import SpaceFamilySpec, require_known_laws, run_law_suite
 
     if args.seed is not None or args.count is not None:
@@ -292,7 +241,18 @@ def _cmd_suite(args) -> int:
         )
     else:
         sys.stdout.write(data.decode("utf-8"))
-    return 0
+
+
+# The document subcommands: name -> (help, document metavar, decoder, handler).
+# A handler takes the decoded document and the parsed arguments and returns
+# its JSON payload and its text lines.
+DOCUMENT_COMMANDS = {
+    "validate": ("validate a space document", "space", load_space, _validate),
+    "approx": ("lower/upper approximation report for a target set", "space", load_space, _approx),
+    "classify": ("generalized openness flags for a set", "space", load_space, _classify),
+    "axioms": ("separation axiom report with witnesses", "space", load_space, _axioms),
+    "continuity": ("continuity profile of a mapping document", "mapping", load_mapping, _continuity),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,41 +261,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scope-function topology toolkit: approximation, openness, continuity, separation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    docs = {}
+    for name, (help_text, metavar, load, handler) in DOCUMENT_COMMANDS.items():
+        docs[name] = sub.add_parser(name, help=help_text)
+        docs[name].add_argument("document", metavar=metavar)
+        docs[name].set_defaults(load=load, handler=handler)
 
-    p = sub.add_parser("validate", help="validate a space document")
-    p.add_argument("space")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("approx", help="lower/upper approximation report for a target set")
-    p.add_argument("space")
-    p.add_argument("--target", required=True, help="set name or inline JSON slices")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=_cmd_approx)
-
-    p = sub.add_parser("classify", help="generalized openness flags for a set")
-    p.add_argument("space")
-    p.add_argument("--set", required=True, help="set name or inline JSON slices")
-    p.add_argument("--closure", choices=[CECH, KURATOWSKI], default=CECH)
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("axioms", help="separation axiom report with witnesses")
-    p.add_argument("space")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=_cmd_axioms)
-
-    p = sub.add_parser("continuity", help="continuity profile of a mapping document")
-    p.add_argument("mapping")
-    p.add_argument("--closure", choices=[CECH, KURATOWSKI], default=CECH)
-    p.add_argument(
+    docs["approx"].add_argument("--target", required=True, help="set name or inline JSON slices")
+    docs["classify"].add_argument("--set", required=True, help="set name or inline JSON slices")
+    for name in ("classify", "continuity"):
+        docs[name].add_argument("--closure", choices=[CECH, KURATOWSKI], default=CECH)
+    docs["continuity"].add_argument(
         "--target-family",
         choices=[TARGET_AURA, TARGET_KURATOWSKI, TARGET_AMBIENT],
         default=TARGET_AURA,
     )
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=_cmd_continuity)
+    docs["continuity"].add_argument("--cap", type=int, default=None)
+    for p in docs.values():
+        p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("suite", help="run the law suite and emit its JSON report")
     p.add_argument("--max-universe", type=int, default=3)
@@ -345,23 +288,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None, help="sampled mode space count")
     p.add_argument("--laws", default=None, help="comma-separated law subset")
     p.add_argument("--out", default=None, help="write the report to a file")
-    p.set_defaults(func=_cmd_suite)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "cap"):
-            if args.cap is None:
-                args.cap = _default_cap()
-            elif args.cap < 1:
-                raise DocumentError("--cap must be positive")
-        rc = args.func(args)
+        if args.command == "suite":
+            _cmd_suite(args)
+        else:
+            # only continuity has --cap; the resolved cap is what its handler reads
+            args.cap = _resolve_cap(getattr(args, "cap", None))
+            payload, lines = args.handler(args.load(args.document, args.cap), args)
+            if args.format == "json":
+                print(json.dumps(payload, indent=2, ensure_ascii=False))
+            else:
+                print("\n".join(lines))
         sys.stdout.flush()
-        return rc
+        return 0
     except BrokenPipeError as exc:
         # Interpreter shutdown flushes stdout again; point it at devnull so
         # that flush neither fails nor reports an ignored exception.

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import PreconditionUnmet, _Frozen
+from .errors import CapExceeded, PreconditionUnmet, _Frozen
 from .operators import CECH, _closure_slice, _slice_closure_fn
 from .softset import SoftSet, _require_same_context
-from .space import SoftAuraSpace
+from .space import DEFAULT_CAP, SoftAuraSpace
 
 UNION_CLOSED_CLASSES = ("semi", "pre", "beta")
 
@@ -120,7 +120,9 @@ def search_alpha_intersection_failure(
     enumerated in canonical combined-bitmask order and pairs in ascending
     rank order, so the first witness found is canonically minimal.  `budget`
     bounds the number of pair checks; None is returned when it runs out or
-    the scan completes clean.
+    the scan completes clean.  Each space's 2^(|X|*|E|) soft sets are
+    classified before its first pair is checked, so a space with more than
+    DEFAULT_CAP of them raises CapExceeded ("soft sets") before that.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -129,6 +131,9 @@ def search_alpha_intersection_failure(
     from .softset import iter_all_soft_sets
 
     for space in spaces:
+        total = 1 << (space.context.n_points * space.context.n_params)
+        if total > DEFAULT_CAP:
+            raise CapExceeded(total, DEFAULT_CAP, "soft sets")
         alphas = [
             s for s in iter_all_soft_sets(space.context)
             if classify(space, s, kind).alpha_open

@@ -21,8 +21,6 @@ and only an explicit ambient topology, read member by member, is capped.
 
 from __future__ import annotations
 
-import random
-
 from .errors import (
     CapExceeded,
     ContextMismatch,
@@ -183,41 +181,24 @@ def compose(first: SoftMapping, second: SoftMapping) -> SoftMapping:
     )
 
 
-def verify_closure_characterization(
-    m: SoftMapping,
-    samples: int | None = None,
-    kind: str = CECH,
-    seed: int = 0,
-) -> tuple[bool, SoftSet | None]:
+def verify_closure_characterization(m: SoftMapping, kind: str = CECH) -> tuple[bool, SoftSet | None]:
     """Check: continuous iff cl(f^{-1} G) is inside f^{-1}(cl G) for all target G.
 
-    With samples=None the containment, slicewise and additive in G, is
-    decided exactly on the single-point target slices: a failing G holds a
-    failing point, so the first failing point slice at the lowest parameter
-    is the least violating G in canonical rank order.  Otherwise `samples`
-    (at least 1) random target sets are drawn from the given seed.  Returns
-    (biconditional held, first G violating the containment or None).  An
-    unknown `kind` raises ValueError before any target set is built.  Nothing
-    here enumerates a family, so there is no cap: the continuity side reads
-    the aura family's |Y| + 1 basic slices per parameter.
+    The containment, slicewise and additive in G, is decided exactly on the
+    single-point target slices: a failing G holds a failing point, so the
+    first failing point slice at the lowest parameter is the least violating
+    G in canonical rank order.  Returns (biconditional held, first G
+    violating the containment or None).  An unknown `kind` raises ValueError
+    before any target set is built.  Nothing here enumerates a family, so
+    there is no cap: the continuity side reads the aura family's |Y| + 1
+    basic slices per parameter.
     """
-    if samples is not None and samples < 1:
-        raise ValueError("samples must be positive")
     ctx = m.target.context
     cl_src = _closure_fn(m.source, kind)
     cl_tgt = _closure_fn(m.target, kind)
-    if samples is None:
-        candidates = (
-            _single_slice(ctx, ki, 1 << yi) for ki in range(ctx.n_params) for yi in range(ctx.n_points)
-        )
-    else:
-        rng = random.Random(seed)
-        full = ctx.full_mask
-        candidates = (
-            SoftSet(ctx, tuple(rng.randrange(full + 1) for _ in range(ctx.n_params)))
-            for _ in range(samples)
-        )
-
+    candidates = (
+        _single_slice(ctx, ki, 1 << yi) for ki in range(ctx.n_params) for yi in range(ctx.n_points)
+    )
     witness = next(
         (
             g for g in candidates

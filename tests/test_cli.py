@@ -1,7 +1,9 @@
 """CLI subcommands: output goldens, JSON shapes, and exit codes."""
 
+import ast
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,9 +14,10 @@ import pytest
 
 import softaura
 from softaura import SpaceFamilySpec, run_law_suite
-from softaura.cli import main
+from softaura import cli
+from softaura.cli import DOCUMENT_COMMANDS, main
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path, load_fixture_doc
 
 APPROX_TABLE = """\
           e1      e2  e3      e4
@@ -53,6 +56,18 @@ semi:        yes
 pre:         yes
 beta:        yes
 """
+
+
+#: Stdout of every document subcommand in both formats, captured byte for byte
+#: before the subcommands shared one decode/compute/render pipeline.
+GOLDENS = json.loads((Path(__file__).parent / "goldens" / "cli_stdout.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", list(GOLDENS))
+def test_stdout_golden(case, capsys):
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in GOLDENS[case]["argv"]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == GOLDENS[case]["stdout"]
 
 
 class TestValidate:
@@ -753,3 +768,126 @@ class TestEntryPoint:
         assert ("harness" in loaded) == (argv[0] == "suite")
         if argv[0] == "validate":
             assert not loaded & COMPUTE_MODULES
+
+
+class TestPipeline:
+    """Only `main` resolves the cap, decodes a document and renders output."""
+
+    FUNCTIONS = {
+        node.name: node
+        for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def names_in(self, name: str) -> set[str]:
+        """Every name `name` uses, and those of the cli functions it calls, directly or not."""
+        seen, todo, names = set(), [name], set()
+        while todo:
+            current = todo.pop()
+            if current not in seen:
+                seen.add(current)
+                used = {n.id for n in ast.walk(self.FUNCTIONS[current]) if isinstance(n, ast.Name)}
+                names |= used
+                todo += [n for n in used if n in self.FUNCTIONS]
+        return names
+
+    def users_of(self, name: str) -> set[str]:
+        """The cli functions whose body uses `name`."""
+        return {
+            f for f, node in self.FUNCTIONS.items()
+            if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+        }
+
+    def test_document_commands(self):
+        assert list(DOCUMENT_COMMANDS) == ["validate", "approx", "classify", "axioms", "continuity"]
+
+    @pytest.mark.parametrize("command", list(DOCUMENT_COMMANDS))
+    def test_handler_neither_renders_nor_resolves(self, command):
+        handler = DOCUMENT_COMMANDS[command][-1].__name__
+        # os and sys would reach the environment or stdout, json would render
+        forbidden = {"print", "os", "sys", "json", "_resolve_cap", "load_space", "load_mapping"}
+        assert not self.names_in(handler) & forbidden
+
+    def test_only_main_resolves_the_cap_and_prints(self):
+        environ = {
+            f for f, node in self.FUNCTIONS.items()
+            if any(isinstance(n, ast.Attribute) and n.attr == "environ" for n in ast.walk(node))
+        }
+        assert environ == {"_resolve_cap"}
+        assert self.users_of("_resolve_cap") == {"main"}
+        assert self.users_of("print") == {"main", "_cmd_suite"}
+        assert self.users_of("load_space") == self.users_of("load_mapping") == set()
+
+
+#: Values a mutated node may become, one of each JSON type.
+MUTANT_VALUES = [None, True, 0, 2.5, "x", [], {}]
+
+
+def mutate(doc, rng: random.Random):
+    """`doc` after 1-3 mutations: a node replaced by a value of another type, a key dropped or a key added."""
+    box = {"doc": json.loads(json.dumps(doc))}
+    for _ in range(rng.randint(1, 3)):
+        nodes, todo = [], [box]
+        while todo:
+            parent = todo.pop()
+            for key in list(parent) if isinstance(parent, dict) else range(len(parent)):
+                nodes.append((parent, key))
+                if isinstance(parent[key], (dict, list)):
+                    todo.append(parent[key])
+        dicts = [parent[key] for parent, key in nodes if isinstance(parent[key], dict)]
+        kind = rng.choice(["replace", "drop", "add"])
+        if kind == "replace":
+            parent, key = rng.choice(nodes)
+            value = rng.choice([v for v in MUTANT_VALUES if type(v) is not type(parent[key])])
+            parent[key] = json.loads(json.dumps(value))
+        elif kind == "drop" and any(dicts):
+            target = rng.choice([d for d in dicts if d])
+            del target[rng.choice(list(target))]
+        elif dicts:
+            rng.choice(dicts)[f"extra{rng.randrange(3)}"] = json.loads(json.dumps(rng.choice(MUTANT_VALUES)))
+    return box["doc"]
+
+
+class TestMutatedDocuments:
+    """Mutated fixture documents exit 0, 2, 3 or 4 through `main`, with an `error:` line, never a traceback."""
+
+    SEED = 2024
+    COUNT = 300
+
+    def argvs(self, name: str, path: str, rng: random.Random) -> list[str]:
+        doc = load_fixture_doc(name)
+        fmt = ["--format", rng.choice(["table", "json"])]
+        if "pointMap" in doc:
+            return ["continuity", path, "--closure", rng.choice(["cech", "kuratowski"]),
+                    "--target-family", rng.choice(["aura", "kuratowski", "ambient"]), *fmt]
+        target = rng.choice(sorted(doc.get("namedSets", {})) or ["{}"])
+        return rng.choice([
+            ["validate", path],
+            ["approx", path, "--target", target],
+            ["classify", path, "--set", target, "--closure", rng.choice(["cech", "kuratowski"])],
+            ["axioms", path],
+        ]) + fmt
+
+    def test_exit_codes(self, tmp_path, capsys):
+        names = sorted(p.name for p in FIXTURES.glob("*.json"))
+        for name in names:
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        rng = random.Random(self.SEED)
+        codes = {}
+        for i in range(self.COUNT):
+            name = names[i % len(names)]
+            path = tmp_path / f"mutant-{name}"
+            mutant = mutate(load_fixture_doc(name), rng)
+            path.write_text(json.dumps(mutant), encoding="utf-8")
+            argv = self.argvs(name, str(path), rng)
+            try:
+                rc = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{argv} on {json.dumps(mutant)} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3, 4), (argv, mutant, err)
+            if rc:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, mutant, err)
+            codes[rc] = codes.get(rc, 0) + 1
+        # the mutations reach past the decoder as well as into it
+        assert codes.get(0) and codes.get(3)

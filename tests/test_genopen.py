@@ -1,6 +1,7 @@
 """Generalized openness classes, their hierarchy, and the alpha-meet search."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from softaura import (
     CECH,
     KURATOWSKI,
+    DEFAULT_CAP,
     AlphaMeetWitness,
+    CapExceeded,
     ContextMismatch,
     PreconditionUnmet,
     SoftSet,
@@ -287,6 +290,17 @@ class TestAlphaMeetSearch:
     def test_budget_exhaustion_returns_none(self, four_point):
         # one pair check is never enough to reach the witness
         assert search_alpha_intersection_failure(four_point, budget=1) is None
+
+    def test_more_soft_sets_than_the_cap_fail_before_any_pair(self):
+        # a 20-point chain has 2^20 soft sets, past the default cap; classifying
+        # them all first took seconds, ×4 per two points
+        points = [f"x{i}" for i in range(1, 21)]
+        chain20 = make_space(points, ["e1"], {x: {"e1": points[i : i + 2]} for i, x in enumerate(points)})
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as info:
+            search_alpha_intersection_failure(chain20, budget=1)
+        assert time.perf_counter() - start < 1.0
+        assert (info.value.required, info.value.cap, info.value.family) == (1 << 20, DEFAULT_CAP, "soft sets")
 
     def test_witness_constructible_directly(self, cyclic):
         a = make_soft_set(cyclic.context, {"e1": ["x1", "x2"]})
