@@ -120,9 +120,12 @@ def search_alpha_intersection_failure(
     enumerated in canonical combined-bitmask order and pairs in ascending
     rank order, so the first witness found is canonically minimal.  `budget`
     bounds the number of pair checks; None is returned when it runs out or
-    the scan completes clean.  Each space's 2^(|X|*|E|) soft sets are
-    classified before its first pair is checked, so a space with more than
-    DEFAULT_CAP of them raises CapExceeded ("soft sets") before that.
+    the scan completes clean.  Sets are classified in rank order only as the
+    pair loop first needs the next alpha-open one, so the work stops at the
+    alpha-open set after the last pair checked; where alpha-open sets are
+    sparse in rank order, the sets between them are still classified.  A
+    space with more than DEFAULT_CAP soft sets raises CapExceeded ("soft
+    sets") before any of its sets is classified.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -134,15 +137,24 @@ def search_alpha_intersection_failure(
         total = 1 << (space.context.n_points * space.context.n_params)
         if total > DEFAULT_CAP:
             raise CapExceeded(total, DEFAULT_CAP, "soft sets")
-        alphas = [
-            s for s in iter_all_soft_sets(space.context)
-            if classify(space, s, kind).alpha_open
-        ]
-        for i, left in enumerate(alphas):
-            for right in alphas[i + 1:]:
+        found = (s for s in iter_all_soft_sets(space.context) if classify(space, s, kind).alpha_open)
+        alphas: list[SoftSet] = []
+
+        def alpha(j: int) -> SoftSet | None:
+            """The j-th alpha-open set in rank order, classifying sets up to it; None past the last."""
+            while len(alphas) <= j and (s := next(found, None)) is not None:
+                alphas.append(s)
+            return alphas[j] if j < len(alphas) else None
+
+        i = 0
+        while (left := alpha(i)) is not None:
+            j = i + 1
+            while (right := alpha(j)) is not None:
                 if budget <= 0:
                     return None
                 budget -= 1
                 if not classify(space, left.intersect(right), kind).alpha_open:
                     return AlphaMeetWitness(space, left, right)
+                j += 1
+            i += 1
     return None

@@ -7,9 +7,10 @@ slice by slice, their single-slice entries shared by the spaces of one run
 that have the same scope column, see _Tables), and then evaluates every law
 as comparisons of those library-produced values.  Each law is defined once,
 as a predicate over the tables; replay_witness evaluates the same predicate
-on tables built for the witness space.  Pair laws are decided one parameter slice at a
-time wherever the tables are products of their single-slice entries, as
-the paper's operators are.  Set ranks, pair ranks, scope ranks and shape
+on tables built for the witness space.  Pair laws, and the set laws read
+off the tables alone, are decided one parameter slice at a time wherever
+the tables are products of their single-slice entries, as the paper's
+operators are.  Set ranks, pair ranks, scope ranks and shape
 ranks are all canonical, so every reported witness is the first one in
 canonical order and every report is byte-reproducible.
 
@@ -454,6 +455,11 @@ class _Tables:
         return separation_report(self.space)
 
     @cached_property
+    def products(self) -> bool:
+        """`_slice_products` of these tables, decided once for the pair and set laws."""
+        return _slice_products(self)
+
+    @cached_property
     def oracle(self) -> tuple:
         """Packed `oracle_closure` and `oracle_interior` tables, composed like `cl` and `int_`."""
         scopes = oracle_scopes(self.space)
@@ -672,7 +678,7 @@ def _slice_alpha_meets(t, laws) -> dict[str, int] | None:
     the scan's count of unordered failing pairs: failure is symmetric and
     never holds on the diagonal.
     """
-    if not _slice_products(t):
+    if not t.products:
         return None
     ctx = t.space.context
     n, m = ctx.n_points, ctx.n_params
@@ -694,6 +700,71 @@ def _slice_alpha_meets(t, laws) -> dict[str, int] | None:
             meets *= sum(alpha[(a & b) << (i * n)] for a in opens for b in opens)
         counts[name] = (pairs - meets) // 2
     return counts
+
+
+#: Set laws read off the tables alone; the others call public operators on
+#: each set, which checks that those act slicewise on multi-slice sets.
+_SLICEWISE_SET_LAWS = frozenset({
+    "closure-enlargement", "interior-contraction", "duality", "rough-duality", "rough-sandwich",
+    "tau-infinity-in-tau", "hierarchy-cech", "hierarchy-kuratowski", "decomposition-set-kuratowski",
+    "oracle-equivalence",
+})
+
+
+def _slice_set_laws(t, names) -> set[str]:
+    """The laws of `names` in _SLICEWISE_SET_LAWS that hold on every set, decided on single-slice sets.
+
+    When `_slice_products` holds, each parameter's part of a table entry
+    depends on the set's slice there alone, a null slice has a null part,
+    and every openness flag holds on a null slice.  Each of these laws is a
+    conjunction over the parameters, or implications between such
+    conjunctions, so it fails on a set iff it fails on the single-slice set
+    holding one of that set's slices (the null set counts at every
+    parameter); the oracle tables are composed like `cl` and `int_`.
+    tau-infinity-in-tau reads fix(X - G), whose other slices are full for a
+    single-slice G, so it also needs fix of the absolute set to be absolute.
+    A law left out is scanned set by set.
+    """
+    if not t.products:
+        return set()
+    n = t.space.context.n_points
+    singles = [a << (i * n) for i in range(t.space.context.n_params) for a in range(1 << n)]
+    decided = {
+        name
+        for name in names
+        if name in _SLICEWISE_SET_LAWS and all(map(LAWS[name].evaluator, itertools.repeat(t), singles))
+    }
+    if t.fix[t.full] != t.full:
+        decided.discard("tau-infinity-in-tau")
+    return decided
+
+
+def _slice_cech_decompositions(t) -> int | None:
+    """decomposition-set-cech's count of sets, from per-slice flag counts.
+
+    On product tables (see _slice_set_laws) a set has a flag iff each of
+    its single-slice parts has it.  If alpha implies semi and pre on every
+    single-slice set, as hierarchy-cech asks, the failing sets are the semi
+    and pre ones that are not alpha: prod SP_i - prod A_i, counting the
+    single-slice sets at parameter i that are semi and pre (SP_i) and alpha
+    (A_i).  None, for a scan of every set, where either condition fails.
+    """
+    if not t.products:
+        return None
+    n = t.space.context.n_points
+    rows = t.rows[CECH]
+    both = alphas = 1
+    for i in range(t.space.context.n_params):
+        sp = a = 0
+        for v in range(1 << n):
+            _, alpha, semi, pre, _, _ = rows[v << (i * n)]
+            if alpha and not (semi and pre):
+                return None
+            sp += semi and pre
+            a += alpha
+        both *= sp
+        alphas *= a
+    return both - alphas
 
 
 def _first_alpha_meet(alpha, size: int) -> tuple[int, int] | None:
@@ -895,7 +966,10 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     with n*m <= 12 check every soft set and every pair; larger shapes check
     256 seeded sets and no pairs.  Pairs are decided on the pairs of
     single-slice sets at each parameter where that is exact, and scanned
-    one by one where it is not (see _slice_alpha_meets); both give the
+    one by one where it is not (see _slice_alpha_meets).  So are the set
+    laws read off the tables alone, on the single-slice sets, and
+    decomposition-set-cech is counted from per-slice flags (see
+    _slice_set_laws, _slice_cech_decompositions).  Either way gives the
     same counts and witnesses.  Scan order is canonical everywhere, so
     witnesses are canonically minimal and reports byte-reproducible.  The
     alpha-meet report rows are left out when no space ran the pair scan
@@ -957,6 +1031,17 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
             if len(r.witnesses) < WITNESS_LIMIT:
                 r.witnesses.append(_witness("law", name, space, rank, [t.sets[g] for g in gs]))
 
+        def count(name: str, found: int, first: Callable[[], tuple[int, ...]]) -> None:
+            """Add `found` findings to a report row; first() gives the packed sets of this space's first one."""
+            row = reports[name]
+            if found and row["first"] is None:
+                gs = first()
+                record(name, rank3 + gs, gs)
+                found -= 1
+            row["found"] += found
+
+        # set laws that hold on every set per slice need no per-set scan
+        decided = _slice_set_laws(t, results) if exhaustive else set()
         for name, law in checks:
             holds = law.evaluator
             if law.arity == "space":
@@ -966,6 +1051,8 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                 continue
             chosen = range(0, size, _SET_STRIDE.get(name, 1))
             results[name].checked += len(chosen)
+            if name in decided:
+                continue
             for i in chosen:
                 if not holds(t, packed[i]):
                     record(name, rank3 + (i,), (packed[i],))
@@ -978,9 +1065,15 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                         rank = rank3 + (i,)
                         strictness[edge] = _witness("strictness", edge, space, rank, (t.sets[g],))
                         break
-        for i, g in enumerate(packed):
-            if not _cech_decomposes(t, g):
-                record("decomposition-set-cech", rank3 + (i,), (g,))
+        decompositions = _slice_cech_decompositions(t) if exhaustive else None
+        if decompositions is None:
+            for i, g in enumerate(packed):
+                if not _cech_decomposes(t, g):
+                    record("decomposition-set-cech", rank3 + (i,), (g,))
+        else:
+            # exhaustive: a set's rank is its packed value
+            first = lambda: (next(g for g in packed if not _cech_decomposes(t, g)),)
+            count("decomposition-set-cech", decompositions, first)
 
         # pair laws need the full set lattice: every union and meet is a row;
         # the full scan runs only where the slice check cannot vouch for it
@@ -992,11 +1085,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                     _pair_row(t, g, range(g, size), hit)
             else:
                 for name, found in counts.items():
-                    if found and reports[name]["first"] is None:
-                        pair = _first_alpha_meet(t.cols[_PAIR_REPORT_ROWS[name]][1], size)
-                        record(name, rank3 + pair, pair)
-                        found -= 1
-                    reports[name]["found"] += found
+                    count(name, found, lambda name=name: _first_alpha_meet(t.cols[_PAIR_REPORT_ROWS[name]][1], size))
             for name in pair_rows:
                 results[name].checked += size * (size + 1) // 2
 
@@ -1091,7 +1180,7 @@ def _survivor_bits(row: tuple[int, ...], family: tuple[int, ...], maps: list) ->
     """
     size = len(maps)
     bits = 0
-    for r, (_, pre) in enumerate(maps):
+    for r, (_, pre, _) in enumerate(maps):
         flags = reduce(and_, [row[pre[v]] for v in family])
         for j in range(6):
             if flags >> j & 1:
@@ -1120,11 +1209,12 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     shapes; per parameter map p they are ANDed across the source
     parameters, and the failures of every u are counted at once.
 
-    Preimages come from one slice table per (|Y|, u).  Counting (mapping,
-    target aura-open set) pairs in scan order, every `cross_check_every`-th
-    set's preimage is assembled from the table by p and compared with the
-    public inverse_image(); the scan jumps from one such mapping to the
-    next.  ValueError for `per_shape` < 2 or `cross_check_every` < 1.
+    Preimages come from one slice table per (|X|, |Y|, u).  Counting
+    (mapping, target aura-open set) pairs in scan order, every
+    `cross_check_every`-th set's preimage is assembled from the table by p
+    and compared with the public inverse_image(); the scan jumps from one
+    such mapping to the next.  ValueError for `per_shape` < 2 or
+    `cross_check_every` < 1.
     """
     from .mapping import SoftMapping, _target_basis, inverse_image
 
@@ -1143,8 +1233,11 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     # tau only feeds the preimage cross-check
     taus = [enumerate_aura_topology(sp) for sp in spaces]
     bases = [[tuple(fam) for fam in _target_basis(sp, DEFAULT_CAP, TARGET_AURA)] for sp in spaces]
-    # (|X|, |Y|) -> every point map u in scan order, with its slice preimage table
+    # (|X|, |Y|) -> every point map u in scan order, with its slice preimage
+    # table and its point map; (|E|, |K|) -> every parameter map p in scan
+    # order, and their parameter maps (family contexts name by shape alone)
     point_maps: dict[tuple[int, int], list] = {}
+    param_tables: dict[tuple[int, int], tuple[list, list]] = {}
     survivors: dict[tuple, int] = {}
     checked = evals = 0
     # per kind, fixpoint then one-step: failing mappings and the first one's description
@@ -1158,7 +1251,11 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
             maps = point_maps.get((nx, ny))
             if maps is None:
                 maps = point_maps[nx, ny] = [
-                    (u, [sum(1 << xi for xi, y in enumerate(u) if s >> y & 1) for s in range(1 << ny)])
+                    (
+                        u,
+                        [sum(1 << xi for xi, y in enumerate(u) if s >> y & 1) for s in range(1 << ny)],
+                        {x: tgt.context.universe[y] for x, y in zip(src.context.universe, u)},
+                    )
                     for u in itertools.product(range(ny), repeat=nx)
                 ]
             for row in rows:
@@ -1168,7 +1265,12 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
             per_param = [[survivors[ny, row, fam] for fam in basis] for row in rows]
             size = len(maps)
             low = (1 << size) - 1
-            param_maps = list(itertools.product(range(nk), repeat=ne))
+            if (ne, nk) not in param_tables:
+                ps = list(itertools.product(range(nk), repeat=ne))
+                param_tables[ne, nk] = ps, [
+                    {e: tgt.context.parameters[k] for e, k in zip(src.context.parameters, p)} for p in ps
+                ]
+            param_maps, param_names = param_tables[ne, nk]
             checked += size * len(param_maps)
             # per kind, the lowest (rank of u, p) failing in this pair
             lowest: list[tuple | None] = [None, None]
@@ -1192,8 +1294,9 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
             idx = start + (-start - 1) % cross_check_every
             while idx < evals:
                 q = (idx - start) // width
-                (u, pre), p = maps[q // len(param_maps)], param_maps[q % len(param_maps)]
-                mapping = SoftMapping(src, tgt, *_mapping_tables(src, tgt, u, p))
+                r, j = divmod(q, len(param_maps))
+                (_, pre, point_names), p = maps[r], param_maps[j]
+                mapping = SoftMapping(src, tgt, point_names, param_names[j])
                 for v in tau[idx - start - q * width::cross_check_every]:
                     h = 0
                     for ei, k in enumerate(p):

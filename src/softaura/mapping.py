@@ -69,30 +69,37 @@ class SoftMapping(_Frozen):
         param_map: dict[str, str],
     ):
         src, tgt = source.context, target.context
-        for x in src.universe:
+        # _point_preimage[y]: bitmask of the source points mapping to target point y;
+        # _param_image[e]: the target parameter index of source parameter e.
+        # Each is built while its map is checked; the first fault raised is the
+        # one a check of the whole point map, then the whole parameter map, meets first.
+        preimage = [0] * tgt.n_points
+        for xi, x in enumerate(src.universe):
             if x not in point_map:
                 raise ValueError(f"point map missing {x!r}")
-            if point_map[x] not in tgt.point_index:
+            yi = tgt.point_index.get(point_map[x])
+            if yi is None:
                 raise UnknownPoint(point_map[x])
-        for x in point_map:
-            if x not in src.point_index:
-                raise UnknownPoint(x)
+            preimage[yi] |= 1 << xi
+        if len(point_map) != src.n_points:
+            for x in point_map:
+                if x not in src.point_index:
+                    raise UnknownPoint(x)
+        image = []
         for e in src.parameters:
             if e not in param_map:
                 raise ValueError(f"parameter map missing {e!r}")
-            if param_map[e] not in tgt.param_index:
+            ki = tgt.param_index.get(param_map[e])
+            if ki is None:
                 raise UnknownParameter(param_map[e])
-        for e in param_map:
-            if e not in src.param_index:
-                raise UnknownParameter(e)
+            image.append(ki)
+        if len(param_map) != src.n_params:
+            for e in param_map:
+                if e not in src.param_index:
+                    raise UnknownParameter(e)
         _freeze(self, source, target, point_map, param_map)
-        # _point_preimage[y]: bitmask of the source points mapping to target point y;
-        # _param_image[e]: the target parameter index of source parameter e
-        preimage = [0] * tgt.n_points
-        for xi, x in enumerate(src.universe):
-            preimage[tgt.point_index[point_map[x]]] |= 1 << xi
         _setfield(self, "_point_preimage", tuple(preimage))
-        _setfield(self, "_param_image", tuple(tgt.param_index[param_map[e]] for e in src.parameters))
+        _setfield(self, "_param_image", tuple(image))
 
     def _slice_preimage(self, s: int) -> int:
         """Source point mask of the u-preimage of the target point mask s."""

@@ -28,6 +28,8 @@ from softaura import (
     search_alpha_intersection_failure,
 )
 
+from softaura import genopen
+
 from conftest import named_context, space_with_sets
 
 
@@ -301,6 +303,26 @@ class TestAlphaMeetSearch:
             search_alpha_intersection_failure(chain20, budget=1)
         assert time.perf_counter() - start < 1.0
         assert (info.value.required, info.value.cap, info.value.family) == (1 << 20, DEFAULT_CAP, "soft sets")
+
+    def test_small_budget_classifies_few_sets(self, monkeypatch):
+        # an 18-point chain whose first point's scope is itself, so {x1} and
+        # {x1, x2} are alpha-open early in rank order; classifying all 2^18
+        # sets before the first pair took seconds
+        points = [f"x{i}" for i in range(1, 19)]
+        chain18 = make_space(points, ["e1"], {x: {"e1": points[max(i - 1, 0) : i + 1]} for i, x in enumerate(points)})
+        calls = []
+        real = genopen.classify
+
+        def counting(space, g, kind=CECH):
+            calls.append(g)
+            return real(space, g, kind)
+
+        monkeypatch.setattr(genopen, "classify", counting)
+        start = time.perf_counter()
+        assert search_alpha_intersection_failure(chain18, budget=1) is None
+        assert time.perf_counter() - start < 1.0
+        # the sets of rank 0 and 1, their meet, then ranks 2 and 3 up to the next alpha-open set
+        assert len(calls) == 5
 
     def test_witness_constructible_directly(self, cyclic):
         a = make_soft_set(cyclic.context, {"e1": ["x1", "x2"]})

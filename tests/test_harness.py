@@ -1,5 +1,6 @@
 """Family enumeration, the law suite engine, and the mapping scan."""
 
+import collections
 import functools
 import gc
 import hashlib
@@ -509,22 +510,50 @@ class TestComposedTables:
 
 
 def _sliced_and_full(spec, monkeypatch):
-    """The suite as run, with how many spaces the slice check decided, and the suite on the full pair scan alone."""
-    real = harness._slice_alpha_meets
-    decided = []
+    """The suite as run, how often it decided by slices, and the suite on per-set and per-pair scans alone.
 
-    def counting(t, laws):
-        counts = real(t, laws)
-        decided.append(counts is not None)
+    The counter holds the spaces whose pair laws were decided slice by slice
+    ("pairs"), those whose decomposition-set-cech findings were counted from
+    per-slice flags ("decompositions"), and per set law those where it was
+    decided on single-slice sets.
+    """
+    decided = collections.Counter()
+    real_pairs, real_sets, real_counts = (
+        harness._slice_alpha_meets, harness._slice_set_laws, harness._slice_cech_decompositions
+    )
+
+    def pairs(t, laws):
+        counts = real_pairs(t, laws)
+        decided["pairs"] += counts is not None
         return counts
 
+    def sets(t, names):
+        laws = real_sets(t, names)
+        decided.update(laws)
+        return laws
+
+    def decompositions(t):
+        found = real_counts(t)
+        decided["decompositions"] += found is not None
+        return found
+
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_slice_alpha_meets", counting)
+        patch.setattr(harness, "_slice_alpha_meets", pairs)
+        patch.setattr(harness, "_slice_set_laws", sets)
+        patch.setattr(harness, "_slice_cech_decompositions", decompositions)
         sliced = run_law_suite(spec)
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_slice_alpha_meets", lambda t, laws: None)
+        patch.setattr(harness, "_slice_set_laws", lambda t, names: set())
+        patch.setattr(harness, "_slice_cech_decompositions", lambda t: None)
         full = run_law_suite(spec)
-    return sliced, sum(decided), full
+    return sliced, decided, full
+
+
+def _decided_everywhere(decided, spaces: int) -> bool:
+    """Every slicewise set law and the decomposition count were decided by slices on all `spaces`."""
+    names = (*harness._SLICEWISE_SET_LAWS, "decompositions")
+    return all(decided[name] == spaces for name in names)
 
 
 class TestSlicePairs:
@@ -541,7 +570,8 @@ class TestSlicePairs:
     )
     def test_equals_full_scan(self, spec, spaces, sets, alpha_meets, monkeypatch):
         sliced, decided, full = _sliced_and_full(spec, monkeypatch)
-        assert decided == sliced.spaces_checked == spaces
+        assert decided["pairs"] == sliced.spaces_checked == spaces
+        assert _decided_everywhere(decided, spaces)
         assert sliced.sets_per_space_max == sets
         assert (sliced.reports["alpha-meet-kuratowski"]["found"] > 0) == alpha_meets
         assert sliced.to_json_dict() == full.to_json_dict()
@@ -573,9 +603,12 @@ class TestSlicePairs:
 
         monkeypatch.setattr(harness, "_Tables", Corrupted)
         sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
-        # only the spaces with one parameter are decided slice by slice
-        assert decided == 1 + 4
+        # only the spaces with one parameter are decided slice by slice,
+        # the set laws and the decomposition count included
+        assert decided["pairs"] == 1 + 4
+        assert _decided_everywhere(decided, 1 + 4)
         assert sliced.laws["kuratowski-additivity"].failures > 0
+        assert sliced.laws["kuratowski-fixpoint"].failures > 0
         assert sliced.to_json_dict() == full.to_json_dict()
 
     @pytest.mark.parametrize("op, found", [("aura_closure", 16), ("aura_interior", 64), ("kuratowski_closure", 0)])
@@ -601,7 +634,9 @@ class TestSlicePairs:
         monkeypatch.setattr(harness, op, spills)
         spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20)
         sliced, decided, full = _sliced_and_full(spec, monkeypatch)
-        assert decided == sum(m == 1 for (_, m, _), _ in iter_family_spaces(spec)) < 20
+        one_parameter = sum(m == 1 for (_, m, _), _ in iter_family_spaces(spec))
+        assert decided["pairs"] == one_parameter < 20
+        assert _decided_everywhere(decided, one_parameter)
         assert sliced.reports["alpha-meet-cech"]["found"] == found
         assert sliced.to_json_dict() == full.to_json_dict()
 
@@ -618,9 +653,95 @@ class TestSlicePairs:
 
         monkeypatch.setattr(harness, "aura_closure", empties)
         sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
-        # the two one-point spaces alone are decided slice by slice
-        assert decided == 2
+        # the two one-point spaces alone are decided slice by slice; the
+        # tables stay products, so each set law is left to the per-set scan
+        # only where a single-slice set fails it
+        assert decided["pairs"] == 2
+        assert decided["closure-enlargement"] == decided["duality"] == 2
+        assert decided["interior-contraction"] == decided["decompositions"] == 22
         assert sliced.laws["closure-additivity"].failures > 0
+        assert sliced.laws["closure-enlargement"].failures > 0
+        assert sliced.to_json_dict() == full.to_json_dict()
+
+
+class TestSliceSets:
+    """Set laws decided on single-slice sets, and decomposition-set-cech counted per slice, report exactly what the per-set scan reports."""
+
+    @pytest.mark.parametrize(
+        "specs, findings",
+        [
+            ([SpaceFamilySpec(2, 2)], False),
+            ([SpaceFamilySpec(3, 1)], True),
+            # seeds 9 and 12 each draw one 4 x 2 space, 11 and 16 one 2 x 4 space
+            ([SpaceFamilySpec(4, 2, scope_mode="sampled", seed=s, sample_count=1) for s in (9, 12)], True),
+            ([SpaceFamilySpec(2, 4, scope_mode="sampled", seed=s, sample_count=1) for s in (11, 16)], False),
+        ],
+    )
+    def test_equals_per_set_scan(self, specs, findings, monkeypatch):
+        for spec in specs:
+            sliced, decided, full = _sliced_and_full(spec, monkeypatch)
+            if spec.scope_mode == "sampled":
+                ((n, m, _), _), = iter_family_spaces(spec)
+                assert n * m == 8
+            assert _decided_everywhere(decided, sliced.spaces_checked)
+            assert (sliced.reports["decomposition-set-cech"]["found"] > 0) == findings
+            assert sliced.to_json_dict() == full.to_json_dict()
+
+    def test_set_law_reads_single_slice_sets_only(self, monkeypatch):
+        calls = [0]
+        real = LAWS["duality"]
+
+        def counting(t, g):
+            calls[0] += 1
+            return real.evaluator(t, g)
+
+        monkeypatch.setitem(LAWS, "duality", harness.LawSpec("set", counting, real.description))
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        # m * 2^n single-slice sets per space, against 2^nm sets counted as checked
+        counts = {(1, 1): 1, (1, 2): 1, (2, 1): 4, (2, 2): 16}
+        assert calls[0] == sum(m * 2**n * k for (n, m), k in counts.items()) == 150
+        assert result.laws["duality"].checked == sum(2 ** (n * m) * k for (n, m), k in counts.items()) == 278
+
+    def test_tau_infinity_needs_an_absolute_fixpoint_of_the_absolute_set(self, monkeypatch):
+        # a fixpoint closure that keeps every slice but a full one, which loses
+        # x1: the tables stay products and tau-infinity-in-tau holds on every
+        # single-slice set (its complement has a full, so unclosed, slice),
+        # yet fails on sets with two non-null slices that are not open
+        real = harness.kuratowski_closure
+
+        def keeps(space, g):
+            full = space.context.full_mask
+            masks = tuple(mk & ~1 if mk == full else mk for mk in g.masks)
+            return KuratowskiResult(SoftSet(space.context, masks), real(space, g).iterations)
+
+        monkeypatch.setattr(harness, "kuratowski_closure", keeps)
+        sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
+        # the tables are products on every space, but fix of the absolute set
+        # is not absolute, so no space decides tau-infinity-in-tau by slices
+        assert decided["interior-contraction"] == 22
+        assert decided["tau-infinity-in-tau"] == 0
+        assert sliced.laws["tau-infinity-in-tau"].failures > 0
+        assert sliced.to_json_dict() == full.to_json_dict()
+
+    def test_alpha_not_semi_on_a_slice_takes_the_per_set_count(self, monkeypatch):
+        # an interior that fills each non-null slice and a closure that drops
+        # x1: {x1} at a parameter is then one-step alpha but not semi, so the
+        # count prod SP_i - prod A_i no longer gives decomposition-set-cech
+        def fills(space, g):
+            full = space.context.full_mask
+            return SoftSet(space.context, tuple(full if mk else 0 for mk in g.masks))
+
+        def drops(space, g):
+            return SoftSet(space.context, tuple(mk & ~1 for mk in g.masks))
+
+        monkeypatch.setattr(harness, "aura_interior", fills)
+        monkeypatch.setattr(harness, "aura_closure", drops)
+        sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
+        # on one point the closure of every set is null, so nothing is alpha
+        # there and those two spaces alone are counted per slice
+        assert decided["decompositions"] == 2
+        assert sliced.laws["hierarchy-cech"].failures > 0
+        assert sliced.reports["decomposition-set-cech"]["found"] > 0
         assert sliced.to_json_dict() == full.to_json_dict()
 
 

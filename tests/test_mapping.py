@@ -311,6 +311,28 @@ class TestConstruction:
             )
 
 
+    @pytest.mark.parametrize(
+        "point_map, param_map, error, message",
+        [
+            # the whole point map is checked before the parameter map, source
+            # points in universe order before keys the source lacks
+            ({"9": "1", "1": "8", "2": "2", "3": "3"}, {"e": "e"}, UnknownPoint, "unknown point '8'"),
+            ({"1": "1", "2": "2", "9": "1"}, {"e": "e"}, ValueError, "point map missing '3'"),
+            ({"1": "7", "2": "8", "3": "3"}, {"e": "e"}, UnknownPoint, "unknown point '7'"),
+            ({"1": "1", "2": "2", "3": "3", "9": "1", "8": "1"}, {"e": "e"}, UnknownPoint, "unknown point '9'"),
+            ({"1": "1", "2": "2"}, {"e": "k"}, ValueError, "point map missing '3'"),
+            ({"1": "1", "2": "2", "3": "3", "9": "1"}, {}, UnknownPoint, "unknown point '9'"),
+            ({"1": "1", "2": "2", "3": "3"}, {"k": "e", "e": "z"}, UnknownParameter, "unknown parameter 'z'"),
+            ({"1": "1", "2": "2", "3": "3"}, {"k": "e"}, ValueError, "parameter map missing 'e'"),
+        ],
+    )
+    def test_first_of_two_faults_is_raised(self, chain, point_map, param_map, error, message):
+        with pytest.raises(error) as info:
+            SoftMapping(chain, chain, point_map, param_map)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestInverseImage:
     def test_context_checked(self, chain):
         other = make_space(["y1"], ["e"], {"y1": {"e": ["y1"]}})

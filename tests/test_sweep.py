@@ -1,5 +1,9 @@
-"""tools/sweep.py runs each quick sweep end to end and writes rows shaped like the committed BENCH files."""
+"""tools/sweep.py runs each quick sweep end to end and writes rows shaped like the committed BENCH files.
 
+Its start-up figures are checked on synthetic wall times.
+"""
+
+import importlib.util
 import json
 import subprocess
 import sys
@@ -47,3 +51,22 @@ def test_quick_sweep_matches_committed_schema(sweep, tmp_path):
     for label in "ab":
         assert key_tree(doc["rows"][label]) == expected
 
+
+def load_sweep():
+    spec = importlib.util.spec_from_file_location("sweep", ROOT / "tools" / "sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_after_start_is_the_median_of_per_round_differences():
+    # seconds per round; round 2 ran on a slow machine throughout
+    walls = {
+        "bare": [0.050, 0.100, 0.052],
+        "validate": [0.100, 0.122, 0.072],
+        "suite": [0.080, 0.130, 0.082],
+    }
+    after = load_sweep().after_start_ms(walls)
+    # per-round differences 50, 22, 20 and 30, 30, 30 ms; the difference of
+    # the medians would read validate 100 - 52 = 48 ms
+    assert after == {"validate": 22.0, "suite": 30.0}

@@ -16,8 +16,9 @@ startup [--repeat 21]: process wall time of a bare `python -c pass`, of a
     own time), and of `python -m softaura` on the test fixtures for each
     subcommand (classify under both closure kinds, suite on 2x2).  Each
     round runs every command for every checkout back to back; rows keep
-    median and quartiles in ms, and the modules each subcommand loads
-    beyond a bare start.  Processes inherit the environment (rows record
+    median and quartiles in ms, each command's median over rounds of its
+    wall minus that round's bare start, and the modules each subcommand
+    loads beyond a bare start.  Processes inherit the environment (rows record
     PYTHONDONTWRITEBYTECODE), with PYTHONPATH=SRC and SOFTAURA_CAP unset.
 pairs [--spaces 3] [--repeat 3] [--rounds 3] [--suite-rounds 3]: for each
     shape in PAIR_SHAPES, `run_law_suite` on --spaces one-space sampled
@@ -181,6 +182,19 @@ def in_ms(samples: list[float]) -> dict:
     return {"median_ms": round(mid * 1e3, 3), "q1_ms": round(q1 * 1e3, 3), "q3_ms": round(q3 * 1e3, 3)}
 
 
+def after_start_ms(walls: dict[str, list[float]]) -> dict[str, float]:
+    """Per command but "bare", the median over rounds of its wall seconds minus that round's bare start, in ms.
+
+    A round's commands run back to back, so drift between rounds cancels
+    in each difference, which a difference of the two medians would keep.
+    """
+    return {
+        key: round(quartiles([w - b for w, b in zip(samples, walls["bare"])])[1] * 1e3, 3)
+        for key, samples in walls.items()
+        if key != "bare"
+    }
+
+
 def sweep_startup(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
     envs = {label: cli_env(src) for label, src in sides.items()}
     argvs = {
@@ -199,7 +213,6 @@ def sweep_startup(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
     rows = {}
     for label, runs in interleave(list(sides), args.repeat, run_round).items():
         walls = {key: [got[key][0] for got in runs] for key in commands}
-        bare = quartiles(walls["bare"])[1]
         loaded = {}
         for sub, argv in argvs.items():
             rc, modules = json.loads(run([sys.executable, "-c", LOADED_CODE, *argv], envs[label])[1])
@@ -210,9 +223,7 @@ def sweep_startup(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
             "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
             "repeat": args.repeat,
             "wall": {key: in_ms(samples) for key, samples in walls.items()},
-            "after_start_ms": {
-                key: round((quartiles(samples)[1] - bare) * 1e3, 3) for key, samples in walls.items() if key != "bare"
-            },
+            "after_start_ms": after_start_ms(walls),
             "import_softaura_cli": in_ms([float(got["import"][1]) for got in runs]),
             "modules_loaded": loaded,
         }
