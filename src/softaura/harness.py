@@ -16,7 +16,9 @@ canonical order and every report is byte-reproducible.
 
 Literal per-element oracles for the closure and interior live here too; they
 work on name sets, never on bitmasks, so they share no code with the
-optimized operators they check; the tables compose them slice by slice too.
+optimized operators they check.  The oracle tables are rows of one name-set
+pass per single-slice set of each scope column, shared like the closure's,
+and each entry is composed from them only when a law reads it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import json
 import math
 import random
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from operator import and_
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -233,12 +235,20 @@ def oracle_scopes(space: SoftAuraSpace) -> dict[str, list[tuple[str, set[str]]]]
     }
 
 
-def _oracle_scan(space: SoftAuraSpace, g: SoftSet, scopes, hit: Callable) -> SoftSet:
-    slices: dict[str, list[str]] = {}
-    for e, table in (scopes or oracle_scopes(space)).items():
-        ge = set(g.points(e))
-        slices[e] = [x for x, scope_x in table if hit(scope_x, ge)]
-    return make_soft_set(space.context, slices)
+def _oracle_scan(table: list[tuple[str, set[str]]], names: set[str], interior: bool) -> list[str]:
+    """The points of one parameter's `oracle_scopes` table in the interior (or closure) of one slice.
+
+    `names` is the slice as a name set; a point is in its interior when its
+    scope slice lies inside `names`, in its closure when that meets `names`.
+    """
+    if interior:
+        return [x for x, scope_x in table if scope_x <= names]
+    return [x for x, scope_x in table if not scope_x.isdisjoint(names)]
+
+
+def _oracle(space: SoftAuraSpace, g: SoftSet, scopes, interior: bool) -> SoftSet:
+    scopes = scopes or oracle_scopes(space)
+    return make_soft_set(space.context, {e: _oracle_scan(table, set(g.points(e)), interior) for e, table in scopes.items()})
 
 
 def oracle_closure(space: SoftAuraSpace, g: SoftSet, scopes=None) -> SoftSet:
@@ -246,12 +256,12 @@ def oracle_closure(space: SoftAuraSpace, g: SoftSet, scopes=None) -> SoftSet:
 
     Callers scanning many sets of one space pass `scopes=oracle_scopes(space)`.
     """
-    return _oracle_scan(space, g, scopes, lambda scope_x, ge: not scope_x.isdisjoint(ge))
+    return _oracle(space, g, scopes, False)
 
 
 def oracle_interior(space: SoftAuraSpace, g: SoftSet, scopes=None) -> SoftSet:
     """Per-element definition scan using name sets; no bitmask shortcuts; `scopes` as for oracle_closure."""
-    return _oracle_scan(space, g, scopes, set.issubset)
+    return _oracle(space, g, scopes, True)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -354,24 +364,44 @@ def _slice_product(rows: list[list[int]], null: int) -> list[int]:
     return table
 
 
-def _column_rows(tag: str, op: Callable, space: SoftAuraSpace, sets, columns: dict) -> list[list[int]]:
-    """`_slice_rows` of `op(space, G)`, each row computed once per key of the `columns` memo.
+def _column_rows(tag: str, entry: Callable, space: SoftAuraSpace, columns: dict | None) -> list:
+    """Per parameter i, the row holding 0 at 0 and `entry(i, a)`, the packed entry of the single-slice set a << i*n, at a.
 
     On a single-slice set a slicewise operator reads one scope column of
-    the space, so a row is keyed by the operator's tag, the shape, the
-    parameter (which fix the sets asked) and that column.  A row that leaks
-    out of its slice is shared like any other; `_slice_products` sees the
-    leak on every space that uses it.
+    the space, so given a `columns` memo a row is a list computed once per
+    key: the operator's tag, the shape, the parameter (which fix the sets
+    asked) and that column.  A row that leaks out of its slice is shared
+    like any other; `_slice_products` sees the leak on every space that
+    uses it.  Without a memo a row is a dict filled on first lookup.
     """
     n, m = space.context.n_points, space.context.n_params
     rows = []
     for i in range(m):
+        if columns is None:
+            rows.append(_Lazy(lambda a, i=i: a and entry(i, a)))
+            continue
         key = (tag, n, m, i, space.scope_columns[i])
         row = columns.get(key)
         if row is None:
-            row = columns[key] = [0] + [_pack(op(space, sets[a << (i * n)]).masks, n) for a in range(1, 1 << n)]
+            row = columns[key] = [0] + [entry(i, a) for a in range(1, 1 << n)]
         rows.append(row)
     return rows
+
+
+def _composed(rows: list, null: int, n: int) -> _Lazy:
+    """The packed table of `_slice_product(rows, null)`, each entry composed on first lookup."""
+    full = (1 << n) - 1
+
+    def fill(g: int) -> int:
+        if g == 0:
+            return null
+        out = 0
+        for row in rows:
+            out |= row[g & full]
+            g >>= n
+        return out
+
+    return _Lazy(fill)
 
 
 def _slicewise(tag: str, op: Callable, space: SoftAuraSpace, sets, columns: dict | None):
@@ -383,22 +413,10 @@ def _slicewise(tag: str, op: Callable, space: SoftAuraSpace, sets, columns: dict
     the memo's rows (see _column_rows); without one it is a dict filled on
     first lookup.
     """
-    ctx = space.context
-    n = ctx.n_points
-    if columns is not None:
-        rows = _column_rows(tag, op, space, sets, columns)
-        return _slice_product(rows, _pack(op(space, sets[0]).masks, n))
-    part = _Lazy(lambda g: _pack(op(space, sets[g]).masks, n))
-    slice_masks = [ctx.full_mask << (i * n) for i in range(ctx.n_params)]
-
-    def fill(g: int) -> int:
-        out = part[0] if g == 0 else 0
-        for mask in slice_masks:
-            if g & mask:
-                out |= part[g & mask]
-        return out
-
-    return _Lazy(fill)
+    n = space.context.n_points
+    rows = _column_rows(tag, lambda i, a: _pack(op(space, sets[a << (i * n)]).masks, n), space, columns)
+    null = _pack(op(space, sets[0]).masks, n)
+    return _composed(rows, null, n) if columns is None else _slice_product(rows, null)
 
 
 class _Tables:
@@ -410,13 +428,16 @@ class _Tables:
     iteration counts; `rows[kind]` the six openness flags of each set under
     a closure kind and `cols[kind]` the same flags as six per-flag tables.
     `cl`, `int_` and the `oracle` tables are composed slice by slice
-    (`_slicewise`); `fix_result` holds one public `kuratowski_closure` call
-    per set, since its iteration counts are checked.  Given a shape's full
-    set list the tables are lists filled up front (`eager`), and their
-    single-slice rows come from `columns`, a memo that one suite run shares
-    across its spaces (a fresh one by default); without a set list they are
-    dicts filled on first lookup.  No stored function refers to the
-    instance, so reference counting frees the tables.
+    (`_slicewise`, `_oracle_tables`); `fix_result` holds one public
+    `kuratowski_closure` call per set, since its iteration counts are
+    checked.  Given a shape's full set list the tables are lists filled up
+    front (`eager`), and their single-slice rows come from `columns`, a memo
+    that one suite run shares across its spaces (a fresh one by default);
+    without a set list they are dicts filled on first lookup.  The oracle
+    rows are one name-set pass (`_oracle_scan`) per single-slice set of a
+    scope column, and the oracle tables are dicts composed on lookup in
+    either mode.  No stored function refers to the instance, so reference
+    counting frees the tables.
     """
 
     def __init__(self, space: SoftAuraSpace, sets: Sequence[SoftSet] | None = None, columns: dict | None = None):
@@ -461,12 +482,30 @@ class _Tables:
 
     @cached_property
     def oracle(self) -> tuple:
-        """Packed `oracle_closure` and `oracle_interior` tables, composed like `cl` and `int_`."""
-        scopes = oracle_scopes(self.space)
-        return tuple(
-            _slicewise(tag, partial(f, scopes=scopes), self.space, self.sets, self.columns)
-            for tag, f in (("oracle-cl", oracle_closure), ("oracle-int", oracle_interior))
-        )
+        """Packed `oracle_closure` and `oracle_interior` tables (see _oracle_tables)."""
+        return _oracle_tables(self.space, self.sets, self.columns)
+
+
+def _oracle_tables(space: SoftAuraSpace, sets, columns: dict | None) -> tuple:
+    """Packed `oracle_closure` and `oracle_interior` tables, each entry composed on first lookup.
+
+    A single-slice set's entry is one `_oracle_scan` of its names at that
+    parameter, in rows shared like those of `cl` and `int_` (see
+    _column_rows); the null set's is one whole-set oracle call, which also
+    sees points an oracle puts on null slices.
+    """
+    ctx = space.context
+    n = ctx.n_points
+    scopes = oracle_scopes(space)
+    tables = list(scopes.values())
+    # the name set of slice a, for either oracle at any parameter
+    names = _Lazy(lambda a: set(ctx.points_of(a)))
+    out = []
+    for tag, interior in (("oracle-cl", False), ("oracle-int", True)):
+        entry = lambda i, a, interior=interior: ctx.mask_of(_oracle_scan(tables[i], names[a], interior)) << (i * n)
+        rows = _column_rows(tag, entry, space, columns)
+        out.append(_composed(rows, _pack(_oracle(space, sets[0], scopes, interior).masks, n), n))
+    return tuple(out)
 
 
 # -- law registry ------------------------------------------------------------
@@ -571,11 +610,10 @@ def _alpha_decomposes(kind: str):
 
 
 def _rough_delegation(t, g):
-    n = t.space.context.n_points
     s = t.sets[g]
     return (
-        _pack(lower_approx(t.space, s).masks, n) == t.int_[g]
-        and _pack(upper_approx(t.space, s).masks, n) == t.cl[g]
+        lower_approx(t.space, s).masks == t.sets[t.int_[g]].masks
+        and upper_approx(t.space, s).masks == t.sets[t.cl[g]].masks
     )
 
 

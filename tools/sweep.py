@@ -15,15 +15,18 @@ startup [--repeat 21]: process wall time of a bare `python -c pass`, of a
     process that only imports `softaura.cli` (it also reports the import's
     own time), and of `python -m softaura` on the test fixtures for each
     subcommand (classify under both closure kinds, suite on 2x2).  Each
-    round runs every command for every checkout back to back; rows keep
-    median and quartiles in ms, each command's median over rounds of its
-    wall minus that round's bare start, and the modules each subcommand
-    loads beyond a bare start.  Processes inherit the environment (rows record
-    PYTHONDONTWRITEBYTECODE), with PYTHONPATH=SRC and SOFTAURA_CAP unset.
+    round runs every command for every checkout back to back, each right
+    after a bare start of its own; rows keep median and quartiles in ms
+    (the bare row over every bare start), each command's median over rounds
+    of its wall minus the bare start just before it, and the modules each
+    subcommand loads beyond a bare start.  Processes inherit the environment
+    (rows record PYTHONDONTWRITEBYTECODE), with PYTHONPATH=SRC and
+    SOFTAURA_CAP unset.
 pairs [--spaces 3] [--repeat 3] [--rounds 3] [--suite-rounds 3]: for each
     shape in PAIR_SHAPES, `run_law_suite` on --spaces one-space sampled
     families (the first seeds that draw the shape), best of --repeat calls,
-    with the pairs handed to the harness's `_pair_row`: 2^nm (2^nm + 1) / 2
+    with the median and the least over rounds of the seconds per space
+    and the pairs handed to the harness's `_pair_row`: 2^nm (2^nm + 1) / 2
     for a scan of every pair, m 2^n (2^n + 1) / 2 for single-slice pairs,
     plus any full scans a space falls back on.  The first --suite-rounds
     rounds (0 to skip) also time, in a further child, the exhaustive 3x2
@@ -42,6 +45,15 @@ continuity [--max-n 64] [--repeat 3] [--rounds 3] [--cli-n 19]:
     With --cli-n N (0 to skip) each round then times `python -m softaura
     continuity` on the identities of 3 and N such points, one parameter,
     interleaved with a bare start: best of --repeat each.
+bench [--workload law-suite] [--seed 1] [--pairs 5] [--seconds 25]
+    [--out BENCH_e2e.json]: the end-to-end benchmark, `bench/run.py` of the
+    checkout whose root is SRC's parent, once per checkout and seed (seeds
+    --seed up to --seed + --pairs - 1, one seed per round).  Rows, keyed
+    WORKLOAD/LABEL, hold each run's metrics, failures and whether it ran
+    first, and the median and quartiles of each metric; every label after
+    the first also holds, per metric, its wins over the first label's run
+    of the same seed (BENCHMARK.json says which direction is better) and
+    its median over the first label's.
 """
 
 from __future__ import annotations
@@ -60,6 +72,7 @@ import time
 from pathlib import Path
 
 MACHINE = f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
+ROOT = Path(__file__).resolve().parent.parent
 
 # -- the shared runner -------------------------------------------------------
 
@@ -87,24 +100,29 @@ def best_of(repeat: int, call) -> tuple[float, object]:
     return best, result
 
 
-def over_rounds(rounds: list[list[dict]], key: str, digits: int, keep_rounds: bool = True) -> list[dict]:
-    """The first round's rows with `key` the median over the rounds, then, with keep_rounds, every round's figure."""
+def over_rounds(
+    rounds: list[list[dict]], key: str, digits: int, keep_rounds: bool = True, least: bool = False
+) -> list[dict]:
+    """The first round's rows with `key` the median over the rounds, then, with `least`, the least
+    figure as `{key}_min` and, with keep_rounds, every round's figure."""
     out = []
     for k, first in enumerate(rounds[0]):
         figures = [got[k][key] for got in rounds]
         row = {}
         for name, value in first.items():
             row[name] = median(figures, digits) if name == key else value
+            if name == key and least:
+                row[f"{key}_min"] = round(min(figures), digits)
             if name == key and keep_rounds:
                 row[f"{key}_rounds"] = [round(f, digits) for f in figures]
         out.append(row)
     return out
 
 
-def run(argv: list[str], env: dict | None = None) -> tuple[float, str]:
+def run(argv: list[str], env: dict | None = None, cwd: Path | None = None) -> tuple[float, str]:
     """Wall seconds and stdout of a process, which must exit 0."""
     start = time.perf_counter()
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True, text=True)
     took = time.perf_counter() - start
     if proc.returncode != 0:
         raise SystemExit(f"{argv} exited {proc.returncode}:\n{proc.stderr}")
@@ -148,7 +166,7 @@ def merge(out: Path, workload: str, rows: dict[str, dict]) -> None:
 
 # -- startup -----------------------------------------------------------------
 
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 SUBCOMMANDS = {
     "validate": ["validate", "monitoring.json"],
@@ -182,16 +200,17 @@ def in_ms(samples: list[float]) -> dict:
     return {"median_ms": round(mid * 1e3, 3), "q1_ms": round(q1 * 1e3, 3), "q3_ms": round(q3 * 1e3, 3)}
 
 
-def after_start_ms(walls: dict[str, list[float]]) -> dict[str, float]:
-    """Per command but "bare", the median over rounds of its wall seconds minus that round's bare start, in ms.
+def after_start_ms(walls: dict[str, list[float]], bares: dict[str, list[float]]) -> dict[str, float]:
+    """Per command, the median over rounds of its wall seconds minus the bare start run just before it, in ms.
 
-    A round's commands run back to back, so drift between rounds cancels
-    in each difference, which a difference of the two medians would keep.
+    `bares[key]` holds, per round, the bare start paired with command key.
+    Each pair runs back to back, so drift cancels in each difference, which
+    a difference of the two medians, or of a bare start run a second
+    earlier, would keep.
     """
     return {
-        key: round(quartiles([w - b for w, b in zip(samples, walls["bare"])])[1] * 1e3, 3)
+        key: round(quartiles([w - b for w, b in zip(samples, bares[key])])[1] * 1e3, 3)
         for key, samples in walls.items()
-        if key != "bare"
     }
 
 
@@ -200,19 +219,22 @@ def sweep_startup(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
     argvs = {
         sub: [str(FIXTURES / a) if a.endswith(".json") else a for a in argv] for sub, argv in SUBCOMMANDS.items()
     }
-    commands = {"bare": [sys.executable, "-c", "pass"], "import": [sys.executable, "-c", IMPORT_CODE]}
+    bare = [sys.executable, "-c", "pass"]
+    commands = {"import": [sys.executable, "-c", IMPORT_CODE]}
     commands.update({sub: [sys.executable, "-m", "softaura", *argv] for sub, argv in argvs.items()})
 
     def run_round(r, order):
         got = {label: {} for label in order}
         for key, argv in commands.items():
             for label in order:
+                got[label][f"bare {key}"] = run(bare, envs[label])
                 got[label][key] = run(argv, envs[label])
         return got
 
     rows = {}
     for label, runs in interleave(list(sides), args.repeat, run_round).items():
         walls = {key: [got[key][0] for got in runs] for key in commands}
+        bares = {key: [got[f"bare {key}"][0] for got in runs] for key in commands}
         loaded = {}
         for sub, argv in argvs.items():
             rc, modules = json.loads(run([sys.executable, "-c", LOADED_CODE, *argv], envs[label])[1])
@@ -222,8 +244,9 @@ def sweep_startup(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
         rows[label] = {
             "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
             "repeat": args.repeat,
-            "wall": {key: in_ms(samples) for key, samples in walls.items()},
-            "after_start_ms": after_start_ms(walls),
+            "wall": {"bare": in_ms([b for samples in bares.values() for b in samples])}
+            | {key: in_ms(samples) for key, samples in walls.items()},
+            "after_start_ms": after_start_ms(walls, bares),
             "import_softaura_cli": in_ms([float(got["import"][1]) for got in runs]),
             "modules_loaded": loaded,
         }
@@ -331,7 +354,7 @@ def sweep_pairs(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
             "rounds": args.rounds,
             "spaces_per_shape": args.spaces,
             "repeat": args.repeat,
-            "shapes": over_rounds(shapes, "seconds_per_space", 6),
+            "shapes": over_rounds(shapes, "seconds_per_space", 6, least=True),
             "exhaustive_3x2": {
                 "seconds": [round(s["seconds"], 3) for s in suite],
                 "median_s": median((s["seconds"] for s in suite), 3) if suite else None,
@@ -516,6 +539,86 @@ def sweep_continuity(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]
     )
 
 
+# -- bench -------------------------------------------------------------------
+
+
+def better_directions() -> dict[str, str]:
+    """Each end-to-end metric of BENCHMARK.json with the direction that is better ("higher" or "lower")."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["better"] for metric in doc["end_to_end"]}
+
+
+def bench_line(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The JSON result line (the last line of stdout) of `bench/run.py` in the checkout at `root`."""
+    argv = [
+        sys.executable, str(root / "bench" / "run.py"),
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+    ]
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    return json.loads(run(argv, env, cwd=root)[1].strip().splitlines()[-1])
+
+
+def e2e_rows(workload: str, seconds: int, seeds: list[int], runs: dict[str, list], better: dict[str, str]) -> dict[str, dict]:
+    """Rows of the bench sweep, keyed WORKLOAD/LABEL.
+
+    runs[label] holds per seed (line, ran_first), line the JSON result line
+    of that label's run.  Each label after the first is compared with the
+    first, seed by seed, on the metrics of `better`.
+    """
+    rows = {}
+    for label, got in runs.items():
+        per_run = [
+            {
+                "seed": seed,
+                "ran_first": first,
+                "attempted": line["attempted"],
+                "failed": line["failed"],
+                "metrics": {name: metric["value"] for name, metric in line["metrics"].items()},
+            }
+            for seed, (line, first) in zip(seeds, got)
+        ]
+        spread = {name: quartiles([r["metrics"][name] for r in per_run]) for name in per_run[0]["metrics"]}
+        q1, mid, q3 = ({name: q[k] for name, q in spread.items()} for k in range(3))
+        rows[label] = {
+            "workload": workload, "seconds": seconds, "seeds": seeds, "runs": per_run,
+            "q1": q1, "median": mid, "q3": q3,
+        }
+    base, *others = rows
+    for label in others:
+        pairs = list(zip(rows[label]["runs"], rows[base]["runs"]))
+        wins = {}
+        for name, direction in better.items():
+            sign = 1 if direction == "higher" else -1
+            wins[name] = sum(sign * (r["metrics"][name] - b["metrics"][name]) > 0 for r, b in pairs)
+        medians, base_medians = rows[label]["median"], rows[base]["median"]
+        rows[label]["against"] = {
+            "base": base,
+            "pairs": len(pairs),
+            "wins": wins,
+            "median_ratio": {name: round(medians[name] / base_medians[name], 4) for name in better},
+        }
+    return {f"{workload}/{label}": row for label, row in rows.items()}
+
+
+def sweep_bench(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
+    seeds = list(range(args.seed, args.seed + args.pairs))
+
+    def run_round(r, order):
+        return {
+            label: (bench_line(sides[label].parent, args.workload, seeds[r], args.seconds), label == order[0])
+            for label in order
+        }
+
+    runs = interleave(list(sides), args.pairs, run_round)
+    return (
+        "bench/run.py end-to-end metrics of each checkout, one run per seed, the checkouts' order "
+        "reversed every seed; medians and quartiles over the seeds, wins counted seed by seed against "
+        "the first label",
+        e2e_rows(args.workload, args.seconds, seeds, runs, better_directions()),
+    )
+
+
 # -- command line ------------------------------------------------------------
 
 MEASURES = {"pairs": measure_pairs, "classify": measure_classify, "continuity": measure_continuity}
@@ -526,7 +629,10 @@ SWEEPS = {
     "pairs": (sweep_pairs, {"spaces": (3, 1), "repeat": (3, 1), "rounds": (3, 1), "suite-rounds": (3, 0)}),
     "classify": (sweep_classify, {"sets": (32, 1), "repeat": (5, 1), "rounds": (11, 1)}),
     "continuity": (sweep_continuity, {"max-n": (64, None), "repeat": (3, 1), "rounds": (3, 1), "cli-n": (19, None)}),
+    "bench": (sweep_bench, {"workload": ("law-suite", None), "seed": (1, 0), "pairs": (5, 1), "seconds": (25, 1)}),
 }
+# the BENCH file of a sweep, where it is not BENCH_<sweep>.json
+OUT_STEMS = {"bench": "e2e"}
 
 
 def main(argv=None) -> int:
@@ -543,8 +649,8 @@ def main(argv=None) -> int:
         sub = commands.add_parser(name)
         sub.add_argument("sides", nargs="+", help="LABEL=SRC, the src directory of a checkout to time")
         for option, (default, _) in options.items():
-            sub.add_argument(f"--{option}", type=int, default=default)
-        sub.add_argument("--out", type=Path, default=Path(f"BENCH_{name}.json"))
+            sub.add_argument(f"--{option}", type=type(default), default=default)
+        sub.add_argument("--out", type=Path, default=Path(f"BENCH_{OUT_STEMS.get(name, name)}.json"))
     args = parser.parse_args(argv)
     sweep, options = SWEEPS[args.sweep]
     for option, (_, least) in options.items():
