@@ -105,7 +105,7 @@ def test_bench_rows_from_canned_result_lines(tmp_path):
         "change": [(bench_line(45, 17, 21.2), False), (bench_line(43, 18.5, 21.0), True),
                    (bench_line(46, 17, 20.9), False), (bench_line(47, 16, 21.1, failed=1), True)],
     }
-    rows = sweep.e2e_rows("law-suite", 25, seeds, runs, better)
+    rows = sweep.e2e_rows("law-suite", seeds, runs, better)
     assert list(rows) == ["law-suite/parent", "law-suite/change"]
     parent, change = rows.values()
     assert "against" not in parent

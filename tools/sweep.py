@@ -45,9 +45,9 @@ continuity [--max-n 64] [--repeat 3] [--rounds 3] [--cli-n 19]:
     With --cli-n N (0 to skip) each round then times `python -m softaura
     continuity` on the identities of 3 and N such points, one parameter,
     interleaved with a bare start: best of --repeat each.
-bench [--workload law-suite] [--seed 1] [--pairs 5] [--seconds 25]
-    [--out BENCH_e2e.json]: the end-to-end benchmark, `bench/run.py` of the
-    checkout whose root is SRC's parent, once per checkout and seed (seeds
+bench [--workload law-suite] [--seed 1] [--pairs 5] [--out BENCH_e2e.json]:
+    the end-to-end benchmark, `bench/run.py` of the checkout whose root is
+    SRC's parent at its own run length, once per checkout and seed (seeds
     --seed up to --seed + --pairs - 1, one seed per round).  Rows, keyed
     WORKLOAD/LABEL, hold each run's metrics, failures and whether it ran
     first, and the median and quartiles of each metric; every label after
@@ -548,18 +548,15 @@ def better_directions() -> dict[str, str]:
     return {metric["name"]: metric["better"] for metric in doc["end_to_end"]}
 
 
-def bench_line(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def bench_line(root: Path, workload: str, seed: int) -> dict:
     """The JSON result line (the last line of stdout) of `bench/run.py` in the checkout at `root`."""
-    argv = [
-        sys.executable, str(root / "bench" / "run.py"),
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-    ]
+    argv = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload, "--seed", str(seed)]
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     return json.loads(run(argv, env, cwd=root)[1].strip().splitlines()[-1])
 
 
-def e2e_rows(workload: str, seconds: int, seeds: list[int], runs: dict[str, list], better: dict[str, str]) -> dict[str, dict]:
+def e2e_rows(workload: str, seeds: list[int], runs: dict[str, list], better: dict[str, str]) -> dict[str, dict]:
     """Rows of the bench sweep, keyed WORKLOAD/LABEL.
 
     runs[label] holds per seed (line, ran_first), line the JSON result line
@@ -581,7 +578,7 @@ def e2e_rows(workload: str, seconds: int, seeds: list[int], runs: dict[str, list
         spread = {name: quartiles([r["metrics"][name] for r in per_run]) for name in per_run[0]["metrics"]}
         q1, mid, q3 = ({name: q[k] for name, q in spread.items()} for k in range(3))
         rows[label] = {
-            "workload": workload, "seconds": seconds, "seeds": seeds, "runs": per_run,
+            "workload": workload, "seeds": seeds, "runs": per_run,
             "q1": q1, "median": mid, "q3": q3,
         }
     base, *others = rows
@@ -606,16 +603,16 @@ def sweep_bench(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
 
     def run_round(r, order):
         return {
-            label: (bench_line(sides[label].parent, args.workload, seeds[r], args.seconds), label == order[0])
+            label: (bench_line(sides[label].parent, args.workload, seeds[r]), label == order[0])
             for label in order
         }
 
     runs = interleave(list(sides), args.pairs, run_round)
     return (
-        "bench/run.py end-to-end metrics of each checkout, one run per seed, the checkouts' order "
-        "reversed every seed; medians and quartiles over the seeds, wins counted seed by seed against "
-        "the first label",
-        e2e_rows(args.workload, args.seconds, seeds, runs, better_directions()),
+        "bench/run.py end-to-end metrics of each checkout at its default run length, one run per seed, "
+        "the checkouts' order reversed every seed; medians and quartiles over the seeds, wins counted "
+        "seed by seed against the first label",
+        e2e_rows(args.workload, seeds, runs, better_directions()),
     )
 
 
@@ -629,7 +626,7 @@ SWEEPS = {
     "pairs": (sweep_pairs, {"spaces": (3, 1), "repeat": (3, 1), "rounds": (3, 1), "suite-rounds": (3, 0)}),
     "classify": (sweep_classify, {"sets": (32, 1), "repeat": (5, 1), "rounds": (11, 1)}),
     "continuity": (sweep_continuity, {"max-n": (64, None), "repeat": (3, 1), "rounds": (3, 1), "cli-n": (19, None)}),
-    "bench": (sweep_bench, {"workload": ("law-suite", None), "seed": (1, 0), "pairs": (5, 1), "seconds": (25, 1)}),
+    "bench": (sweep_bench, {"workload": ("law-suite", None), "seed": (1, 0), "pairs": (5, 1)}),
 }
 # the BENCH file of a sweep, where it is not BENCH_<sweep>.json
 OUT_STEMS = {"bench": "e2e"}
