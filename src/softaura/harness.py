@@ -2,17 +2,21 @@
 
 The engine enumerates every scope function over the discrete topology for
 each universe/parameter shape up to the requested bounds, builds per-space
-lookup tables from public operator calls (closure and interior composed
-slice by slice, their single-slice entries shared by the spaces of one run
-that have the same scope column, see _Tables), and then evaluates every law
-as comparisons of those library-produced values.  Each law is defined once,
-as a predicate over the tables; replay_witness evaluates the same predicate
-on tables built for the witness space.  Pair laws, and the set laws read
-off the tables alone, are decided one parameter slice at a time wherever
-the tables are products of their single-slice entries, as the paper's
-operators are.  Set ranks, pair ranks, scope ranks and shape
-ranks are all canonical, so every reported witness is the first one in
-canonical order and every report is byte-reproducible.
+lookup tables from public operator calls, and then evaluates every law as
+comparisons of those library-produced values.  Closure and interior are
+composed slice by slice from single-slice rows.  The shape alone picks how
+the tables are held, for the suite and replay_witness alike: lists filled
+up front when every set of the shape is checked, their rows kept in one
+memo per run and shared by its spaces that have the same scope column;
+dicts filled on lookup above that (see _Tables).  The openness flags are
+kept once, as a six-flag tuple per set.  Each law is defined once, as a
+predicate over the tables; replay_witness evaluates the same predicate on
+tables built for the witness space.  Pair laws, and the set laws read off
+the tables alone, are decided one parameter slice at a time wherever the
+tables are products of their single-slice entries, as the paper's
+operators are.  Set ranks, pair ranks, scope ranks and shape ranks are all
+canonical, so every reported witness is the first one in canonical order
+and every report is byte-reproducible.
 
 Literal per-element oracles for the closure and interior live here too; they
 work on name sets, never on bitmasks, so they share no code with the
@@ -346,11 +350,6 @@ def _openness_row(cl, int_, g: int) -> tuple[bool, ...]:
     )
 
 
-def _slice_rows(entry, n: int, m: int) -> list[list[int]]:
-    """Per parameter i, 0 then `entry` of each non-null single-slice set a << i*n."""
-    return [[0] + [entry[a << (i * n)] for a in range(1, 1 << n)] for i in range(m)]
-
-
 def _slice_product(rows: list[list[int]], null: int) -> list[int]:
     """The whole packed table whose entry for g is the OR of its non-null single-slice parts' entries in `rows`.
 
@@ -364,26 +363,28 @@ def _slice_product(rows: list[list[int]], null: int) -> list[int]:
     return table
 
 
-def _column_rows(tag: str, entry: Callable, space: SoftAuraSpace, columns: dict | None) -> list:
+def _column_rows(tag: str, entry: Callable, t) -> list:
     """Per parameter i, the row holding 0 at 0 and `entry(i, a)`, the packed entry of the single-slice set a << i*n, at a.
 
     On a single-slice set a slicewise operator reads one scope column of
-    the space, so given a `columns` memo a row is a list computed once per
-    key: the operator's tag, the shape, the parameter (which fix the sets
-    asked) and that column.  A row that leaks out of its slice is shared
-    like any other; `_slice_products` sees the leak on every space that
-    uses it.  Without a memo a row is a dict filled on first lookup.
+    the space, so a row is kept in `t.memo` once per key: the operator's
+    tag, the shape, the parameter (which fix the sets asked) and that
+    column: a list on exhaustive tables, else a dict filled on first
+    lookup.  A row that leaks out of its slice is shared like any other;
+    `_slice_products` sees the leak on every space that uses it.
     """
+    space = t.space
     n, m = space.context.n_points, space.context.n_params
     rows = []
     for i in range(m):
-        if columns is None:
-            rows.append(_Lazy(lambda a, i=i: a and entry(i, a)))
-            continue
         key = (tag, n, m, i, space.scope_columns[i])
-        row = columns.get(key)
+        row = t.memo.get(key)
         if row is None:
-            row = columns[key] = [0] + [entry(i, a) for a in range(1, 1 << n)]
+            if t.exhaustive:
+                row = [0] + [entry(i, a) for a in range(1, 1 << n)]
+            else:
+                row = _Lazy(lambda a, i=i: a and entry(i, a))
+            t.memo[key] = row
         rows.append(row)
     return rows
 
@@ -404,19 +405,20 @@ def _composed(rows: list, null: int, n: int) -> _Lazy:
     return _Lazy(fill)
 
 
-def _slicewise(tag: str, op: Callable, space: SoftAuraSpace, sets, columns: dict | None):
-    """Packed table of `op(space, G)`, for an operator that acts slice by slice.
+def _slicewise(tag: str, op: Callable, t):
+    """Packed table of `op(space, G)` for the space of tables `t`, for an operator that acts slice by slice.
 
-    The null set and each single-slice set get one `op` call; any other entry
-    is the OR of its single-slice parts' entries.  Given a `columns` memo
-    the table is a list built as the product of those entries, which share
-    the memo's rows (see _column_rows); without one it is a dict filled on
-    first lookup.
+    The null set and each single-slice set get one `op` call, the latter
+    through the memo's rows (see _column_rows); any other entry is the OR
+    of its single-slice parts' entries.  On exhaustive tables the table is
+    a list built as the product of those entries; otherwise it is a dict
+    composed on first lookup.
     """
+    space, sets = t.space, t.sets
     n = space.context.n_points
-    rows = _column_rows(tag, lambda i, a: _pack(op(space, sets[a << (i * n)]).masks, n), space, columns)
+    rows = _column_rows(tag, lambda i, a: _pack(op(space, sets[a << (i * n)]).masks, n), t)
     null = _pack(op(space, sets[0]).masks, n)
-    return _composed(rows, null, n) if columns is None else _slice_product(rows, null)
+    return _slice_product(rows, null) if t.exhaustive else _composed(rows, null, n)
 
 
 class _Tables:
@@ -426,49 +428,46 @@ class _Tables:
     unpacks; `cl`, `int_` and `fix` hold the packed one-step closure,
     interior and fixpoint closure; `fix_result` the fixpoint closure with its
     iteration counts; `rows[kind]` the six openness flags of each set under
-    a closure kind and `cols[kind]` the same flags as six per-flag tables.
-    `cl`, `int_` and the `oracle` tables are composed slice by slice
-    (`_slicewise`, `_oracle_tables`); `fix_result` holds one public
-    `kuratowski_closure` call per set, since its iteration counts are
-    checked.  Given a shape's full set list the tables are lists filled up
-    front (`eager`), and their single-slice rows come from `columns`, a memo
-    that one suite run shares across its spaces (a fresh one by default);
-    without a set list they are dicts filled on first lookup.  The oracle
-    rows are one name-set pass (`_oracle_scan`) per single-slice set of a
-    scope column, and the oracle tables are dicts composed on lookup in
-    either mode.  No stored function refers to the instance, so reference
-    counting frees the tables.
+    a closure kind, as one tuple per set.  `cl`, `int_` and the `oracle`
+    tables are composed slice by slice (`_slicewise`, `_oracle_tables`);
+    `fix_result` holds one public `kuratowski_closure` call per set, since
+    its iteration counts are checked.  The shape alone picks the
+    representation, whoever builds the tables: with |X|*|E| <=
+    EXHAUSTIVE_GUARD (`exhaustive`) they are lists filled up front, above
+    it dicts filled on first lookup.  List-backed tables keep each
+    context's unpacked sets and the single-slice rows of each scope column
+    in `memo`, which one suite run shares across its spaces (a fresh one by
+    default).  Dict-backed tables keep theirs in a memo of their own, freed
+    with them: they fill with the entries one sampled space reads, which
+    other spaces seldom read, and a shared memo would hold every space's
+    until the run ends.  The oracle rows are one name-set pass
+    (`_oracle_scan`) per single-slice set of a scope column, and the oracle
+    tables are dicts composed on lookup either way.  No stored function
+    refers to the instance, so reference counting frees the tables.
     """
 
-    def __init__(self, space: SoftAuraSpace, sets: Sequence[SoftSet] | None = None, columns: dict | None = None):
+    def __init__(self, space: SoftAuraSpace, memo: dict | None = None):
         ctx = space.context
-        n = ctx.n_points
-        eager = sets is not None
-        if sets is None:
-            sets = _Lazy(lambda g: _unpack(ctx, g))
-        elif columns is None:
-            columns = {}
+        n, m = ctx.n_points, ctx.n_params
+        self.exhaustive = exhaustive = n * m <= EXHAUSTIVE_GUARD
 
         def table(fill):
-            return [fill(g) for g in range(len(sets))] if eager else _Lazy(fill)
+            return [fill(g) for g in range(1 << n * m)] if exhaustive else _Lazy(fill)
 
         self.space = space
-        self.columns = columns
-        self.full = _pack((ctx.full_mask,) * ctx.n_params, n)
+        self.full = (1 << n * m) - 1
+        self.memo = memo = memo if exhaustive and memo is not None else {}
+        sets = memo.get(("sets", ctx))
+        if sets is None:
+            sets = memo["sets", ctx] = table(lambda g: _unpack(ctx, g))
         self.sets = sets
-        self.cl = cl = _slicewise("cl", aura_closure, space, sets, columns)
-        self.int_ = int_ = _slicewise("int", aura_interior, space, sets, columns)
+        self.cl = cl = _slicewise("cl", aura_closure, self)
+        self.int_ = int_ = _slicewise("int", aura_interior, self)
         self.fix_result = fix_result = table(lambda g: kuratowski_closure(space, sets[g]))
         self.fix = table(lambda g: _pack(fix_result[g].closure.masks, n))
         self.rows = {
             kind: table(lambda g, c=c: _openness_row(c, int_, g))
             for kind, c in ((CECH, cl), (KURATOWSKI, self.fix))
-        }
-        self.cols = {
-            kind: tuple(zip(*rows))
-            if eager
-            else tuple(_Lazy(lambda g, rows=rows, j=j: rows[g][j]) for j in range(6))
-            for kind, rows in self.rows.items()
         }
 
     @cached_property
@@ -483,17 +482,18 @@ class _Tables:
     @cached_property
     def oracle(self) -> tuple:
         """Packed `oracle_closure` and `oracle_interior` tables (see _oracle_tables)."""
-        return _oracle_tables(self.space, self.sets, self.columns)
+        return _oracle_tables(self)
 
 
-def _oracle_tables(space: SoftAuraSpace, sets, columns: dict | None) -> tuple:
-    """Packed `oracle_closure` and `oracle_interior` tables, each entry composed on first lookup.
+def _oracle_tables(t) -> tuple:
+    """Packed `oracle_closure` and `oracle_interior` tables of the space of `t`, each entry composed on first lookup.
 
     A single-slice set's entry is one `_oracle_scan` of its names at that
     parameter, in rows shared like those of `cl` and `int_` (see
     _column_rows); the null set's is one whole-set oracle call, which also
     sees points an oracle puts on null slices.
     """
+    space = t.space
     ctx = space.context
     n = ctx.n_points
     scopes = oracle_scopes(space)
@@ -503,8 +503,8 @@ def _oracle_tables(space: SoftAuraSpace, sets, columns: dict | None) -> tuple:
     out = []
     for tag, interior in (("oracle-cl", False), ("oracle-int", True)):
         entry = lambda i, a, interior=interior: ctx.mask_of(_oracle_scan(tables[i], names[a], interior)) << (i * n)
-        rows = _column_rows(tag, entry, space, columns)
-        out.append(_composed(rows, _pack(_oracle(space, sets[0], scopes, interior).masks, n), n))
+        rows = _column_rows(tag, entry, t)
+        out.append(_composed(rows, _pack(_oracle(space, t.sets[0], scopes, interior).masks, n), n))
     return tuple(out)
 
 
@@ -644,13 +644,14 @@ def _pair_row(t, g: int, hs, hit: Callable) -> None:
     hs = range(g, size), so the body below is the innermost loop of a run.
     """
     cl, int_, fix = t.cl, t.int_, t.fix
-    opn, alp, sem, pre, _, bet = t.cols[CECH]
-    alp_k = t.cols[KURATOWSKI][1]
+    rows, rows_k = t.rows[CECH], t.rows[KURATOWSKI]
     clg, ing, fixg = cl[g], int_[g], fix[g]
-    og, ag, sg, pg, eg, akg = opn[g], alp[g], sem[g], pre[g], bet[g], alp_k[g]
+    og, ag, sg, pg, _, eg = rows[g]
+    akg = rows_k[g][1]
     for h in hs:
         u = g | h
         w = g & h
+        rh = rows[h]
         if cl[u] != clg | cl[h]:
             hit("closure-additivity", g, h)
         if int_[w] != ing & int_[h]:
@@ -667,17 +668,17 @@ def _pair_row(t, g: int, hs, hit: Callable) -> None:
                 hit("closure-monotonicity", h, g)
             if int_[h] & ~ing:
                 hit("interior-monotonicity", h, g)
-        if sg and sem[h] and not sem[u]:
+        if sg and rh[2] and not rows[u][2]:
             hit("union-closure-semi", g, h)
-        if pg and pre[h] and not pre[u]:
+        if pg and rh[3] and not rows[u][3]:
             hit("union-closure-pre", g, h)
-        if eg and bet[h] and not bet[u]:
+        if eg and rh[5] and not rows[u][5]:
             hit("union-closure-beta", g, h)
-        if og and opn[h] and not (opn[u] and opn[w]):
+        if og and rh[0] and not (rows[u][0] and rows[w][0]):
             hit("aura-open-family", g, h)
-        if akg and alp_k[h] and not alp_k[w]:
+        if akg and rows_k[h][1] and not rows_k[w][1]:
             hit("alpha-meet-kuratowski", g, h)
-        if ag and alp[h] and not alp[w]:
+        if ag and rh[1] and not rows[w][1]:
             hit("alpha-meet-cech", g, h)
 
 
@@ -688,8 +689,11 @@ def _slice_products(t) -> bool:
     lie in its own slice, and every entry must be the OR of its single-slice
     parts' entries.  `cl` and `int_` are composed that way (`_slicewise`);
     `fix` holds one `kuratowski_closure` call per set, so it is compared
-    entry by entry.
+    entry by entry.  False on tables that are not exhaustive, which hold
+    only the entries read.
     """
+    if not t.exhaustive:
+        return False
     ctx = t.space.context
     n, m = ctx.n_points, ctx.n_params
     for i in range(m):
@@ -697,7 +701,8 @@ def _slice_products(t) -> bool:
         for table in (t.cl, t.int_, t.fix):
             if any(table[a << (i * n)] & outside for a in range(1 << n)):
                 return False
-    return t.fix == _slice_product(_slice_rows(t.fix, n, m), t.fix[0])
+    rows = [[0] + [t.fix[a << (i * n)] for a in range(1, 1 << n)] for i in range(m)]
+    return t.fix == _slice_product(rows, t.fix[0])
 
 
 def _slice_alpha_meets(t, laws) -> dict[str, int] | None:
@@ -730,12 +735,13 @@ def _slice_alpha_meets(t, laws) -> dict[str, int] | None:
         return None
     counts = {}
     for name, kind in _PAIR_REPORT_ROWS.items():
-        alpha = t.cols[kind][1]
+        flags = t.rows[kind]
         pairs = meets = 1
         for i in range(m):
-            opens = [a for a in range(1 << n) if alpha[a << (i * n)]]
+            alpha = [flags[a << (i * n)][1] for a in range(1 << n)]
+            opens = [a for a in range(1 << n) if alpha[a]]
             pairs *= len(opens) ** 2
-            meets *= sum(alpha[(a & b) << (i * n)] for a in opens for b in opens)
+            meets *= sum(alpha[a & b] for a in opens for b in opens)
         counts[name] = (pairs - meets) // 2
     return counts
 
@@ -805,12 +811,12 @@ def _slice_cech_decompositions(t) -> int | None:
     return both - alphas
 
 
-def _first_alpha_meet(alpha, size: int) -> tuple[int, int] | None:
-    """The full scan's first pair (g, h), g <= h, of alpha-open sets whose meet is not alpha-open."""
-    opens = [g for g in range(size) if alpha[g]]
+def _first_alpha_meet(flags, size: int) -> tuple[int, int] | None:
+    """The full scan's first pair (g, h), g <= h, of sets alpha-open by `flags` (a `rows` table) whose meet is not alpha-open."""
+    opens = [g for g in range(size) if flags[g][1]]
     for j, g in enumerate(opens):
         for h in opens[j:]:
-            if not alpha[g & h]:
+            if not flags[g & h][1]:
                 return g, h
     return None
 
@@ -1030,25 +1036,15 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         name: {"found": 0, "first": None} for name in REPORT_ROWS
     }
     strictness: dict[str, Witness | None] = {e: None for e in STRICTNESS_EDGES}
-    shape_sets: dict[tuple[int, int], list[SoftSet]] = {}
-    # single-slice rows shared by this run's spaces
-    columns: dict = {}
+    # unpacked sets and single-slice rows shared by this run's enumerable shapes
+    memo: dict = {}
     spaces_checked = 0
     sets_max = 0
 
     for rank3, space in iter_family_spaces(spec):
         spaces_checked += 1
-        ctx = space.context
-        n, m = ctx.n_points, ctx.n_params
-        exhaustive = n * m <= EXHAUSTIVE_GUARD
-        if exhaustive:
-            packed: Sequence[int] = range(1 << (n * m))
-            if (n, m) not in shape_sets:
-                shape_sets[n, m] = [_unpack(ctx, g) for g in packed]
-            t = _Tables(space, shape_sets[n, m], columns)
-        else:
-            t = _Tables(space)
-            packed = _sampled_sets(ctx, spec.seed or 0, rank3)
+        t = _Tables(space, memo)
+        packed = range(t.full + 1) if t.exhaustive else _sampled_sets(space.context, spec.seed or 0, rank3)
         size = len(packed)
         sets_max = max(sets_max, size)
 
@@ -1079,7 +1075,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
             row["found"] += found
 
         # set laws that hold on every set per slice need no per-set scan
-        decided = _slice_set_laws(t, results) if exhaustive else set()
+        decided = _slice_set_laws(t, results)
         for name, law in checks:
             holds = law.evaluator
             if law.arity == "space":
@@ -1103,7 +1099,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                         rank = rank3 + (i,)
                         strictness[edge] = _witness("strictness", edge, space, rank, (t.sets[g],))
                         break
-        decompositions = _slice_cech_decompositions(t) if exhaustive else None
+        decompositions = _slice_cech_decompositions(t)
         if decompositions is None:
             for i, g in enumerate(packed):
                 if not _cech_decomposes(t, g):
@@ -1115,7 +1111,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
 
         # pair laws need the full set lattice: every union and meet is a row;
         # the full scan runs only where the slice check cannot vouch for it
-        if exhaustive and pair_rows:
+        if t.exhaustive and pair_rows:
             counts = _slice_alpha_meets(t, results)
             if counts is None:
                 hit = lambda name, a, b: record(name, rank3 + (a, b), (a, b))
@@ -1123,7 +1119,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                     _pair_row(t, g, range(g, size), hit)
             else:
                 for name, found in counts.items():
-                    count(name, found, lambda name=name: _first_alpha_meet(t.cols[_PAIR_REPORT_ROWS[name]][1], size))
+                    count(name, found, lambda name=name: _first_alpha_meet(t.rows[_PAIR_REPORT_ROWS[name]], size))
             for name in pair_rows:
                 results[name].checked += size * (size + 1) // 2
 

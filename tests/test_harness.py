@@ -348,10 +348,26 @@ def _lazy_spaces(n: int, m: int, seeds):
         yield SoftAuraSpace(ctx, topo, harness._sample_scope(ctx, topo, random.Random(seed)))
 
 
-def _eager_tables(space, columns=None):
-    ctx = space.context
-    sets = [harness._unpack(ctx, g) for g in range(1 << ctx.n_points * ctx.n_params)]
-    return harness._Tables(space, sets, columns)
+def _entries(t, packed):
+    """Every table's entry at each packed set: cl, int_, fix, both openness rows, both oracles."""
+    tables = (t.cl, t.int_, t.fix, t.rows["cech"], t.rows["kuratowski"], *t.oracle)
+    return [tuple(table[g] for table in tables) for g in packed]
+
+
+def _recorded_run(spec, monkeypatch):
+    """The suite's result on `spec` and, per space in family order, its rank and the tables the run built."""
+    built = []
+
+    class Recording(harness._Tables):
+        def __init__(self, space, memo=None):
+            super().__init__(space, memo)
+            built.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_Tables", Recording)
+        result = run_law_suite(spec)
+    ranks = [rank3 for rank3, _ in iter_family_spaces(spec)]
+    return result, list(zip(ranks, built))
 
 
 def _non_null_slices(g) -> int:
@@ -362,8 +378,9 @@ class TestComposedTables:
     """`cl` and `int_` are composed from single-slice entries; the laws must still see every fault."""
 
     def test_entries_equal_whole_set_operator_calls(self):
-        eager = [_eager_tables(space) for _, space in iter_family_spaces(SpaceFamilySpec(2, 2))]
+        eager = [harness._Tables(space) for _, space in iter_family_spaces(SpaceFamilySpec(2, 2))]
         lazy = [harness._Tables(space) for space in _lazy_spaces(4, 4, range(3))]
+        assert all(type(t.cl) is list for t in eager) and all(type(t.cl) is harness._Lazy for t in lazy)
         for t in eager + lazy:
             n = t.space.context.n_points
             for g in range(t.full + 1):
@@ -376,21 +393,56 @@ class TestComposedTables:
         # one memo across a sampled family, as run_law_suite shares it,
         # against tables built for each space alone
         spec = SpaceFamilySpec(3, 2, topology_kind=kind, scope_mode="sampled", seed=17, sample_count=60)
-        columns = {}
+        memo = {}
         slices = 0
         for _, space in iter_family_spaces(spec):
-            shared = _eager_tables(space, columns)
-            fresh = _eager_tables(space)
-            assert shared.cl == fresh.cl
-            assert shared.int_ == fresh.int_
-            # the oracle tables are composed on lookup: compare every entry
-            for a, b in zip(shared.oracle, fresh.oracle):
-                assert [a[g] for g in range(shared.full + 1)] == [b[g] for g in range(fresh.full + 1)]
+            shared = harness._Tables(space, memo)
+            fresh = harness._Tables(space)
+            assert shared.exhaustive and fresh.exhaustive
+            every = range(shared.full + 1)
+            assert _entries(shared, every) == _entries(fresh, every)
             slices += space.context.n_params
-        rows = [key for key in columns if key[0] == "cl"]
+        rows = [key for key in memo if key[0] == "cl"]
         # the rows were shared: fewer (shape, parameter, column) keys than slices
         assert 0 < len(rows) < slices
-        assert len(rows) == len({key for key in columns if key[0] == "oracle-int"})
+        assert len(rows) == len({key for key in memo if key[0] == "oracle-int"})
+
+    def test_representation_follows_the_shape(self, monkeypatch):
+        # whoever builds the tables: a replayed 3 x 2 witness space gets the
+        # lists the suite filled through its shared memo, a 4 x 4 space dicts
+        spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20)
+        result, built = _recorded_run(spec, monkeypatch)
+        assert len({id(t.memo) for _, t in built}) == 1
+        witnesses = [w for w in result.strictness.values() if w is not None and w.rank[:2] == (3, 2)]
+        assert witnesses
+        for w in witnesses:
+            (rank3, suite), t = built[w.rank[2]], harness._Tables(harness.replay_space(w.space))
+            assert rank3 == w.rank[:3] and replay_witness(w)
+            assert t.exhaustive and type(t.cl) is type(t.fix) is type(t.rows["cech"]) is type(t.sets) is list
+            every = range(t.full + 1)
+            assert _entries(t, every) == _entries(suite, every)
+            assert [s.masks for s in t.sets] == [s.masks for s in suite.sets]
+        (space,) = _lazy_spaces(4, 4, [0])
+        t = harness._Tables(space)
+        assert not t.exhaustive
+        assert all(type(table) is harness._Lazy for table in (t.sets, t.cl, t.int_, t.fix, t.fix_result, *t.rows.values()))
+
+    def test_tables_above_the_guard_keep_their_rows_to_themselves(self, monkeypatch):
+        # dict-backed tables fill with what one sampled space reads; shared
+        # through the run's memo they would keep every space's entries to
+        # the end of the run, so only list-backed tables share it
+        spec = SpaceFamilySpec(2, 16, scope_mode="sampled", seed=5, sample_count=24)
+        result, built = _recorded_run(spec, monkeypatch)
+        above = [(rank3, t) for rank3, t in built if not t.exhaustive]
+        below = [t for _, t in built if t.exhaustive]
+        assert above and below and result.total_failures == 0
+        (memo,) = {id(t.memo): t.memo for t in below}.values()
+        assert all(key[1] * key[2] <= harness.EXHAUSTIVE_GUARD for key in memo if key[0] != "sets")
+        assert len({id(t.memo) for _, t in above} | {id(memo)}) == len(above) + 1
+        for rank3, t in above:
+            assert all(type(row) is harness._Lazy for key, row in t.memo.items() if key[0] == "cl")
+            packed = harness._sampled_sets(t.space.context, spec.seed, rank3)
+            assert _entries(t, packed) == _entries(harness._Tables(t.space), packed)
 
     def test_memo_lasts_one_run(self, monkeypatch):
         real = harness.aura_closure
@@ -407,16 +459,18 @@ class TestComposedTables:
         run_law_suite(spec)
         assert calls[0] == 2 * first
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_tables_freed_without_the_cyclic_collector(self, lazy):
-        (space,) = _lazy_spaces(2, 2, [3])
+    @pytest.mark.parametrize("shape, table_type", [((2, 2), list), ((4, 4), harness._Lazy)], ids=["2x2-lists", "4x4-dicts"])
+    def test_tables_freed_without_the_cyclic_collector(self, shape, table_type):
+        (space,) = _lazy_spaces(*shape, [3])
         enabled = gc.isenabled()
         gc.disable()
         try:
-            t = harness._Tables(space) if lazy else _eager_tables(space)
+            t = harness._Tables(space)
+            assert type(t.cl) is type(t.fix) is type(t.rows["cech"]) is table_type
             ref = weakref.ref(t)
             for g in (0, 5, t.full):
-                t.cl[g], t.rows["kuratowski"][g], t.cols["cech"][2][g], t.oracle[1][g]
+                _entries(t, [g]), t.int_[g], t.fix_result[g], t.sets[g]
+            t.separation, t.products
             del t
             assert ref() is None
         finally:
@@ -544,18 +598,11 @@ class TestComposedTables:
         # family's 262,934 (space, set) pairs
         if spec is None:
             spaces = list(_lazy_spaces(4, 4, range(3)))
-            tables = [
-                harness._oracle_tables(space, harness._Lazy(functools.partial(harness._unpack, space.context)), None)
-                for space in spaces
-            ]
+            tables = [harness._Tables(space).oracle for space in spaces]
         else:
-            columns = {}
+            memo = {}
             spaces = [space for _, space in iter_family_spaces(spec)]
-            tables = []
-            for space in spaces:
-                ctx = space.context
-                sets = [harness._unpack(ctx, g) for g in range(1 << ctx.n_points * ctx.n_params)]
-                tables.append(harness._oracle_tables(space, sets, columns))
+            tables = [harness._Tables(space, memo).oracle for space in spaces]
         for r, (space, (ocl, oint)) in enumerate(zip(spaces, tables)):
             ctx = space.context
             n = ctx.n_points
@@ -675,8 +722,8 @@ class TestSlicePairs:
         # fix of the absolute set loses a point: no pair of single-slice sets
         # reads that entry, so only the product check sends the space to the full scan
         class Corrupted(harness._Tables):
-            def __init__(self, space, sets=None, columns=None):
-                super().__init__(space, sets, columns)
+            def __init__(self, space, memo=None):
+                super().__init__(space, memo)
                 if space.context.n_params > 1:
                     self.fix[self.full] &= self.full - 1
 

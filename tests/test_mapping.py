@@ -680,17 +680,17 @@ class TestBasisPath:
     def test_classes_union_closed_on_exhaustive_family(self):
         # the basis reduction assumes every openness class holds the null set
         # and is closed under unions, under both closure kinds
-        sets_of: dict = {}
+        memo: dict = {}
         spaces = 0
         for _, space in iter_family_spaces(SpaceFamilySpec(3, 2)):
-            ctx = space.context
-            sets = sets_of.setdefault(ctx, list(iter_all_soft_sets(ctx)))
-            tables = harness._Tables(space, sets)
+            tables = harness._Tables(space, memo)
+            assert [s.masks for s in tables.sets] == [s.masks for s in iter_all_soft_sets(space.context)]
             for kind in KINDS:
-                for col in tables.cols[kind]:
-                    members = [g for g, flag in enumerate(col) if flag]
-                    assert col[0]
-                    assert all(col[a | b] for i, a in enumerate(members) for b in members[i + 1:])
+                rows = tables.rows[kind]
+                for j in range(6):
+                    members = [g for g, flags in enumerate(rows) if flags[j]]
+                    assert rows[0][j]
+                    assert all(rows[a | b][j] for i, a in enumerate(members) for b in members[i + 1:])
             spaces += 1
         assert spaces == 4182
 

@@ -77,6 +77,19 @@ def test_after_start_is_the_median_of_per_round_differences():
     assert after == {"validate": 22.0, "suite": 30.0}
 
 
+def test_least_after_start_is_the_least_wall_minus_the_least_paired_bare_start():
+    # the same canned rounds: the least validate wall (72 ms, round 3) less
+    # the least bare start paired with validate (50 ms, round 1); the least
+    # per-round difference, 10 ms, is round 3's, where the bare start ran
+    # during a slow spell, and would read low
+    walls = {"validate": [0.100, 0.122, 0.072], "suite": [0.080, 0.130, 0.082]}
+    bares = {"validate": [0.050, 0.100, 0.062], "suite": [0.050, 0.100, 0.052]}
+    assert load_sweep().least_after_start_ms(walls, bares) == {"validate": 22.0, "suite": 30.0}
+    # each command takes only its own paired bare starts
+    bares["suite"] = [0.060, 0.100, 0.052]
+    assert load_sweep().least_after_start_ms(walls, bares) == {"validate": 22.0, "suite": 28.0}
+
+
 def test_least_over_rounds_beside_the_median():
     # a bimodal figure: the median follows how many rounds ran slow, the least does not
     rounds = [[{"shape": "2x2", "s": s}] for s in (0.57, 1.0, 1.01, 0.58, 0.99)]

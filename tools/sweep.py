@@ -18,10 +18,10 @@ startup [--repeat 21]: process wall time of a bare `python -c pass`, of a
     round runs every command for every checkout back to back, each right
     after a bare start of its own; rows keep median and quartiles in ms
     (the bare row over every bare start), each command's median over rounds
-    of its wall minus the bare start just before it, and the modules each
-    subcommand loads beyond a bare start.  Processes inherit the environment
-    (rows record PYTHONDONTWRITEBYTECODE), with PYTHONPATH=SRC and
-    SOFTAURA_CAP unset.
+    of its wall minus the bare start just before it, its least wall minus
+    the least of those bare starts, and the modules each subcommand loads
+    beyond a bare start.  Processes inherit the environment (rows record
+    PYTHONDONTWRITEBYTECODE), with PYTHONPATH=SRC and SOFTAURA_CAP unset.
 pairs [--spaces 3] [--repeat 3] [--rounds 3] [--suite-rounds 3]: for each
     shape in PAIR_SHAPES, `run_law_suite` on --spaces one-space sampled
     families (the first seeds that draw the shape), best of --repeat calls,
@@ -31,7 +31,8 @@ pairs [--spaces 3] [--repeat 3] [--rounds 3] [--suite-rounds 3]: for each
     plus any full scans a space falls back on.  The first --suite-rounds
     rounds (0 to skip) also time, in a further child, the exhaustive 3x2
     suite and then `decomposition_mapping_scan()` (best of SCAN_REPEAT),
-    with the sha256 of the report and of the scan result's repr.
+    each with its median and least over rounds, and the sha256 of the
+    report and of the scan result's repr.
 classify [--sets 32] [--repeat 5] [--rounds 11]: `classify` under both
     closure kinds on --sets seeded soft sets of two seeded discrete spaces
     of n points and 3 parameters, n in CLASSIFY_SIZES: chain scopes (x and
@@ -214,6 +215,17 @@ def after_start_ms(walls: dict[str, list[float]], bares: dict[str, list[float]])
     }
 
 
+def least_after_start_ms(walls: dict[str, list[float]], bares: dict[str, list[float]]) -> dict[str, float]:
+    """Per command, its least wall seconds over rounds minus the least of the bare starts paired with it, in ms.
+
+    A slow spell over a few rounds still moves the median difference, but
+    not either least, which each come from a fast round.  The least of the
+    differences would pick the round whose bare start ran slowest, and can
+    read below zero.
+    """
+    return {key: round((min(samples) - min(bares[key])) * 1e3, 3) for key, samples in walls.items()}
+
+
 def sweep_startup(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
     envs = {label: cli_env(src) for label, src in sides.items()}
     argvs = {
@@ -247,6 +259,7 @@ def sweep_startup(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
             "wall": {"bare": in_ms([b for samples in bares.values() for b in samples])}
             | {key: in_ms(samples) for key, samples in walls.items()},
             "after_start_ms": after_start_ms(walls, bares),
+            "after_start_min_ms": least_after_start_ms(walls, bares),
             "import_softaura_cli": in_ms([float(got["import"][1]) for got in runs]),
             "modules_loaded": loaded,
         }
@@ -358,12 +371,14 @@ def sweep_pairs(args, sides: dict[str, Path]) -> tuple[str, dict[str, dict]]:
             "exhaustive_3x2": {
                 "seconds": [round(s["seconds"], 3) for s in suite],
                 "median_s": median((s["seconds"] for s in suite), 3) if suite else None,
+                "min_s": round(min(s["seconds"] for s in suite), 3) if suite else None,
                 "sha256": sorted({s["sha256"] for s in suite}),
             },
             "mapping_scan": {
                 "scan_repeat": SCAN_REPEAT,
                 "seconds": [round(s["scan_seconds"], 4) for s in suite],
                 "median_s": median((s["scan_seconds"] for s in suite), 4) if suite else None,
+                "min_s": round(min(s["scan_seconds"] for s in suite), 4) if suite else None,
                 "sha256": sorted({s["scan_sha256"] for s in suite}),
             },
         }
