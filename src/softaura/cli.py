@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .documents import load_mapping, load_space, resolve_target_set
+from .documents import _slices_doc, load_mapping, load_space, resolve_target_set
 from .errors import CapExceeded, DocumentError, SoftAuraError
 from .operators import CECH, KURATOWSKI, TARGET_AMBIENT, TARGET_AURA, TARGET_KURATOWSKI
 from .space import DEFAULT_CAP, DISCRETE
@@ -64,10 +64,6 @@ def _cell(points) -> str:
     return ", ".join(points) if points else "-"
 
 
-def _slices_json(s) -> dict:
-    return {e: list(pts) for e, pts in s.as_dict().items()}
-
-
 def _flag_report(head: list[tuple[str, str, str]], flags: list[tuple[str, bool]], width: int):
     """A yes/no report: `head` holds (JSON key, text label, value) triples, names pad to `width`."""
     payload = {key: value for key, _, value in head}
@@ -104,7 +100,7 @@ def _approx(decoded, args):
     report = approximation_report(decoded.space, resolve_target_set(decoded, args.target))
     acc = report.accuracy
     sets = {"target": report.target, "lower": report.lower, "upper": report.upper, "boundary": report.boundary}
-    payload = {name: _slices_json(s) for name, s in sets.items()}
+    payload = {name: _slices_doc(s) for name, s in sets.items()}
     payload["accuracy"] = {
         "display": acc.display(),
         "numerator": acc.lower_total,
@@ -143,7 +139,7 @@ def _axiom_witness(name: str, w) -> tuple[dict | None, str]:
     if w is None:
         return None, ""
     if name == "regular":
-        found = {"point": w.point, "parameter": w.param, "closedSet": _slices_json(w.closed_set)}
+        found = {"point": w.point, "parameter": w.param, "closedSet": _slices_doc(w.closed_set)}
         return found, f" ({w.point} at {w.param} cannot be separated from a closed set)"
     found = {"x": w.x, "y": w.y}
     if w.param is not None:

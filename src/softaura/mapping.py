@@ -39,8 +39,8 @@ from .operators import (
     TARGET_AURA,
     TARGET_KURATOWSKI,
     _alexandrov_slice_masks,
-    _closure_fn,
     _reach_masks,
+    _slice_closure_fn,
 )
 from .softset import Context, SoftSet, _trusted
 from .space import DEFAULT_CAP, SoftAuraSpace, _least_opens
@@ -163,7 +163,7 @@ def continuity_profile(
     target_family: str = TARGET_AURA,
 ) -> ContinuityProfile:
     """Classify each distinct single-slice pull-back of a basic slice of the target family."""
-    _closure_fn(m.source, kind)  # an unknown kind fails before any enumeration
+    _slice_closure_fn(m.source, kind)  # an unknown kind fails before any enumeration
     basis = _target_basis(m.target, cap, target_family)
     flags = [True] * 5
     for ei, ki in enumerate(m._param_image):
@@ -192,24 +192,32 @@ def verify_closure_characterization(m: SoftMapping, kind: str = CECH) -> tuple[b
     """Check: continuous iff cl(f^{-1} G) is inside f^{-1}(cl G) for all target G.
 
     The containment, slicewise and additive in G, is decided exactly on the
-    single-point target slices: a failing G holds a failing point, so the
-    first failing point slice at the lowest parameter is the least violating
-    G in canonical rank order.  Returns (biconditional held, first G
-    violating the containment or None).  An unknown `kind` raises ValueError
-    before any target set is built.  Nothing here enumerates a family, so
-    there is no cap: the continuity side reads the aura family's |Y| + 1
-    basic slices per parameter.
+    single-point target slices, as slice masks: a failing G holds a failing
+    point, so the first failing point slice at the lowest parameter is the
+    least violating G in canonical rank order, and only it is built as a
+    soft set.  Returns (biconditional held, first G violating the
+    containment or None).  An unknown `kind` raises ValueError before any
+    target set is built.  Nothing here enumerates a family, so there is no
+    cap: the continuity side reads the aura family's |Y| + 1 basic slices
+    per parameter.
     """
     ctx = m.target.context
-    cl_src = _closure_fn(m.source, kind)
-    cl_tgt = _closure_fn(m.target, kind)
-    candidates = (
-        _single_slice(ctx, ki, 1 << yi) for ki in range(ctx.n_params) for yi in range(ctx.n_points)
-    )
+    cl_src = _slice_closure_fn(m.source, kind)
+    cl_tgt = _slice_closure_fn(m.target, kind)
+    pre = m._slice_preimage
+
+    def violates(ki: int, s: int) -> bool:
+        # G is s at ki and null elsewhere, so at source parameter e it reads s or null
+        for ei, k in enumerate(m._param_image):
+            t = s if k == ki else 0
+            if cl_src(ei, pre(t)) & ~pre(cl_tgt(k, t)):
+                return True
+        return False
+
     witness = next(
         (
-            g for g in candidates
-            if not cl_src(inverse_image(m, g)).is_subset_of(inverse_image(m, cl_tgt(g)))
+            _single_slice(ctx, ki, 1 << yi)
+            for ki in range(ctx.n_params) for yi in range(ctx.n_points) if violates(ki, 1 << yi)
         ),
         None,
     )

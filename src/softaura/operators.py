@@ -41,18 +41,6 @@ def _slice_closure_fn(space: SoftAuraSpace, kind: str):
     raise ValueError(f"unknown closure kind {kind!r}")
 
 
-def _closure_fn(space: SoftAuraSpace, kind: str):
-    """The closure operator of `space` named by `kind`, on soft sets; ValueError for any other kind."""
-    cl = _slice_closure_fn(space, kind)
-    ctx = space.context
-
-    def closure(g: SoftSet) -> SoftSet:
-        _require_same_context(ctx, g.context)
-        return _trusted(ctx, tuple(cl(ei, gm) for ei, gm in enumerate(g.masks)))
-
-    return closure
-
-
 def _closure_slice(col, g: int) -> int:
     """One closure step on slice g of one parameter: the bits of the points whose scope slice in `col` meets g."""
     out = 0

@@ -25,6 +25,7 @@ from softaura import (
     SpaceMismatch,
     UnknownParameter,
     UnknownPoint,
+    aura_closure,
     classify,
     compose,
     continuity_profile,
@@ -46,7 +47,6 @@ from softaura import (
 from softaura.cli import main
 from softaura.documents import decode_space, load_mapping
 from softaura.mapping import _single_slice, _target_basis
-from softaura.operators import _closure_fn
 
 from conftest import aura_spaces, brute_open_slices, fixture_path, load_fixture_doc, named_context
 
@@ -93,17 +93,21 @@ def per_set(fn):
     return lambda space, g, kind: memo(space, g.masks, kind)
 
 
+def soft_closure(space: SoftAuraSpace, g: SoftSet, kind: str) -> SoftSet:
+    """The public closure operator named by `kind`."""
+    return aura_closure(space, g) if kind == CECH else kuratowski_closure(space, g).closure
+
+
 # mappings of one family share sources and inverse images, so classifications
 # and source closures repeat
 cached_classify = per_set(classify)
-cached_closure = per_set(lambda space, g, kind: _closure_fn(space, kind)(g))
+cached_closure = per_set(soft_closure)
 
 
 @per_space
 def target_closures(space: SoftAuraSpace, kind: str) -> list[tuple[SoftSet, SoftSet]]:
     """(G, cl G) for every soft set G over the space, in canonical rank order."""
-    cl = _closure_fn(space, kind)
-    return [(g, cl(g)) for g in iter_all_soft_sets(space.context)]
+    return [(g, soft_closure(space, g, kind)) for g in iter_all_soft_sets(space.context)]
 
 
 def reference_profile(m, kind=CECH, target_family=TARGET_AURA) -> ContinuityProfile:
@@ -202,12 +206,13 @@ def slice_decomposition(m, kind=KURATOWSKI):
 def slice_closure_characterization(m, kind=CECH):
     """The containment over every single-slice target set, lowest parameter first."""
     ctx = m.target.context
-    cl_src, cl_tgt = _closure_fn(m.source, kind), _closure_fn(m.target, kind)
     witness = next(
         (
             g
             for g in (_single_slice(ctx, ki, s) for ki in range(ctx.n_params) for s in range(1 << ctx.n_points))
-            if not cl_src(inverse_image(m, g)).is_subset_of(inverse_image(m, cl_tgt(g)))
+            if not soft_closure(m.source, inverse_image(m, g), kind).is_subset_of(
+                inverse_image(m, soft_closure(m.target, g, kind))
+            )
         ),
         None,
     )

@@ -16,6 +16,7 @@ from softaura import (
     NotSingletonE,
     SoftMapping,
     SoftSet,
+    SpaceFamilySpec,
     UnknownParameter,
     approximation_report,
     aura_closure,
@@ -30,6 +31,7 @@ from softaura import (
     is_aura_closed,
     is_aura_open,
     iter_all_soft_sets,
+    iter_family_spaces,
     kuratowski_closure,
     make_soft_set,
     make_space,
@@ -40,7 +42,7 @@ from softaura import (
     singleton_e_inclusion_check,
 )
 from softaura.mapping import _single_slice
-from softaura.operators import _alexandrov_slice_masks
+from softaura.operators import _alexandrov_slice_masks, _fixpoint_slice, _reach_masks
 
 from conftest import aura_spaces, brute_open_slices, named_context, space_with_sets
 
@@ -235,6 +237,35 @@ class TestScopeColumns:
         if shape == "chain":
             # at e1 that set is {x_n}, whose fixpoint takes n - 1 growing steps
             assert kuratowski_closure(space, sets[2]).iterations[ctx.parameters[0]] == n - 1
+
+
+def reach_closure(reach: list[int], g: int) -> int:
+    """The bits of the points whose reach row meets g."""
+    return sum(1 << xi for xi, row in enumerate(reach) if row & g)
+
+
+class TestReachRows:
+    """The fixpoint closure at e is the one-step scan over the reach rows R_e(x) instead of the scopes."""
+
+    def test_fixpoint_matches_reach_rows_on_exhaustive_family(self):
+        slices = 0
+        for _, space in iter_family_spaces(SpaceFamilySpec(3, 2)):
+            for ei in range(space.context.n_params):
+                reach = _reach_masks(space, ei)
+                for g in range(1 << space.context.n_points):
+                    assert _fixpoint_slice(space, ei, g)[0] == reach_closure(reach, g)
+                    slices += 1
+        assert slices == 66_198
+
+    def test_fixpoint_matches_reach_rows_on_chain(self):
+        space = chain_space(64, 2)
+        rng = random.Random("reach-chain")
+        masks = [0, space.context.full_mask, *(1 << xi for xi in range(64))]
+        masks += [rng.getrandbits(64) & rng.getrandbits(64) & rng.getrandbits(64) for _ in range(16)]
+        for ei in range(2):
+            reach = _reach_masks(space, ei)
+            for g in masks:
+                assert _fixpoint_slice(space, ei, g)[0] == reach_closure(reach, g)
 
 
 class TestTrivialScope:

@@ -313,15 +313,14 @@ def measure_pairs(part: str, spaces: int, repeat: int) -> list[dict] | dict:
         real_row(t, g, hs, hit)
 
     harness._pair_row = counting_row
-    real_slice = getattr(harness, "_slice_alpha_meets", None)
-    if real_slice is not None:
+    real_slice = harness._slice_alpha_meets
 
-        def counting_slice(t, laws):
-            got = real_slice(t, laws)
-            counts["fallbacks"] += got is None
-            return got
+    def counting_slice(t, laws):
+        got = real_slice(t, laws)
+        counts["fallbacks"] += got is None
+        return got
 
-        harness._slice_alpha_meets = counting_slice
+    harness._slice_alpha_meets = counting_slice
 
     def one_space(spec):
         counts.update(pairs=0, fallbacks=0)
@@ -338,7 +337,7 @@ def measure_pairs(part: str, spaces: int, repeat: int) -> list[dict] | dict:
                 raise AssertionError(f"law failures on the {n}x{m} space of seed {seed}")
             seconds.append(best)
             evaluations.append(counts["pairs"])
-            fell_back.append(counts["fallbacks"] if real_slice is not None else None)
+            fell_back.append(counts["fallbacks"])
         rows.append(
             {
                 "shape": f"{n}x{m}",
