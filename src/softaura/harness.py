@@ -4,7 +4,10 @@ The engine enumerates every scope function over the discrete topology for
 each universe/parameter shape up to the requested bounds, builds per-space
 lookup tables from public operator calls, and then evaluates every law as
 comparisons of those library-produced values.  Closure and interior are
-composed slice by slice from single-slice rows.  The shape alone picks how
+composed slice by slice from single-slice rows, and so is the fixpoint
+closure, from the closure table iterated on each single-slice set, as the
+paper builds it; the kuratowski-fixpoint law checks the public fixpoint
+closure against that table on every set.  The shape alone picks how
 the tables are held, for the suite and replay_witness alike: lists filled
 up front when every set of the shape is checked, their rows kept in one
 memo per run and shared by its spaces that have the same scope column;
@@ -363,11 +366,11 @@ def _slice_product(rows: list[list[int]], null: int) -> list[int]:
     return table
 
 
-def _column_rows(tag: str, entry: Callable, t) -> list:
+def _column_rows(tag: str, entry: Callable, t, memo: dict) -> list:
     """Per parameter i, the row holding 0 at 0 and `entry(i, a)`, the packed entry of the single-slice set a << i*n, at a.
 
     On a single-slice set a slicewise operator reads one scope column of
-    the space, so a row is kept in `t.memo` once per key: the operator's
+    the space, so a row is kept in `memo` once per key: the operator's
     tag, the shape, the parameter (which fix the sets asked) and that
     column: a list on exhaustive tables, else a dict filled on first
     lookup.  A row that leaks out of its slice is shared like any other;
@@ -378,13 +381,13 @@ def _column_rows(tag: str, entry: Callable, t) -> list:
     rows = []
     for i in range(m):
         key = (tag, n, m, i, space.scope_columns[i])
-        row = t.memo.get(key)
+        row = memo.get(key)
         if row is None:
             if t.exhaustive:
                 row = [0] + [entry(i, a) for a in range(1, 1 << n)]
             else:
                 row = _Lazy(lambda a, i=i: a and entry(i, a))
-            t.memo[key] = row
+            memo[key] = row
         rows.append(row)
     return rows
 
@@ -405,19 +408,18 @@ def _composed(rows: list, null: int, n: int) -> _Lazy:
     return _Lazy(fill)
 
 
-def _slicewise(tag: str, op: Callable, t):
-    """Packed table of `op(space, G)` for the space of tables `t`, for an operator that acts slice by slice.
+def _slicewise(tag: str, entry: Callable[[int], int], t, memo: dict):
+    """Packed table of a slicewise operator on the space of tables `t`, whose packed entry at a single-slice or null set g is `entry(g)`.
 
-    The null set and each single-slice set get one `op` call, the latter
-    through the memo's rows (see _column_rows); any other entry is the OR
-    of its single-slice parts' entries.  On exhaustive tables the table is
-    a list built as the product of those entries; otherwise it is a dict
-    composed on first lookup.
+    The null set and each single-slice set get one `entry` call, the latter
+    through rows kept in `memo` (see _column_rows); any other entry is the
+    OR of its single-slice parts' entries.  On exhaustive tables the table
+    is a list built as the product of those entries; otherwise it is a
+    dict composed on first lookup.
     """
-    space, sets = t.space, t.sets
-    n = space.context.n_points
-    rows = _column_rows(tag, lambda i, a: _pack(op(space, sets[a << (i * n)]).masks, n), t)
-    null = _pack(op(space, sets[0]).masks, n)
+    n = t.space.context.n_points
+    rows = _column_rows(tag, lambda i, a: entry(a << (i * n)), t, memo)
+    null = entry(0)
     return _slice_product(rows, null) if t.exhaustive else _composed(rows, null, n)
 
 
@@ -426,21 +428,21 @@ class _Tables:
 
     A soft set packs into one integer with slice i shifted by i*|X|.  `sets`
     unpacks; `cl`, `int_` and `fix` hold the packed one-step closure,
-    interior and fixpoint closure; `fix_result` the fixpoint closure with its
-    iteration counts; `rows[kind]` the six openness flags of each set under
-    a closure kind, as one tuple per set.  `cl`, `int_` and the `oracle`
-    tables are composed slice by slice (`_slicewise`, `_oracle_tables`);
-    `fix_result` holds one public `kuratowski_closure` call per set, since
-    its iteration counts are checked.  The shape alone picks the
-    representation, whoever builds the tables: with |X|*|E| <=
-    EXHAUSTIVE_GUARD (`exhaustive`) they are lists filled up front, above
-    it dicts filled on first lookup.  List-backed tables keep each
-    context's unpacked sets and the single-slice rows of each scope column
-    in `memo`, which one suite run shares across its spaces (a fresh one by
-    default).  Dict-backed tables keep theirs in a memo of their own, freed
-    with them: they fill with the entries one sampled space reads, which
-    other spaces seldom read, and a shared memo would hold every space's
-    until the run ends.  The oracle rows are one name-set pass
+    interior and fixpoint closure; `rows[kind]` the six openness flags of
+    each set under a closure kind, as one tuple per set.  All three and the
+    `oracle` tables are composed slice by slice (`_slicewise`,
+    `_oracle_tables`): `cl` and `int_` from public operator calls, `fix`
+    from the `cl` table applied |X| times, so no table calls
+    `kuratowski_closure`.  The shape alone picks the representation,
+    whoever builds the tables: with |X|*|E| <= EXHAUSTIVE_GUARD
+    (`exhaustive`) they are lists filled up front, above it dicts filled
+    on first lookup.  List-backed tables keep each context's unpacked sets
+    and the single-slice rows of each scope column in `memo`, which one
+    suite run shares across its spaces (a fresh one by default); `fix`
+    keeps its rows to itself.  Dict-backed tables keep theirs in a memo of
+    their own, freed with them: they fill with the entries one sampled
+    space reads, which other spaces seldom read, and a shared memo would
+    hold every space's until the run ends.  The oracle rows are one name-set pass
     (`_oracle_scan`) per single-slice set of a scope column, and the oracle
     tables are dicts composed on lookup either way.  No stored function
     refers to the instance, so reference counting frees the tables.
@@ -461,13 +463,25 @@ class _Tables:
         if sets is None:
             sets = memo["sets", ctx] = table(lambda g: _unpack(ctx, g))
         self.sets = sets
-        self.cl = cl = _slicewise("cl", aura_closure, self)
-        self.int_ = int_ = _slicewise("int", aura_interior, self)
-        self.fix_result = fix_result = table(lambda g: kuratowski_closure(space, sets[g]))
-        self.fix = table(lambda g: _pack(fix_result[g].closure.masks, n))
+
+        def called(op):
+            return lambda g: _pack(op(space, sets[g]).masks, n)
+
+        def iterated(g):
+            # cl enlarges and each step short of the fixpoint adds a point
+            # to the one slice of g, so |X| steps reach the least fixpoint
+            for _ in range(n):
+                g = cl[g]
+            return g
+
+        self.cl = cl = _slicewise("cl", called(aura_closure), self, memo)
+        self.int_ = int_ = _slicewise("int", called(aura_interior), self, memo)
+        # a cl row that leaks out of its slice makes fix read other columns,
+        # so fix keeps its rows to itself: witnesses of such faults replay
+        self.fix = fix = _slicewise("fix", iterated, self, {})
         self.rows = {
             kind: table(lambda g, c=c: _openness_row(c, int_, g))
-            for kind, c in ((CECH, cl), (KURATOWSKI, self.fix))
+            for kind, c in ((CECH, cl), (KURATOWSKI, fix))
         }
 
     @cached_property
@@ -503,7 +517,7 @@ def _oracle_tables(t) -> tuple:
     out = []
     for tag, interior in (("oracle-cl", False), ("oracle-int", True)):
         entry = lambda i, a, interior=interior: ctx.mask_of(_oracle_scan(tables[i], names[a], interior)) << (i * n)
-        rows = _column_rows(tag, entry, t)
+        rows = _column_rows(tag, entry, t, t.memo)
         out.append(_composed(rows, _pack(_oracle(space, t.sets[0], scopes, interior).masks, n), n))
     return tuple(out)
 
@@ -565,12 +579,14 @@ def _duality(t, g):
 def _kuratowski_fixpoint(t, g):
     k = t.fix[g]
     n = t.space.context.n_points
+    public = kuratowski_closure(t.space, t.sets[g])
     return (
         t.cl[g] & ~k == 0
         and g & ~k == 0
         and t.fix[k] == k
         and t.cl[k] == k
-        and all(1 <= it <= n for it in t.fix_result[g].iterations.values())
+        and public.closure.masks == t.sets[k].masks
+        and all(1 <= it <= n for it in public.iterations.values())
     )
 
 
@@ -685,12 +701,10 @@ def _pair_row(t, g: int, hs, hit: Callable) -> None:
 def _slice_products(t) -> bool:
     """Whether `cl`, `int_` and `fix` are products of their single-slice entries.
 
-    Each single-slice entry (the null set counts at every parameter) must
-    lie in its own slice, and every entry must be the OR of its single-slice
-    parts' entries.  `cl` and `int_` are composed that way (`_slicewise`);
-    `fix` holds one `kuratowski_closure` call per set, so it is compared
-    entry by entry.  False on tables that are not exhaustive, which hold
-    only the entries read.
+    `_slicewise` composes every other entry as the OR of its single-slice
+    parts' entries, so they are when each single-slice entry (the null set
+    counts at every parameter) lies in its own slice.  False on tables that
+    are not exhaustive, which hold only the entries read.
     """
     if not t.exhaustive:
         return False
@@ -701,8 +715,7 @@ def _slice_products(t) -> bool:
         for table in (t.cl, t.int_, t.fix):
             if any(table[a << (i * n)] & outside for a in range(1 << n)):
                 return False
-    rows = [[0] + [t.fix[a << (i * n)] for a in range(1, 1 << n)] for i in range(m)]
-    return t.fix == _slice_product(rows, t.fix[0])
+    return True
 
 
 def _slice_alpha_meets(t, laws) -> dict[str, int] | None:
@@ -783,34 +796,6 @@ def _slice_set_laws(t, names) -> set[str]:
     return decided
 
 
-def _slice_cech_decompositions(t) -> int | None:
-    """decomposition-set-cech's count of sets, from per-slice flag counts.
-
-    On product tables (see _slice_set_laws) a set has a flag iff each of
-    its single-slice parts has it.  If alpha implies semi and pre on every
-    single-slice set, as hierarchy-cech asks, the failing sets are the semi
-    and pre ones that are not alpha: prod SP_i - prod A_i, counting the
-    single-slice sets at parameter i that are semi and pre (SP_i) and alpha
-    (A_i).  None, for a scan of every set, where either condition fails.
-    """
-    if not t.products:
-        return None
-    n = t.space.context.n_points
-    rows = t.rows[CECH]
-    both = alphas = 1
-    for i in range(t.space.context.n_params):
-        sp = a = 0
-        for v in range(1 << n):
-            _, alpha, semi, pre, _, _ = rows[v << (i * n)]
-            if alpha and not (semi and pre):
-                return None
-            sp += semi and pre
-            a += alpha
-        both *= sp
-        alphas *= a
-    return both - alphas
-
-
 def _first_alpha_meet(flags, size: int) -> tuple[int, int] | None:
     """The full scan's first pair (g, h), g <= h, of sets alpha-open by `flags` (a `rows` table) whose meet is not alpha-open."""
     opens = [g for g in range(size) if flags[g][1]]
@@ -858,7 +843,7 @@ LAWS: dict[str, LawSpec] = {
     "interior-meet": LawSpec("pair", _pair_law("interior-meet"), "int(G and H) = int(G) and int(H)"),
     "duality": LawSpec("set", _duality, "cl and int are complement-dual"),
     "aura-open-family": LawSpec("pair", _pair_law("aura-open-family"), "aura-open sets are closed under union and intersection"),
-    "kuratowski-fixpoint": LawSpec("set", _kuratowski_fixpoint, "fixpoint closure is idempotent, contains one-step closure, stabilises within |X| steps"),
+    "kuratowski-fixpoint": LawSpec("set", _kuratowski_fixpoint, "public fixpoint closure is the iterated one-step closure: idempotent, contains it, stabilises within |X| steps"),
     "kuratowski-additivity": LawSpec("pair", _pair_law("kuratowski-additivity"), "fixpoint closure is additive"),
     "tau-infinity-in-tau": LawSpec("set", _tau_infinity_in_tau, "complements of fixpoint-closed sets are aura-open"),
     "hierarchy-cech": LawSpec("set", _hierarchy(CECH), "open => alpha => semi,pre => b => beta (one-step closure)"),
@@ -1011,13 +996,12 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     256 seeded sets and no pairs.  Pairs are decided on the pairs of
     single-slice sets at each parameter where that is exact, and scanned
     one by one where it is not (see _slice_alpha_meets).  So are the set
-    laws read off the tables alone, on the single-slice sets, and
-    decomposition-set-cech is counted from per-slice flags (see
-    _slice_set_laws, _slice_cech_decompositions).  Either way gives the
-    same counts and witnesses.  Scan order is canonical everywhere, so
-    witnesses are canonically minimal and reports byte-reproducible.  The
-    alpha-meet report rows are left out when no space ran the pair scan
-    (no pair law selected, or no shape with n*m <= 12).
+    laws read off the tables alone, on the single-slice sets (see
+    _slice_set_laws).  Either way gives the same counts and witnesses.
+    Scan order is canonical everywhere, so witnesses are canonically
+    minimal and reports byte-reproducible.  The alpha-meet report rows are
+    left out when no space ran the pair scan (no pair law selected, or no
+    shape with n*m <= 12).
     """
     if laws is not None:
         require_known_laws(laws)
@@ -1065,15 +1049,6 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
             if len(r.witnesses) < WITNESS_LIMIT:
                 r.witnesses.append(_witness("law", name, space, rank, [t.sets[g] for g in gs]))
 
-        def count(name: str, found: int, first: Callable[[], tuple[int, ...]]) -> None:
-            """Add `found` findings to a report row; first() gives the packed sets of this space's first one."""
-            row = reports[name]
-            if found and row["first"] is None:
-                gs = first()
-                record(name, rank3 + gs, gs)
-                found -= 1
-            row["found"] += found
-
         # set laws that hold on every set per slice need no per-set scan
         decided = _slice_set_laws(t, results)
         for name, law in checks:
@@ -1099,15 +1074,9 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                         rank = rank3 + (i,)
                         strictness[edge] = _witness("strictness", edge, space, rank, (t.sets[g],))
                         break
-        decompositions = _slice_cech_decompositions(t)
-        if decompositions is None:
-            for i, g in enumerate(packed):
-                if not _cech_decomposes(t, g):
-                    record("decomposition-set-cech", rank3 + (i,), (g,))
-        else:
-            # exhaustive: a set's rank is its packed value
-            first = lambda: (next(g for g in packed if not _cech_decomposes(t, g)),)
-            count("decomposition-set-cech", decompositions, first)
+        for i, g in enumerate(packed):
+            if not _cech_decomposes(t, g):
+                record("decomposition-set-cech", rank3 + (i,), (g,))
 
         # pair laws need the full set lattice: every union and meet is a row;
         # the full scan runs only where the slice check cannot vouch for it
@@ -1119,7 +1088,13 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                     _pair_row(t, g, range(g, size), hit)
             else:
                 for name, found in counts.items():
-                    count(name, found, lambda name=name: _first_alpha_meet(t.rows[_PAIR_REPORT_ROWS[name]], size))
+                    row = reports[name]
+                    if found and row["first"] is None:
+                        # exhaustive: a set's rank is its packed value
+                        gs = _first_alpha_meet(t.rows[_PAIR_REPORT_ROWS[name]], size)
+                        record(name, rank3 + gs, gs)
+                        found -= 1
+                    row["found"] += found
             for name in pair_rows:
                 results[name].checked += size * (size + 1) // 2
 

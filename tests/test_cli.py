@@ -876,7 +876,9 @@ class TestMutatedDocuments:
         codes = {}
         for i in range(self.COUNT):
             name = names[i % len(names)]
-            path = tmp_path / f"mutant-{name}"
+            # a new file per mutant: truncating a file written moments ago
+            # waits for its writeback, which can take seconds on a slow disk
+            path = tmp_path / f"mutant-{i:03d}-{name}"
             mutant = mutate(load_fixture_doc(name), rng)
             path.write_text(json.dumps(mutant), encoding="utf-8")
             argv = self.argvs(name, str(path), rng)

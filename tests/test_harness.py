@@ -46,7 +46,7 @@ from softaura import (
     witness_from_json,
 )
 
-from softaura import harness, mapping, rough
+from softaura import harness, mapping, operators, rough
 
 from conftest import named_context, space_with_sets
 
@@ -375,7 +375,7 @@ def _non_null_slices(g) -> int:
 
 
 class TestComposedTables:
-    """`cl` and `int_` are composed from single-slice entries; the laws must still see every fault."""
+    """`cl`, `int_` and `fix` are composed from single-slice entries; the laws must still see every fault."""
 
     def test_entries_equal_whole_set_operator_calls(self):
         eager = [harness._Tables(space) for _, space in iter_family_spaces(SpaceFamilySpec(2, 2))]
@@ -425,7 +425,7 @@ class TestComposedTables:
         (space,) = _lazy_spaces(4, 4, [0])
         t = harness._Tables(space)
         assert not t.exhaustive
-        assert all(type(table) is harness._Lazy for table in (t.sets, t.cl, t.int_, t.fix, t.fix_result, *t.rows.values()))
+        assert all(type(table) is harness._Lazy for table in (t.sets, t.cl, t.int_, t.fix, *t.rows.values()))
 
     def test_tables_above_the_guard_keep_their_rows_to_themselves(self, monkeypatch):
         # dict-backed tables fill with what one sampled space reads; shared
@@ -469,7 +469,7 @@ class TestComposedTables:
             assert type(t.cl) is type(t.fix) is type(t.rows["cech"]) is table_type
             ref = weakref.ref(t)
             for g in (0, 5, t.full):
-                _entries(t, [g]), t.int_[g], t.fix_result[g], t.sets[g]
+                _entries(t, [g]), t.int_[g], t.sets[g]
             t.separation, t.products
             del t
             assert ref() is None
@@ -493,6 +493,52 @@ class TestComposedTables:
         # accuracy() counts on the slice kernel, not through upper_approx (see below)
         assert {name for name, row in result.laws.items() if row.failures} == {"rough-delegation"}
         assert all(replay_witness(w) for w in result.laws["rough-delegation"].witnesses)
+
+    @pytest.mark.parametrize(
+        "spec",
+        # seed 20 draws two 6 x 3 spaces
+        [SpaceFamilySpec(2, 2), SpaceFamilySpec(6, 3, scope_mode="sampled", seed=20, sample_count=2)],
+        ids=["2x2-lists", "6x3-dicts"],
+    )
+    def test_overshooting_fixpoint_is_reported(self, spec, monkeypatch):
+        # a fixpoint kernel that fills every non-null slice, with its
+        # iteration counts unchanged: the tables iterate the closure instead,
+        # so kuratowski-fixpoint sees the public operator miss the least fixpoint
+        real = operators._fixpoint_slice
+
+        def overshoots(space, ei, g):
+            _, growth = real(space, ei, g)
+            return (space.context.full_mask if g else 0), growth
+
+        monkeypatch.setattr(operators, "_fixpoint_slice", overshoots)
+        row = run_law_suite(spec).laws["kuratowski-fixpoint"]
+        assert row.failures > 0
+        (n, m, *_) = row.witnesses[0].rank
+        assert (n * m <= harness.EXHAUSTIVE_GUARD) == (spec.scope_mode == "all")
+        assert replay_witness(row.witnesses[0])
+        monkeypatch.undo()
+        assert not replay_witness(row.witnesses[0])
+
+    def test_multi_slice_fault_in_the_fixpoint_closure_is_reported(self, monkeypatch):
+        # the tables never call the fixpoint closure, so only the law that
+        # calls the public operator on every set sees a fault on sets with
+        # two non-null slices
+        real = harness.kuratowski_closure
+
+        def drops_x1(space, g):
+            out = real(space, g)
+            if _non_null_slices(g) < 2:
+                return out
+            closure = SoftSet(space.context, (out.closure.masks[0] & ~1, *out.closure.masks[1:]))
+            return KuratowskiResult(closure, out.iterations)
+
+        monkeypatch.setattr(harness, "kuratowski_closure", drops_x1)
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        assert {name for name, row in result.laws.items() if row.failures} == {"kuratowski-fixpoint"}
+        witnesses = result.laws["kuratowski-fixpoint"].witnesses
+        assert witnesses and all(replay_witness(w) for w in witnesses)
+        monkeypatch.undo()
+        assert not any(replay_witness(w) for w in witnesses)
 
     @pytest.mark.parametrize("fault", ["adds-x1", "null"])
     def test_accuracy_kernel_fault_is_reported_by_rough_accuracy(self, fault, monkeypatch):
@@ -639,14 +685,11 @@ def _sliced_and_full(spec, monkeypatch):
     """The suite as run, how often it decided by slices, and the suite on per-set and per-pair scans alone.
 
     The counter holds the spaces whose pair laws were decided slice by slice
-    ("pairs"), those whose decomposition-set-cech findings were counted from
-    per-slice flags ("decompositions"), and per set law those where it was
-    decided on single-slice sets.
+    ("pairs"), and per set law those where it was decided on single-slice
+    sets.
     """
     decided = collections.Counter()
-    real_pairs, real_sets, real_counts = (
-        harness._slice_alpha_meets, harness._slice_set_laws, harness._slice_cech_decompositions
-    )
+    real_pairs, real_sets = harness._slice_alpha_meets, harness._slice_set_laws
 
     def pairs(t, laws):
         counts = real_pairs(t, laws)
@@ -658,28 +701,20 @@ def _sliced_and_full(spec, monkeypatch):
         decided.update(laws)
         return laws
 
-    def decompositions(t):
-        found = real_counts(t)
-        decided["decompositions"] += found is not None
-        return found
-
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_slice_alpha_meets", pairs)
         patch.setattr(harness, "_slice_set_laws", sets)
-        patch.setattr(harness, "_slice_cech_decompositions", decompositions)
         sliced = run_law_suite(spec)
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_slice_alpha_meets", lambda t, laws: None)
         patch.setattr(harness, "_slice_set_laws", lambda t, names: set())
-        patch.setattr(harness, "_slice_cech_decompositions", lambda t: None)
         full = run_law_suite(spec)
     return sliced, decided, full
 
 
 def _decided_everywhere(decided, spaces: int) -> bool:
-    """Every slicewise set law and the decomposition count were decided by slices on all `spaces`."""
-    names = (*harness._SLICEWISE_SET_LAWS, "decompositions")
-    return all(decided[name] == spaces for name in names)
+    """Every slicewise set law was decided by slices on all `spaces`."""
+    return all(decided[name] == spaces for name in harness._SLICEWISE_SET_LAWS)
 
 
 class TestSlicePairs:
@@ -718,26 +753,7 @@ class TestSlicePairs:
         assert pairs[0] == sum(per_shape[s] * counts[s] for s in per_shape)
         assert result.laws["closure-additivity"].checked == 3 + 10 + 4 * 10 + 16 * 136
 
-    def test_corrupted_fix_entry_takes_the_full_scan(self, monkeypatch):
-        # fix of the absolute set loses a point: no pair of single-slice sets
-        # reads that entry, so only the product check sends the space to the full scan
-        class Corrupted(harness._Tables):
-            def __init__(self, space, memo=None):
-                super().__init__(space, memo)
-                if space.context.n_params > 1:
-                    self.fix[self.full] &= self.full - 1
-
-        monkeypatch.setattr(harness, "_Tables", Corrupted)
-        sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
-        # only the spaces with one parameter are decided slice by slice,
-        # the set laws and the decomposition count included
-        assert decided["pairs"] == 1 + 4
-        assert _decided_everywhere(decided, 1 + 4)
-        assert sliced.laws["kuratowski-additivity"].failures > 0
-        assert sliced.laws["kuratowski-fixpoint"].failures > 0
-        assert sliced.to_json_dict() == full.to_json_dict()
-
-    @pytest.mark.parametrize("op, found", [("aura_closure", 16), ("aura_interior", 64), ("kuratowski_closure", 0)])
+    @pytest.mark.parametrize("op, found", [("aura_closure", 16), ("aura_interior", 64)])
     def test_entry_outside_its_slice_takes_the_full_scan(self, op, found, monkeypatch):
         # the operator on each single-slice set at e1 holding x1 also marks x1
         # at e2: every table stays the OR of its single-slice entries and no
@@ -746,15 +762,10 @@ class TestSlicePairs:
         # count no alpha-meet findings where the full scan counts 16)
         real = getattr(harness, op)
 
-        def spill(ctx, s):
-            return SoftSet(ctx, (s.masks[0], s.masks[1] | 1))
-
         def spills(space, g):
             out = real(space, g)
             if space.context.n_params > 1 and g.masks[0] & 1 and not any(g.masks[1:]):
-                if op == "kuratowski_closure":
-                    return KuratowskiResult(spill(space.context, out.closure), out.iterations)
-                return spill(space.context, out)
+                return SoftSet(space.context, (out.masks[0], out.masks[1] | 1))
             return out
 
         monkeypatch.setattr(harness, op, spills)
@@ -765,6 +776,31 @@ class TestSlicePairs:
         assert _decided_everywhere(decided, one_parameter)
         assert sliced.reports["alpha-meet-cech"]["found"] == found
         assert sliced.to_json_dict() == full.to_json_dict()
+        if op == "aura_closure":
+            # the fixpoint table iterates the closure table, so it spills too,
+            # and the public fixpoint closure no longer matches it
+            t = harness._Tables(next(space for (_, m, _), space in iter_family_spaces(spec) if m > 1))
+            assert t.fix[1] >> t.space.context.n_points & 1
+            assert sliced.laws["kuratowski-fixpoint"].failures > 0
+
+    def test_witnesses_of_a_leaking_closure_replay(self, monkeypatch):
+        # the closure of {x1} at e1 also marks x1 at e2, so the fixpoint
+        # table, which iterates it, reads the scope column at e2 too: a fix
+        # row shared by every space with the same column at e1 would hold
+        # another space's entries, and its witnesses would not replay
+        real = harness.aura_closure
+
+        def spills(space, g):
+            out = real(space, g)
+            if space.context.n_params > 1 and g.masks == (1, 0):
+                return SoftSet(space.context, (out.masks[0], out.masks[1] | 1))
+            return out
+
+        monkeypatch.setattr(harness, "aura_closure", spills)
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        witnesses = [w for row in result.laws.values() for w in row.witnesses]
+        assert result.laws["kuratowski-fixpoint"].failures > 0
+        assert all(replay_witness(w) for w in witnesses)
 
     def test_law_failing_on_slice_pairs_takes_the_full_scan(self, monkeypatch):
         # a closure that sends each whole slice at e1 to the null set keeps
@@ -784,14 +820,14 @@ class TestSlicePairs:
         # only where a single-slice set fails it
         assert decided["pairs"] == 2
         assert decided["closure-enlargement"] == decided["duality"] == 2
-        assert decided["interior-contraction"] == decided["decompositions"] == 22
+        assert decided["interior-contraction"] == 22
         assert sliced.laws["closure-additivity"].failures > 0
         assert sliced.laws["closure-enlargement"].failures > 0
         assert sliced.to_json_dict() == full.to_json_dict()
 
 
 class TestSliceSets:
-    """Set laws decided on single-slice sets, and decomposition-set-cech counted per slice, report exactly what the per-set scan reports."""
+    """Set laws decided on single-slice sets report exactly what the per-set scan reports."""
 
     @pytest.mark.parametrize(
         "specs, findings",
@@ -829,18 +865,16 @@ class TestSliceSets:
         assert result.laws["duality"].checked == sum(2 ** (n * m) * k for (n, m), k in counts.items()) == 278
 
     def test_tau_infinity_needs_an_absolute_fixpoint_of_the_absolute_set(self, monkeypatch):
-        # a fixpoint closure that keeps every slice but a full one, which loses
-        # x1: the tables stay products and tau-infinity-in-tau holds on every
-        # single-slice set (its complement has a full, so unclosed, slice),
-        # yet fails on sets with two non-null slices that are not open
-        real = harness.kuratowski_closure
-
+        # a closure that keeps every slice but a full one, which loses x1, and
+        # so a fixpoint table, its iterate, that does the same: the tables
+        # stay products and tau-infinity-in-tau holds on every single-slice
+        # set (its complement has a full, so unclosed, slice), yet fails on
+        # sets with two non-null slices that are not open
         def keeps(space, g):
             full = space.context.full_mask
-            masks = tuple(mk & ~1 if mk == full else mk for mk in g.masks)
-            return KuratowskiResult(SoftSet(space.context, masks), real(space, g).iterations)
+            return SoftSet(space.context, tuple(mk & ~1 if mk == full else mk for mk in g.masks))
 
-        monkeypatch.setattr(harness, "kuratowski_closure", keeps)
+        monkeypatch.setattr(harness, "aura_closure", keeps)
         sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
         # the tables are products on every space, but fix of the absolute set
         # is not absolute, so no space decides tau-infinity-in-tau by slices
@@ -851,8 +885,9 @@ class TestSliceSets:
 
     def test_alpha_not_semi_on_a_slice_takes_the_per_set_count(self, monkeypatch):
         # an interior that fills each non-null slice and a closure that drops
-        # x1: {x1} at a parameter is then one-step alpha but not semi, so the
-        # count prod SP_i - prod A_i no longer gives decomposition-set-cech
+        # x1: {x1} at a parameter is then one-step alpha but not semi, so no
+        # count from per-slice flags would give decomposition-set-cech; the
+        # per-set scan, which alone counts it, reports it
         def fills(space, g):
             full = space.context.full_mask
             return SoftSet(space.context, tuple(full if mk else 0 for mk in g.masks))
@@ -863,9 +898,6 @@ class TestSliceSets:
         monkeypatch.setattr(harness, "aura_interior", fills)
         monkeypatch.setattr(harness, "aura_closure", drops)
         sliced, decided, full = _sliced_and_full(SpaceFamilySpec(2, 2), monkeypatch)
-        # on one point the closure of every set is null, so nothing is alpha
-        # there and those two spaces alone are counted per slice
-        assert decided["decompositions"] == 2
         assert sliced.laws["hierarchy-cech"].failures > 0
         assert sliced.reports["decomposition-set-cech"]["found"] > 0
         assert sliced.to_json_dict() == full.to_json_dict()
