@@ -753,7 +753,7 @@ class TestSlicePairs:
         assert pairs[0] == sum(per_shape[s] * counts[s] for s in per_shape)
         assert result.laws["closure-additivity"].checked == 3 + 10 + 4 * 10 + 16 * 136
 
-    @pytest.mark.parametrize("op, found", [("aura_closure", 16), ("aura_interior", 64)])
+    @pytest.mark.parametrize("op, found", [("aura_closure", 16), ("aura_interior", 64), ("kuratowski_closure", 0)])
     def test_entry_outside_its_slice_takes_the_full_scan(self, op, found, monkeypatch):
         # the operator on each single-slice set at e1 holding x1 also marks x1
         # at e2: every table stays the OR of its single-slice entries and no
@@ -762,20 +762,33 @@ class TestSlicePairs:
         # count no alpha-meet findings where the full scan counts 16)
         real = getattr(harness, op)
 
+        def spill(ctx, s):
+            return SoftSet(ctx, (s.masks[0], s.masks[1] | 1))
+
         def spills(space, g):
             out = real(space, g)
             if space.context.n_params > 1 and g.masks[0] & 1 and not any(g.masks[1:]):
-                return SoftSet(space.context, (out.masks[0], out.masks[1] | 1))
+                if op == "kuratowski_closure":
+                    return KuratowskiResult(spill(space.context, out.closure), out.iterations)
+                return spill(space.context, out)
             return out
 
         monkeypatch.setattr(harness, op, spills)
         spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20)
         sliced, decided, full = _sliced_and_full(spec, monkeypatch)
         one_parameter = sum(m == 1 for (_, m, _), _ in iter_family_spaces(spec))
-        assert decided["pairs"] == one_parameter < 20
-        assert _decided_everywhere(decided, one_parameter)
         assert sliced.reports["alpha-meet-cech"]["found"] == found
         assert sliced.to_json_dict() == full.to_json_dict()
+        if op == "kuratowski_closure":
+            # no table calls the public fixpoint closure, so every space is
+            # still decided by slices; kuratowski-fixpoint, which calls it on
+            # every set, is scanned set by set and reports the leak
+            assert decided["pairs"] == 20 > one_parameter
+            assert _decided_everywhere(decided, 20)
+            assert sliced.laws["kuratowski-fixpoint"].failures > 0
+            return
+        assert decided["pairs"] == one_parameter < 20
+        assert _decided_everywhere(decided, one_parameter)
         if op == "aura_closure":
             # the fixpoint table iterates the closure table, so it spills too,
             # and the public fixpoint closure no longer matches it
