@@ -218,7 +218,7 @@ def _cmd_suite(args) -> None:
         )
     else:
         spec = SpaceFamilySpec(args.max_universe, args.max_params, topology_kind=args.topology)
-    laws = args.laws.split(",") if args.laws else None
+    laws = args.laws.split(",") if args.laws is not None else None
     if laws is not None:
         require_known_laws(laws)
     if args.out:

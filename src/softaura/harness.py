@@ -17,15 +17,15 @@ predicate over the tables; replay_witness evaluates the same predicate on
 tables built for the witness space.  Pair laws, and the set laws read off
 the tables alone, are decided one parameter slice at a time wherever the
 tables are products of their single-slice entries, as the paper's
-operators are.  Set ranks, pair ranks, scope ranks and shape ranks are all
-canonical, so every reported witness is the first one in canonical order
-and every report is byte-reproducible.
+operators are (see _slice_decision).  Set ranks, pair ranks, scope ranks
+and shape ranks are all canonical, so every reported witness is the first
+one in canonical order and every report is byte-reproducible.
 
 Literal per-element oracles for the closure and interior live here too; they
 work on name sets, never on bitmasks, so they share no code with the
-optimized operators they check.  The oracle tables are rows of one name-set
-pass per single-slice set of each scope column, shared like the closure's,
-and each entry is composed from them only when a law reads it.
+optimized operators they check.  The oracle tables are composed slice by
+slice like the closure's, from one name-set pass per single-slice set of
+each scope column.
 """
 
 from __future__ import annotations
@@ -366,32 +366,6 @@ def _slice_product(rows: list[list[int]], null: int) -> list[int]:
     return table
 
 
-def _column_rows(tag: str, entry: Callable, t, memo: dict) -> list:
-    """Per parameter i, the row holding 0 at 0 and `entry(i, a)`, the packed entry of the single-slice set a << i*n, at a.
-
-    On a single-slice set a slicewise operator reads one scope column of
-    the space, so a row is kept in `memo` once per key: the operator's
-    tag, the shape, the parameter (which fix the sets asked) and that
-    column: a list on exhaustive tables, else a dict filled on first
-    lookup.  A row that leaks out of its slice is shared like any other;
-    `_slice_products` sees the leak on every space that uses it.
-    """
-    space = t.space
-    n, m = space.context.n_points, space.context.n_params
-    rows = []
-    for i in range(m):
-        key = (tag, n, m, i, space.scope_columns[i])
-        row = memo.get(key)
-        if row is None:
-            if t.exhaustive:
-                row = [0] + [entry(i, a) for a in range(1, 1 << n)]
-            else:
-                row = _Lazy(lambda a, i=i: a and entry(i, a))
-            memo[key] = row
-        rows.append(row)
-    return rows
-
-
 def _composed(rows: list, null: int, n: int) -> _Lazy:
     """The packed table of `_slice_product(rows, null)`, each entry composed on first lookup."""
     full = (1 << n) - 1
@@ -411,14 +385,30 @@ def _composed(rows: list, null: int, n: int) -> _Lazy:
 def _slicewise(tag: str, entry: Callable[[int], int], t, memo: dict):
     """Packed table of a slicewise operator on the space of tables `t`, whose packed entry at a single-slice or null set g is `entry(g)`.
 
-    The null set and each single-slice set get one `entry` call, the latter
-    through rows kept in `memo` (see _column_rows); any other entry is the
-    OR of its single-slice parts' entries.  On exhaustive tables the table
-    is a list built as the product of those entries; otherwise it is a
-    dict composed on first lookup.
+    The null set and each single-slice set get one `entry` call; any other
+    entry is the OR of its single-slice parts' entries.  On a single-slice
+    set a slicewise operator reads one scope column of the space, so per
+    parameter i the entries of the sets a << i*n, a != 0, form a row (0 at
+    0), kept in `memo` once per key: the operator's tag, the shape, the
+    parameter (which fix the sets asked) and that column.  A row that leaks
+    out of its slice is shared like any other; `_slice_decision` sees the
+    leak on every space that uses it.  On exhaustive tables the rows are
+    lists and the table is a list built as their product; otherwise both
+    are dicts filled on first lookup.
     """
-    n = t.space.context.n_points
-    rows = _column_rows(tag, lambda i, a: entry(a << (i * n)), t, memo)
+    space = t.space
+    n, m = space.context.n_points, space.context.n_params
+    rows = []
+    for i in range(m):
+        key = (tag, n, m, i, space.scope_columns[i])
+        row = memo.get(key)
+        if row is None:
+            if t.exhaustive:
+                row = [0] + [entry(a << (i * n)) for a in range(1, 1 << n)]
+            else:
+                row = _Lazy(lambda a, i=i: a and entry(a << (i * n)))
+            memo[key] = row
+        rows.append(row)
     null = entry(0)
     return _slice_product(rows, null) if t.exhaustive else _composed(rows, null, n)
 
@@ -430,10 +420,10 @@ class _Tables:
     unpacks; `cl`, `int_` and `fix` hold the packed one-step closure,
     interior and fixpoint closure; `rows[kind]` the six openness flags of
     each set under a closure kind, as one tuple per set.  All three and the
-    `oracle` tables are composed slice by slice (`_slicewise`,
-    `_oracle_tables`): `cl` and `int_` from public operator calls, `fix`
-    from the `cl` table applied |X| times, so no table calls
-    `kuratowski_closure`.  The shape alone picks the representation,
+    `oracle` tables are composed slice by slice (`_slicewise`): `cl` and
+    `int_` from public operator calls, `fix` from the `cl` table applied
+    |X| times, so no table calls `kuratowski_closure`, and the oracles from
+    name-set scans.  The shape alone picks the representation,
     whoever builds the tables: with |X|*|E| <= EXHAUSTIVE_GUARD
     (`exhaustive`) they are lists filled up front, above it dicts filled
     on first lookup.  List-backed tables keep each context's unpacked sets
@@ -442,10 +432,8 @@ class _Tables:
     keeps its rows to itself.  Dict-backed tables keep theirs in a memo of
     their own, freed with them: they fill with the entries one sampled
     space reads, which other spaces seldom read, and a shared memo would
-    hold every space's until the run ends.  The oracle rows are one name-set pass
-    (`_oracle_scan`) per single-slice set of a scope column, and the oracle
-    tables are dicts composed on lookup either way.  No stored function
-    refers to the instance, so reference counting frees the tables.
+    hold every space's until the run ends.  No stored function refers to
+    the instance, so reference counting frees the tables.
     """
 
     def __init__(self, space: SoftAuraSpace, memo: dict | None = None):
@@ -489,37 +477,33 @@ class _Tables:
         return separation_report(self.space)
 
     @cached_property
-    def products(self) -> bool:
-        """`_slice_products` of these tables, decided once for the pair and set laws."""
-        return _slice_products(self)
-
-    @cached_property
     def oracle(self) -> tuple:
-        """Packed `oracle_closure` and `oracle_interior` tables (see _oracle_tables)."""
-        return _oracle_tables(self)
+        """Packed `oracle_closure` and `oracle_interior` tables, composed like `cl` and `int_`.
 
+        A single-slice set's entry is one `_oracle_scan` of its names at its
+        parameter; the null set's is one whole-set oracle call, which also
+        sees points an oracle puts on null slices.
+        """
+        space, null = self.space, self.sets[0]
+        ctx = space.context
+        n = ctx.n_points
+        scopes = oracle_scopes(space)
+        tables = list(scopes.values())
 
-def _oracle_tables(t) -> tuple:
-    """Packed `oracle_closure` and `oracle_interior` tables of the space of `t`, each entry composed on first lookup.
+        def entry(interior: bool) -> Callable[[int], int]:
+            def fill(g: int) -> int:
+                if not g:
+                    return _pack(_oracle(space, null, scopes, interior).masks, n)
+                i = (g.bit_length() - 1) // n
+                names = set(ctx.points_of(g >> (i * n)))
+                return ctx.mask_of(_oracle_scan(tables[i], names, interior)) << (i * n)
 
-    A single-slice set's entry is one `_oracle_scan` of its names at that
-    parameter, in rows shared like those of `cl` and `int_` (see
-    _column_rows); the null set's is one whole-set oracle call, which also
-    sees points an oracle puts on null slices.
-    """
-    space = t.space
-    ctx = space.context
-    n = ctx.n_points
-    scopes = oracle_scopes(space)
-    tables = list(scopes.values())
-    # the name set of slice a, for either oracle at any parameter
-    names = _Lazy(lambda a: set(ctx.points_of(a)))
-    out = []
-    for tag, interior in (("oracle-cl", False), ("oracle-int", True)):
-        entry = lambda i, a, interior=interior: ctx.mask_of(_oracle_scan(tables[i], names[a], interior)) << (i * n)
-        rows = _column_rows(tag, entry, t, t.memo)
-        out.append(_composed(rows, _pack(_oracle(space, t.sets[0], scopes, interior).masks, n), n))
-    return tuple(out)
+            return fill
+
+        return tuple(
+            _slicewise(tag, entry(interior), self, self.memo)
+            for tag, interior in (("oracle-cl", False), ("oracle-int", True))
+        )
 
 
 # -- law registry ------------------------------------------------------------
@@ -698,67 +682,6 @@ def _pair_row(t, g: int, hs, hit: Callable) -> None:
             hit("alpha-meet-cech", g, h)
 
 
-def _slice_products(t) -> bool:
-    """Whether `cl`, `int_` and `fix` are products of their single-slice entries.
-
-    `_slicewise` composes every other entry as the OR of its single-slice
-    parts' entries, so they are when each single-slice entry (the null set
-    counts at every parameter) lies in its own slice.  False on tables that
-    are not exhaustive, which hold only the entries read.
-    """
-    if not t.exhaustive:
-        return False
-    ctx = t.space.context
-    n, m = ctx.n_points, ctx.n_params
-    for i in range(m):
-        outside = t.full & ~(ctx.full_mask << (i * n))
-        for table in (t.cl, t.int_, t.fix):
-            if any(table[a << (i * n)] & outside for a in range(1 << n)):
-                return False
-    return True
-
-
-def _slice_alpha_meets(t, laws) -> dict[str, int] | None:
-    """Alpha-meet finding counts of the full pair scan, decided one parameter slice at a time.
-
-    When `_slice_products` holds, every row of `_pair_row` is decided slice
-    by slice: a soft pair fails a row iff the pair of its single-slice parts
-    at some parameter does, and a set has an openness flag iff each of its
-    single-slice parts has it.  So `_pair_row` runs on the pairs of
-    single-slice sets at each parameter only.  None, and the full scan is
-    needed, when the tables are no such products or one of those pairs
-    fails a row named in `laws`.
-
-    With A_i alpha-open single-slice sets at parameter i and Q_i ordered
-    pairs of them whose meet is alpha-open, (prod A_i^2 - prod Q_i) / 2 is
-    the scan's count of unordered failing pairs: failure is symmetric and
-    never holds on the diagonal.
-    """
-    if not t.products:
-        return None
-    ctx = t.space.context
-    n, m = ctx.n_points, ctx.n_params
-    rows: set[str] = set()
-    hit = lambda name, a, b: rows.add(name)
-    for i in range(m):
-        singles = [a << (i * n) for a in range(1 << n)]
-        for j, g in enumerate(singles):
-            _pair_row(t, g, singles[j:], hit)
-    if not rows.isdisjoint(laws):
-        return None
-    counts = {}
-    for name, kind in _PAIR_REPORT_ROWS.items():
-        flags = t.rows[kind]
-        pairs = meets = 1
-        for i in range(m):
-            alpha = [flags[a << (i * n)][1] for a in range(1 << n)]
-            opens = [a for a in range(1 << n) if alpha[a]]
-            pairs *= len(opens) ** 2
-            meets *= sum(alpha[a & b] for a in opens for b in opens)
-        counts[name] = (pairs - meets) // 2
-    return counts
-
-
 #: Set laws read off the tables alone; the others call public operators on
 #: each set, which checks that those act slicewise on multi-slice sets.
 _SLICEWISE_SET_LAWS = frozenset({
@@ -768,32 +691,73 @@ _SLICEWISE_SET_LAWS = frozenset({
 })
 
 
-def _slice_set_laws(t, names) -> set[str]:
-    """The laws of `names` in _SLICEWISE_SET_LAWS that hold on every set, decided on single-slice sets.
+def _slice_decision(t, names) -> tuple[set[str], dict[str, int] | None]:
+    """The set laws of `names` that hold on every set, and the full pair scan's alpha-meet counts, decided one parameter slice at a time.
 
-    When `_slice_products` holds, each parameter's part of a table entry
-    depends on the set's slice there alone, a null slice has a null part,
-    and every openness flag holds on a null slice.  Each of these laws is a
-    conjunction over the parameters, or implications between such
-    conjunctions, so it fails on a set iff it fails on the single-slice set
-    holding one of that set's slices (the null set counts at every
-    parameter); the oracle tables are composed like `cl` and `int_`.
-    tau-infinity-in-tau reads fix(X - G), whose other slices are full for a
-    single-slice G, so it also needs fix of the absolute set to be absolute.
-    A law left out is scanned set by set.
+    `_slicewise` composes every entry of `cl`, `int_` and `fix` as the OR of
+    its single-slice parts' entries, so they are products of those when
+    each single-slice entry (the null set counts at every parameter) lies in
+    its own slice.  Then each parameter's part of an entry depends on the
+    set's slice there alone, a null slice has a null part, and every
+    openness flag holds on a null slice.  Nothing is decided, (set(), None),
+    when the tables are no such products or are not exhaustive (they hold
+    only the entries read); a law left out is scanned set by set.
+
+    Each law of `names` in _SLICEWISE_SET_LAWS is a conjunction over the
+    parameters, or implications between such conjunctions, so it fails on a
+    set iff it fails on the single-slice set holding one of that set's
+    slices.  tau-infinity-in-tau reads fix(X - G), whose other slices are
+    full for a single-slice G, so it also needs fix of the absolute set to
+    be absolute.
+
+    Every row of `_pair_row` is decided slice by slice too: a soft pair
+    fails a row iff the pair of its single-slice parts at some parameter
+    does, and a set has an openness flag iff each of its single-slice parts
+    has it.  So `_pair_row` runs on the pairs of single-slice sets at each
+    parameter only; the counts are None, and the full scan is needed, when
+    one of those pairs fails a row named in `names`, and None unread when
+    `names` holds no pair law.  With A_i alpha-open
+    single-slice sets at parameter i and Q_i ordered pairs of them whose
+    meet is alpha-open, (prod A_i^2 - prod Q_i) / 2 is the scan's count of
+    unordered failing pairs: failure is symmetric and never holds on the
+    diagonal.
     """
-    if not t.products:
-        return set()
-    n = t.space.context.n_points
-    singles = [a << (i * n) for i in range(t.space.context.n_params) for a in range(1 << n)]
+    if not t.exhaustive:
+        return set(), None
+    ctx = t.space.context
+    n = ctx.n_points
+    singles = [[a << (i * n) for a in range(1 << n)] for i in range(ctx.n_params)]
+    for i, row in enumerate(singles):
+        outside = t.full & ~(ctx.full_mask << (i * n))
+        if any(table[g] & outside for table in (t.cl, t.int_, t.fix) for g in row):
+            return set(), None
+    every = [g for row in singles for g in row]
     decided = {
         name
         for name in names
-        if name in _SLICEWISE_SET_LAWS and all(map(LAWS[name].evaluator, itertools.repeat(t), singles))
+        if name in _SLICEWISE_SET_LAWS and all(map(LAWS[name].evaluator, itertools.repeat(t), every))
     }
     if t.fix[t.full] != t.full:
         decided.discard("tau-infinity-in-tau")
-    return decided
+    if all(LAWS[name].arity != "pair" for name in names):
+        return decided, None
+    failed: set[str] = set()
+    hit = lambda name, a, b: failed.add(name)
+    for row in singles:
+        for j, g in enumerate(row):
+            _pair_row(t, g, row[j:], hit)
+    if not failed.isdisjoint(names):
+        return decided, None
+    counts = {}
+    for name, kind in _PAIR_REPORT_ROWS.items():
+        flags = t.rows[kind]
+        pairs = meets = 1
+        for row in singles:
+            opens = [g for g in row if flags[g][1]]
+            pairs *= len(opens) ** 2
+            meets *= sum(flags[g & h][1] for g in opens for h in opens)
+        counts[name] = (pairs - meets) // 2
+    return decided, counts
 
 
 def _first_alpha_meet(flags, size: int) -> tuple[int, int] | None:
@@ -818,12 +782,14 @@ def _pair_law(*names: str):
 
 
 #: Rows whose pair evaluations coincide extensionally with a base row given
-#: rough delegation; the engine shares the evaluations and mirrors counts.
+#: rough delegation; the engine shares the evaluations and records each
+#: base row's finding in its rough row too (see _ROUGH_MIRRORS).
 _SHARED_ROUGH_PAIR_ROWS = {
     "rough-monotonicity": ("closure-monotonicity", "interior-monotonicity"),
     "rough-upper-join": ("closure-additivity",),
     "rough-lower-meet": ("interior-meet",),
 }
+_ROUGH_MIRRORS = {base: (rough,) for rough, bases in _SHARED_ROUGH_PAIR_ROWS.items() for base in bases}
 
 
 class LawSpec(_Frozen):
@@ -995,13 +961,14 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     with n*m <= 12 check every soft set and every pair; larger shapes check
     256 seeded sets and no pairs.  Pairs are decided on the pairs of
     single-slice sets at each parameter where that is exact, and scanned
-    one by one where it is not (see _slice_alpha_meets).  So are the set
-    laws read off the tables alone, on the single-slice sets (see
-    _slice_set_laws).  Either way gives the same counts and witnesses.
-    Scan order is canonical everywhere, so witnesses are canonically
-    minimal and reports byte-reproducible.  The alpha-meet report rows are
-    left out when no space ran the pair scan (no pair law selected, or no
-    shape with n*m <= 12).
+    one by one where it is not; so are the set laws read off the tables
+    alone, on the single-slice sets (see _slice_decision).  Either way
+    gives the same counts and witnesses.  A rough pair row records each
+    finding of its base rows as its own.  Scan order is canonical
+    everywhere, so witnesses are canonically minimal and reports
+    byte-reproducible.  The alpha-meet report rows are left out when no
+    space ran the pair scan (no pair law selected, or no shape with
+    n*m <= 12).
     """
     if laws is not None:
         require_known_laws(laws)
@@ -1011,11 +978,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
 
     results = {name: LawResult() for name in LAWS if name in scanned}
     checks = [(name, LAWS[name]) for name in results if LAWS[name].arity != "pair"]
-    pair_rows = [
-        name
-        for name in results
-        if LAWS[name].arity == "pair" and name not in _SHARED_ROUGH_PAIR_ROWS
-    ]
+    pair_rows = [name for name in results if LAWS[name].arity == "pair"]
     reports: dict[str, dict] = {
         name: {"found": 0, "first": None} for name in REPORT_ROWS
     }
@@ -1033,7 +996,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         sets_max = max(sets_max, size)
 
         def record(name: str, rank: tuple[int, ...], gs: Sequence[int]) -> None:
-            """Count one finding; keep the witnesses its row keeps."""
+            """Count one finding in its row and the rough row mirroring it; keep the witnesses each row keeps."""
             row = reports.get(name)
             if row is not None:
                 row["found"] += 1
@@ -1042,15 +1005,18 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                         "report", name, space, rank, [t.sets[g] for g in gs]
                     ).to_json_dict()
                 return
-            r = results.get(name)
-            if r is None:
-                return
-            r.failures += 1
-            if len(r.witnesses) < WITNESS_LIMIT:
-                r.witnesses.append(_witness("law", name, space, rank, [t.sets[g] for g in gs]))
+            # a rough witness carries its own name, so it replays through its own entry
+            for law in (name, *_ROUGH_MIRRORS.get(name, ())):
+                r = results.get(law)
+                if r is None:
+                    continue
+                r.failures += 1
+                if len(r.witnesses) < WITNESS_LIMIT:
+                    r.witnesses.append(_witness("law", law, space, rank, [t.sets[g] for g in gs]))
 
-        # set laws that hold on every set per slice need no per-set scan
-        decided = _slice_set_laws(t, results)
+        # set laws that hold on every set per slice need no per-set scan,
+        # and pair laws decided per slice no pair scan
+        decided, counts = _slice_decision(t, results)
         for name, law in checks:
             holds = law.evaluator
             if law.arity == "space":
@@ -1081,7 +1047,6 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         # pair laws need the full set lattice: every union and meet is a row;
         # the full scan runs only where the slice check cannot vouch for it
         if t.exhaustive and pair_rows:
-            counts = _slice_alpha_meets(t, results)
             if counts is None:
                 hit = lambda name, a, b: record(name, rank3 + (a, b), (a, b))
                 for g in packed:
@@ -1098,19 +1063,6 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
             for name in pair_rows:
                 results[name].checked += size * (size + 1) // 2
 
-    # rough pair rows coincide with the base rows once delegation holds;
-    # counts are mirrored rather than re-scanned (see rough-delegation), and
-    # witnesses are relabelled so they replay through the rough row's entry
-    for rough_name, base_names in _SHARED_ROUGH_PAIR_ROWS.items():
-        if rough_name in results:
-            row = results[rough_name]
-            for base in base_names:
-                row.checked = results[base].checked
-                row.failures += results[base].failures
-                row.witnesses.extend(
-                    Witness(w.kind, rough_name, w.space, w.rank, w.sets) for w in results[base].witnesses
-                )
-            row.witnesses = sorted(row.witnesses, key=lambda w: w.rank)[:WITNESS_LIMIT]
     if not any(results[name].checked for name in pair_rows):
         reports = {name: r for name, r in reports.items() if name not in _PAIR_REPORT_ROWS}
     results = {name: r for name, r in results.items() if name in selected}
@@ -1221,8 +1173,8 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     Preimages come from one slice table per (|X|, |Y|, u).  Counting
     (mapping, target aura-open set) pairs in scan order, every
     `cross_check_every`-th set's preimage is assembled from the table by p
-    and compared with the public inverse_image(); the scan jumps from one
-    such mapping to the next.  ValueError for `per_shape` < 2 or
+    and compared with the public inverse_image(), through one SoftMapping
+    per mapping that has such a set.  ValueError for `per_shape` < 2 or
     `cross_check_every` < 1.
     """
     from .mapping import SoftMapping, _target_basis, inverse_image
@@ -1300,20 +1252,20 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
             # mapping q of this pair holding indices [start + q*T, start + (q+1)*T)
             width = len(tau)
             start, evals = evals, evals + size * len(param_maps) * width
-            idx = start + (-start - 1) % cross_check_every
-            while idx < evals:
-                q = (idx - start) // width
-                r, j = divmod(q, len(param_maps))
-                (_, pre, point_names), p = maps[r], param_maps[j]
-                mapping = SoftMapping(src, tgt, point_names, param_names[j])
-                for v in tau[idx - start - q * width::cross_check_every]:
-                    h = 0
-                    for ei, k in enumerate(p):
-                        h |= pre[v.masks[k]] << (ei * nx)
-                    if _pack(inverse_image(mapping, v).masks, nx) != h:
-                        raise AssertionError(
-                            "packed preimage kernel disagrees with inverse_image"
-                        )
-                end = start + (q + 1) * width
-                idx = end + (-end - 1) % cross_check_every
+            built = None
+            for idx in range(start + (-start - 1) % cross_check_every, evals, cross_check_every):
+                q, vi = divmod(idx - start, width)
+                if q != built:
+                    built = q
+                    r, j = divmod(q, len(param_maps))
+                    (_, pre, point_names), p = maps[r], param_maps[j]
+                    mapping = SoftMapping(src, tgt, point_names, param_names[j])
+                v = tau[vi]
+                h = 0
+                for ei, k in enumerate(p):
+                    h |= pre[v.masks[k]] << (ei * nx)
+                if _pack(inverse_image(mapping, v).masks, nx) != h:
+                    raise AssertionError(
+                        "packed preimage kernel disagrees with inverse_image"
+                    )
     return MappingScanResult(checked, failures[0], firsts[0], failures[1], firsts[1])

@@ -485,6 +485,15 @@ class TestSuite:
         assert rc == 2
         assert "unknown laws" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, named", [("", "['']"), (",", "['', '']")])
+    def test_empty_law_is_unknown(self, value, named, capsys):
+        # an empty --laws names the empty law; it does not select every law
+        rc = main(["suite", "--max-universe", "1", "--max-params", "1", "--laws", value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown laws: {named}\n"
+
     def test_sampled_requires_both_flags(self, capsys):
         rc = main(["suite", "--seed", "3"])
         assert rc == 3

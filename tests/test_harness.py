@@ -290,6 +290,28 @@ def test_report_bytes_pinned(spec, digest):
     assert hashlib.sha256(run_law_suite(spec).to_json_bytes()).hexdigest() == digest
 
 
+def _null_to_absolute(real):
+    """A closure that sends the null set to the absolute set and is `real` elsewhere."""
+    return lambda space, g: SoftSet.absolute(space.context) if g.is_null() else real(space, g)
+
+
+#: sha256 of the exhaustive 2 x 2 report under `_null_to_absolute` for every
+#: law, a rough pair row alone and a rough pair row beside its base row: a
+#: rough row counts and witnesses what its base rows fail
+FAULTY_REPORT_SHA256 = [
+    (None, "d203e8a0e6e997c52cdb507a5d46fc011319bcc755e85ee5b684b155076160a8"),
+    (["rough-monotonicity"], "e741fdc7e050eada512d2f5baf6fed9f7e6e05da37bde75b1a2fa73334ce452a"),
+    (["rough-lower-meet", "interior-meet"], "c9a1dd69ba8860bca64f1b8cdc5306c97ace988772bdaf1180b85ee7ea294005"),
+]
+
+
+@pytest.mark.parametrize("laws, digest", FAULTY_REPORT_SHA256, ids=["all", "rough-monotonicity", "lower-meet"])
+def test_faulty_report_bytes_pinned(laws, digest, monkeypatch):
+    monkeypatch.setattr(harness, "aura_closure", _null_to_absolute(harness.aura_closure))
+    result = run_law_suite(SpaceFamilySpec(2, 2), laws=laws)
+    assert hashlib.sha256(result.to_json_bytes()).hexdigest() == digest
+
+
 def test_sampled_sets_pinned():
     # explicit 64-bit mixing of the family seed and the space rank, so sampled
     # sets do not depend on the interpreter's tuple hash
@@ -309,12 +331,7 @@ class TestWitnessPlumbing:
     def test_law_witnesses_replay(self, monkeypatch):
         # a closure that sends the null set to the absolute set breaks
         # grounding (space law), duality (set law) and additivity (pair law)
-        real = harness.aura_closure
-
-        def broken(space, g):
-            return SoftSet.absolute(space.context) if g.is_null() else real(space, g)
-
-        monkeypatch.setattr(harness, "aura_closure", broken)
+        monkeypatch.setattr(harness, "aura_closure", _null_to_absolute(harness.aura_closure))
         result = run_law_suite(SpaceFamilySpec(2, 2))
         for name in ("closure-grounding", "duality", "closure-additivity"):
             assert result.laws[name].failures > 0, name
@@ -389,7 +406,7 @@ class TestComposedTables:
                 assert t.int_[g] == harness._pack(aura_interior(t.space, s).masks, n)
 
     @pytest.mark.parametrize("kind", ["discrete", "generated"])
-    def test_shared_column_rows_equal_fresh_tables(self, kind):
+    def test_shared_slice_rows_equal_fresh_tables(self, kind):
         # one memo across a sampled family, as run_law_suite shares it,
         # against tables built for each space alone
         spec = SpaceFamilySpec(3, 2, topology_kind=kind, scope_mode="sampled", seed=17, sample_count=60)
@@ -470,7 +487,7 @@ class TestComposedTables:
             ref = weakref.ref(t)
             for g in (0, 5, t.full):
                 _entries(t, [g]), t.int_[g], t.sets[g]
-            t.separation, t.products
+            t.separation, harness._slice_decision(t, harness.LAWS)
             del t
             assert ref() is None
         finally:
@@ -689,25 +706,19 @@ def _sliced_and_full(spec, monkeypatch):
     sets.
     """
     decided = collections.Counter()
-    real_pairs, real_sets = harness._slice_alpha_meets, harness._slice_set_laws
+    real = harness._slice_decision
 
-    def pairs(t, laws):
-        counts = real_pairs(t, laws)
-        decided["pairs"] += counts is not None
-        return counts
-
-    def sets(t, names):
-        laws = real_sets(t, names)
+    def counting(t, names):
+        laws, counts = real(t, names)
         decided.update(laws)
-        return laws
+        decided["pairs"] += counts is not None
+        return laws, counts
 
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_slice_alpha_meets", pairs)
-        patch.setattr(harness, "_slice_set_laws", sets)
+        patch.setattr(harness, "_slice_decision", counting)
         sliced = run_law_suite(spec)
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_slice_alpha_meets", lambda t, laws: None)
-        patch.setattr(harness, "_slice_set_laws", lambda t, names: set())
+        patch.setattr(harness, "_slice_decision", lambda t, names: (set(), None))
         full = run_law_suite(spec)
     return sliced, decided, full
 
@@ -752,6 +763,10 @@ class TestSlicePairs:
         counts = {(1, 1): 1, (1, 2): 1, (2, 1): 4, (2, 2): 16}
         assert pairs[0] == sum(per_shape[s] * counts[s] for s in per_shape)
         assert result.laws["closure-additivity"].checked == 3 + 10 + 4 * 10 + 16 * 136
+        # with no pair law selected no pair is evaluated, single-slice or not
+        pairs[0] = 0
+        run_law_suite(SpaceFamilySpec(2, 2), laws=["duality"])
+        assert pairs[0] == 0
 
     @pytest.mark.parametrize("op, found", [("aura_closure", 16), ("aura_interior", 64), ("kuratowski_closure", 0)])
     def test_entry_outside_its_slice_takes_the_full_scan(self, op, found, monkeypatch):
@@ -1030,6 +1045,21 @@ class TestMappingScan:
         res = decomposition_mapping_scan(per_shape=per_shape)
         assert res.kuratowski_failures > 0 and res.cech_mismatches > 0
         assert res == reference_mapping_scan(per_shape)
+
+    def test_every_cross_check_reads_its_own_set(self, monkeypatch):
+        # with cross_check_every=1 each (mapping, target aura-open set) pair
+        # of the scan is cross-checked once, so no two checks repeat a pair
+        real = mapping.inverse_image
+        checked = []
+
+        def recording(m, g):
+            maps = tuple(m.point_map.items()), tuple(m.param_map.items())
+            checked.append((id(m.source), id(m.target), maps, g.masks))
+            return real(m, g)
+
+        monkeypatch.setattr(mapping, "inverse_image", recording)
+        decomposition_mapping_scan(per_shape=2, cross_check_every=1)
+        assert len(set(checked)) == len(checked) == 35672
 
     def test_wrong_inverse_image_is_caught(self, monkeypatch):
         real = mapping.inverse_image

@@ -28,7 +28,8 @@ pairs [--spaces 3] [--repeat 3] [--rounds 3] [--suite-rounds 3]: for each
     with the median and the least over rounds of the seconds per space
     and the pairs handed to the harness's `_pair_row`: 2^nm (2^nm + 1) / 2
     for a scan of every pair, m 2^n (2^n + 1) / 2 for single-slice pairs,
-    plus any full scans a space falls back on.  The first --suite-rounds
+    plus any full scans a space falls back on (`fallbacks` marks a space
+    handed more than its single-slice pairs).  The first --suite-rounds
     rounds (0 to skip) also time, in a further child, the exhaustive 3x2
     suite and then `decomposition_mapping_scan()` (best of SCAN_REPEAT),
     each with its median and least over rounds, and the sha256 of the
@@ -305,25 +306,17 @@ def measure_pairs(part: str, spaces: int, repeat: int) -> list[dict] | dict:
             "scan_sha256": hashlib.sha256(repr(scan).encode("utf-8")).hexdigest(),
         }
 
-    counts = {"pairs": 0, "fallbacks": 0}
+    pairs = [0]
     real_row = harness._pair_row
 
     def counting_row(t, g, hs, hit):
-        counts["pairs"] += len(hs)
+        pairs[0] += len(hs)
         real_row(t, g, hs, hit)
 
     harness._pair_row = counting_row
-    real_slice = harness._slice_alpha_meets
-
-    def counting_slice(t, laws):
-        got = real_slice(t, laws)
-        counts["fallbacks"] += got is None
-        return got
-
-    harness._slice_alpha_meets = counting_slice
 
     def one_space(spec):
-        counts.update(pairs=0, fallbacks=0)
+        pairs[0] = 0
         return run_law_suite(spec)
 
     rows = []
@@ -336,8 +329,9 @@ def measure_pairs(part: str, spaces: int, repeat: int) -> list[dict] | dict:
             if result.total_failures:
                 raise AssertionError(f"law failures on the {n}x{m} space of seed {seed}")
             seconds.append(best)
-            evaluations.append(counts["pairs"])
-            fell_back.append(counts["fallbacks"])
+            evaluations.append(pairs[0])
+            # a space decided slice by slice is handed its single-slice pairs alone
+            fell_back.append(int(pairs[0] > m * 2**n * (2**n + 1) // 2))
         rows.append(
             {
                 "shape": f"{n}x{m}",
