@@ -18,8 +18,11 @@ tables built for the witness space.  Pair laws, and the set laws read off
 the tables alone, are decided one parameter slice at a time wherever the
 tables are products of their single-slice entries, as the paper's
 operators are (see _slice_decision).  Set ranks, pair ranks, scope ranks
-and shape ranks are all canonical, so every reported witness is the first
-one in canonical order and every report is byte-reproducible.
+and shape ranks are all canonical.  A row keeps its first witnesses in
+family order: canonical order when every scope is enumerated, draw order
+in a sampled family, where a space drawn again is checked once and its
+findings replayed under the later draw's rank.  Every report is
+byte-reproducible.
 
 Literal per-element oracles for the closure and interior live here too; they
 work on name sets, never on bitmasks, so they share no code with the
@@ -189,9 +192,8 @@ def _sample_scope(context: Context, topology: SoftTopology, rng: random.Random) 
     return ScopeFunction(context, tuple(assignment))
 
 
-def _sample_topology(context: Context, kind: str, rng: random.Random) -> SoftTopology:
-    if kind == DISCRETE:
-        return discrete_topology(context)
+def _sample_generated_topology(context: Context, rng: random.Random) -> SoftTopology:
+    """A topology generated from a subbasis of up to three random soft sets."""
     full = context.full_mask
     subbasis = []
     for i in range(rng.randrange(4)):
@@ -221,12 +223,18 @@ def iter_family_spaces(spec: SpaceFamilySpec) -> Iterator[tuple[tuple[int, int, 
                     yield (n, m, idx), SoftAuraSpace(ctx, topo, scope)
     else:
         rng = random.Random(spec.seed)
-        contexts: dict[tuple[int, int], Context] = {}
+        # one context and one discrete topology per shape drawn
+        shapes: dict[tuple[int, int], tuple[Context, SoftTopology]] = {}
         for idx in range(spec.sample_count):
             n = rng.randint(1, spec.max_universe)
             m = rng.randint(1, spec.max_params)
-            ctx = contexts.setdefault((n, m), _family_context(n, m))
-            topo = _sample_topology(ctx, spec.topology_kind, rng)
+            shape = shapes.get((n, m))
+            if shape is None:
+                ctx = _family_context(n, m)
+                shape = shapes[n, m] = ctx, discrete_topology(ctx)
+            ctx, topo = shape
+            if spec.topology_kind == GENERATED:
+                topo = _sample_generated_topology(ctx, rng)
             scope = _sample_scope(ctx, topo, rng)
             yield (n, m, idx), SoftAuraSpace(ctx, topo, scope)
 
@@ -697,9 +705,11 @@ def _slice_decision(t, names) -> tuple[set[str], dict[str, int] | None]:
     `_slicewise` composes every entry of `cl`, `int_` and `fix` as the OR of
     its single-slice parts' entries, so they are products of those when
     each single-slice entry (the null set counts at every parameter) lies in
-    its own slice.  Then each parameter's part of an entry depends on the
-    set's slice there alone, a null slice has a null part, and every
-    openness flag holds on a null slice.  Nothing is decided, (set(), None),
+    its own slice.  Only `cl` and `int_` are checked for that: the `fix`
+    entries iterate `cl` on single-slice sets, so they leave their slice
+    only where a `cl` entry does.  Then each parameter's part of an entry
+    depends on the set's slice there alone, a null slice has a null part,
+    and every openness flag holds on a null slice.  Nothing is decided, (set(), None),
     when the tables are no such products or are not exhaustive (they hold
     only the entries read); a law left out is scanned set by set.
 
@@ -729,7 +739,7 @@ def _slice_decision(t, names) -> tuple[set[str], dict[str, int] | None]:
     singles = [[a << (i * n) for a in range(1 << n)] for i in range(ctx.n_params)]
     for i, row in enumerate(singles):
         outside = t.full & ~(ctx.full_mask << (i * n))
-        if any(table[g] & outside for table in (t.cl, t.int_, t.fix) for g in row):
+        if any(table[g] & outside for table in (t.cl, t.int_) for g in row):
             return set(), None
     every = [g for row in singles for g in row]
     decided = {
@@ -953,6 +963,47 @@ def require_known_laws(laws: Sequence[str]) -> None:
         raise ValueError(f"unknown laws: {unknown}")
 
 
+class _Findings:
+    """The findings of checking one space, as the suite records them.
+
+    `receivers[name]` lists the rows a finding of `name` counts in, each
+    with the witnesses it keeps: a law row and the rough rows mirroring it
+    keep WITNESS_LIMIT, a report row its first.  `counts` holds each
+    receiving row's findings; `kept`, in scan order, only the findings some
+    receiving row can still take as a witness, as (name, rank suffix,
+    packed sets), and `unkept` per row the count of the rest.  So a space
+    is held in a few findings however many sets and pairs fail, and a
+    repeat of it replays them under its own rank.
+    """
+
+    __slots__ = ("receivers", "counts", "kept", "unkept")
+
+    def __init__(self, receivers: Mapping[str, tuple[tuple[str, int], ...]]):
+        self.receivers = receivers
+        self.counts: dict[str, int] = {}
+        self.kept: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
+        self.unkept: dict[str, int] = {}
+
+    def add(self, name: str, suffix: tuple[int, ...], gs: tuple[int, ...]) -> None:
+        counts = self.counts
+        rows = self.receivers[name]
+        keep = False
+        for row, limit in rows:
+            found = counts.get(row, 0)
+            keep = keep or found < limit
+            counts[row] = found + 1
+        if keep:
+            self.kept.append((name, suffix, gs))
+        else:
+            self.count(rows, 1)
+
+    def count(self, rows, found: int) -> None:
+        """Count `found` findings that no receiving row keeps in each of `rows`."""
+        unkept = self.unkept
+        for row, _ in rows:
+            unkept[row] = unkept.get(row, 0) + found
+
+
 def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> SuiteResult:
     """Evaluate the law registry over the family and collect a deterministic report.
 
@@ -964,8 +1015,14 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     one by one where it is not; so are the set laws read off the tables
     alone, on the single-slice sets (see _slice_decision).  Either way
     gives the same counts and witnesses.  A rough pair row records each
-    finding of its base rows as its own.  Scan order is canonical
-    everywhere, so witnesses are canonically minimal and reports
+    finding of its base rows as its own.  Within a space, sets and pairs
+    are scanned in canonical order; a row keeps its first WITNESS_LIMIT
+    findings in family order, which in "all" mode is canonical order and
+    in sampled mode is draw order, not rank order.  A sampled family draws
+    small shapes again and again: each distinct space of a shape with
+    n*m <= 12 is checked once, and a repeated draw adds its counts and
+    replays its kept findings (see _Findings) under its own rank, so the
+    report is the one checking every draw gives.  Reports are
     byte-reproducible.  The alpha-meet report rows are left out when no
     space ran the pair scan (no pair law selected, or no shape with
     n*m <= 12).
@@ -982,56 +1039,55 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     reports: dict[str, dict] = {
         name: {"found": 0, "first": None} for name in REPORT_ROWS
     }
+    # a rough witness carries its own name, so it replays through its own entry
+    receivers = {
+        name: tuple((law, WITNESS_LIMIT) for law in (name, *_ROUGH_MIRRORS.get(name, ())) if law in results)
+        for name in LAWS
+    }
+    receivers.update((name, ((name, 1),)) for name in reports)
     strictness: dict[str, Witness | None] = {e: None for e in STRICTNESS_EDGES}
     # unpacked sets and single-slice rows shared by this run's enumerable shapes
     memo: dict = {}
+    # sampled mode: each distinct enumerable space's set table and findings
+    checked_spaces: dict[SoftAuraSpace, tuple] | None = {} if spec.scope_mode == "sampled" else None
     spaces_checked = 0
     sets_max = 0
 
-    for rank3, space in iter_family_spaces(spec):
-        spaces_checked += 1
+    def record(space: SoftAuraSpace, sets, name: str, rank: tuple[int, ...], gs: Sequence[int]) -> None:
+        """Count one finding in its receiving rows; keep the witnesses each row keeps."""
+        row = reports.get(name)
+        if row is not None:
+            row["found"] += 1
+            if row["first"] is None:
+                row["first"] = _witness("report", name, space, rank, [sets[g] for g in gs]).to_json_dict()
+            return
+        for law, _ in receivers[name]:
+            r = results[law]
+            r.failures += 1
+            if len(r.witnesses) < WITNESS_LIMIT:
+                r.witnesses.append(_witness("law", law, space, rank, [sets[g] for g in gs]))
+
+    def check(space: SoftAuraSpace, rank3: tuple[int, ...]) -> tuple:
+        """The set table, set count and _Findings of one space; the first strictness witnesses are recorded at once."""
         t = _Tables(space, memo)
         packed = range(t.full + 1) if t.exhaustive else _sampled_sets(space.context, spec.seed or 0, rank3)
         size = len(packed)
-        sets_max = max(sets_max, size)
-
-        def record(name: str, rank: tuple[int, ...], gs: Sequence[int]) -> None:
-            """Count one finding in its row and the rough row mirroring it; keep the witnesses each row keeps."""
-            row = reports.get(name)
-            if row is not None:
-                row["found"] += 1
-                if row["first"] is None:
-                    row["first"] = _witness(
-                        "report", name, space, rank, [t.sets[g] for g in gs]
-                    ).to_json_dict()
-                return
-            # a rough witness carries its own name, so it replays through its own entry
-            for law in (name, *_ROUGH_MIRRORS.get(name, ())):
-                r = results.get(law)
-                if r is None:
-                    continue
-                r.failures += 1
-                if len(r.witnesses) < WITNESS_LIMIT:
-                    r.witnesses.append(_witness("law", law, space, rank, [t.sets[g] for g in gs]))
-
+        found = _Findings(receivers)
+        add = found.add
         # set laws that hold on every set per slice need no per-set scan,
         # and pair laws decided per slice no pair scan
         decided, counts = _slice_decision(t, results)
         for name, law in checks:
             holds = law.evaluator
             if law.arity == "space":
-                results[name].checked += 1
                 if not holds(t):
-                    record(name, rank3, ())
-                continue
-            chosen = range(0, size, _SET_STRIDE.get(name, 1))
-            results[name].checked += len(chosen)
-            if name in decided:
-                continue
-            for i in chosen:
-                if not holds(t, packed[i]):
-                    record(name, rank3 + (i,), (packed[i],))
+                    add(name, (), ())
+            elif name not in decided:
+                for i in range(0, size, _SET_STRIDE.get(name, 1)):
+                    if not holds(t, packed[i]):
+                        add(name, (i,), (packed[i],))
 
+        # a repeat of the space cannot witness an edge its first draw did not
         cech = t.rows[CECH]
         for edge, condition in _EDGE_CONDITIONS.items():
             if strictness[edge] is None:
@@ -1042,26 +1098,49 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                         break
         for i, g in enumerate(packed):
             if not _cech_decomposes(t, g):
-                record("decomposition-set-cech", rank3 + (i,), (g,))
+                add("decomposition-set-cech", (i,), (g,))
 
         # pair laws need the full set lattice: every union and meet is a row;
         # the full scan runs only where the slice check cannot vouch for it
         if t.exhaustive and pair_rows:
             if counts is None:
-                hit = lambda name, a, b: record(name, rank3 + (a, b), (a, b))
+                hit = lambda name, a, b: add(name, (a, b), (a, b))
                 for g in packed:
                     _pair_row(t, g, range(g, size), hit)
             else:
-                for name, found in counts.items():
-                    row = reports[name]
-                    if found and row["first"] is None:
+                for name, pairs in counts.items():
+                    # a report's first stays once taken, so no repeat needs a later one
+                    if pairs and reports[name]["first"] is None:
                         # exhaustive: a set's rank is its packed value
                         gs = _first_alpha_meet(t.rows[_PAIR_REPORT_ROWS[name]], size)
-                        record(name, rank3 + gs, gs)
-                        found -= 1
-                    row["found"] += found
+                        add(name, gs, gs)
+                        pairs -= 1
+                    found.count(receivers[name], pairs)
+        return t.sets, size, found
+
+    for rank3, space in iter_family_spaces(spec):
+        spaces_checked += 1
+        exhaustive = space.context.n_points * space.context.n_params <= EXHAUSTIVE_GUARD
+        memoised = checked_spaces is not None and exhaustive
+        entry = checked_spaces.get(space) if memoised else None
+        if entry is None:
+            entry = check(space, rank3)
+            if memoised:
+                checked_spaces[space] = entry
+        sets, size, found = entry
+        sets_max = max(sets_max, size)
+        for name, law in checks:
+            results[name].checked += 1 if law.arity == "space" else len(range(0, size, _SET_STRIDE.get(name, 1)))
+        if exhaustive:
             for name in pair_rows:
                 results[name].checked += size * (size + 1) // 2
+        for name, suffix, gs in found.kept:
+            record(space, sets, name, rank3 + suffix, gs)
+        for row, count in found.unkept.items():
+            if row in reports:
+                reports[row]["found"] += count
+            else:
+                results[row].failures += count
 
     if not any(results[name].checked for name in pair_rows):
         reports = {name: r for name, r in reports.items() if name not in _PAIR_REPORT_ROWS}

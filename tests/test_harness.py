@@ -319,6 +319,116 @@ def test_sampled_sets_pinned():
     assert sets[:4] == [3915, 11811, 12529, 1810]
 
 
+def _spilling(real):
+    """A closure that also marks x1 at e2 on the sets at e1 alone that hold x1."""
+
+    def spills(space, g):
+        out = real(space, g)
+        if space.context.n_params > 1 and g.masks[0] & 1 and not any(g.masks[1:]):
+            return SoftSet(space.context, (out.masks[0], out.masks[1] | 1, *out.masks[2:]))
+        return out
+
+    return spills
+
+
+def _widening(real):
+    """A closure that sends every set with two points at the first parameter to the absolute set."""
+    return lambda space, g: SoftSet.absolute(space.context) if g.masks[0] & (g.masks[0] - 1) else real(space, g)
+
+
+def _odd_subbasis_null(real):
+    """`_null_to_absolute` on generated topologies with an odd number of subbasis sets; `real` elsewhere."""
+    return lambda space, g: (
+        SoftSet.absolute(space.context)
+        if g.is_null() and len(space.topology.subbasis or ()) % 2
+        else real(space, g)
+    )
+
+
+class TestSampledRepeats:
+    """A space drawn again in a sampled family is checked once and replayed; the report is unchanged."""
+
+    # 3 x 2 seed 6 draws 200 spaces, most of them again: pinned fault-free, with
+    # a closure that leaks out of its slice, and with one that fails thousands
+    # of pairs, so the kept findings are bounded and rough rows interleave
+    REPEATING = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=200)
+
+    @pytest.mark.parametrize(
+        "fault, failures, digest",
+        [
+            (None, 0, "6d9d027f13b1bc17063dfc43c52246e013f6f860bec98ff447aef18c393a25dc"),
+            (_spilling, 3230, "f2cf9a058019e53af054373577e9248f0684082d177aebc5c556f3a237b3663c"),
+            (_widening, 11455, "1ddd49858c53442d4d2491a07a244626e498ec945eac06c5defbb675dbb725b3"),
+        ],
+        ids=["none", "spilling", "widening"],
+    )
+    def test_report_bytes_pinned(self, fault, failures, digest, monkeypatch):
+        if fault is not None:
+            monkeypatch.setattr(harness, "aura_closure", fault(harness.aura_closure))
+        result = run_law_suite(self.REPEATING)
+        assert result.spaces_checked == 200
+        assert result.total_failures == failures
+        assert hashlib.sha256(result.to_json_bytes()).hexdigest() == digest
+        witnesses = [w for row in result.laws.values() for w in row.witnesses]
+        assert len(witnesses) == harness.WITNESS_LIMIT * sum(1 for r in result.laws.values() if r.failures)
+        assert all(replay_witness(w) is True for w in witnesses)
+
+    def test_kept_findings_are_bounded(self, monkeypatch):
+        # under a fault failing thousands of pairs a space keeps only the
+        # findings some receiving row can still take as a witness
+        kept = []
+
+        class Keeping(harness._Findings):
+            def __init__(self, receivers):
+                super().__init__(receivers)
+                kept.append(self)
+
+        monkeypatch.setattr(harness, "_Findings", Keeping)
+        monkeypatch.setattr(harness, "aura_closure", _widening(harness.aura_closure))
+        run_law_suite(self.REPEATING)
+        assert max(sum(f.counts.values()) for f in kept) > 100
+        for found in kept:
+            per_row = collections.Counter(row for name, _, _ in found.kept for row, _ in found.receivers[name])
+            for name, _, _ in found.kept:
+                for row, limit in found.receivers[name]:
+                    assert per_row[row] <= limit == (1 if row in REPORT_ROWS else harness.WITNESS_LIMIT)
+
+    @pytest.mark.parametrize(
+        "spec, tables",
+        [
+            (SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20), 16),
+            # every scope is enumerated once, so no space repeats
+            (SpaceFamilySpec(2, 2), 22),
+        ],
+    )
+    def test_tables_built_once_per_distinct_space(self, spec, tables, monkeypatch):
+        result, built = _recorded_run(spec, monkeypatch)
+        assert len(built) == tables == len({space for _, space in iter_family_spaces(spec)})
+        assert all(t.space == space for (_, space), t in built)
+        assert result.spaces_checked == sum(1 for _ in iter_family_spaces(spec))
+
+    def test_equal_scopes_under_other_topologies_stay_apart(self, monkeypatch):
+        # 20 generated 2 x 2 draws: 15 distinct spaces, but only 5 distinct
+        # scopes; the witnesses carry the subbasis, and the fault reads it
+        spec = SpaceFamilySpec(2, 2, topology_kind="generated", scope_mode="sampled", seed=4, sample_count=20)
+        spaces = [space for _, space in iter_family_spaces(spec)]
+        assert len(set(spaces)) == 15
+        assert len({(s.context, s.scope) for s in spaces}) == 5
+        result, built = _recorded_run(spec, monkeypatch)
+        assert len(built) == 15
+        assert hashlib.sha256(result.to_json_bytes()).hexdigest() == (
+            "e9c646f96bde5d2e7f07f3106354e597c1ad0be899a6dced53dd12350f822c50"
+        )
+        monkeypatch.setattr(harness, "aura_closure", _odd_subbasis_null(harness.aura_closure))
+        result = run_law_suite(spec)
+        assert result.total_failures == 63
+        assert hashlib.sha256(result.to_json_bytes()).hexdigest() == (
+            "07ee25e96a91aa7c5fb1467fbb1b52c21205c7b6751317d8d9363d8627c37a96"
+        )
+        witnesses = [w for row in result.laws.values() for w in row.witnesses]
+        assert witnesses and all(replay_witness(w) is True for w in witnesses)
+
+
 class TestWitnessPlumbing:
     def test_round_trip(self, small_suite):
         w = small_suite.strictness["alpha=>pre"]
@@ -372,7 +482,11 @@ def _entries(t, packed):
 
 
 def _recorded_run(spec, monkeypatch):
-    """The suite's result on `spec` and, per space in family order, its rank and the tables the run built."""
+    """The suite's result on `spec` and, per table the run built, the draw it was built for and the table.
+
+    A sampled family's enumerable space drawn again builds no tables, so
+    its later draws are left out.
+    """
     built = []
 
     class Recording(harness._Tables):
@@ -383,8 +497,16 @@ def _recorded_run(spec, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_Tables", Recording)
         result = run_law_suite(spec)
-    ranks = [rank3 for rank3, _ in iter_family_spaces(spec)]
-    return result, list(zip(ranks, built))
+    seen = set()
+    draws = []
+    for rank3, space in iter_family_spaces(spec):
+        if spec.scope_mode == "sampled" and rank3[0] * rank3[1] <= harness.EXHAUSTIVE_GUARD:
+            if space in seen:
+                continue
+            seen.add(space)
+        draws.append((rank3, space))
+    assert len(draws) == len(built)
+    return result, list(zip(draws, built))
 
 
 def _non_null_slices(g) -> int:
@@ -432,9 +554,10 @@ class TestComposedTables:
         assert len({id(t.memo) for _, t in built}) == 1
         witnesses = [w for w in result.strictness.values() if w is not None and w.rank[:2] == (3, 2)]
         assert witnesses
+        tables = {rank3: suite for (rank3, _), suite in built}
         for w in witnesses:
-            (rank3, suite), t = built[w.rank[2]], harness._Tables(harness.replay_space(w.space))
-            assert rank3 == w.rank[:3] and replay_witness(w)
+            suite, t = tables[w.rank[:3]], harness._Tables(harness.replay_space(w.space))
+            assert replay_witness(w)
             assert t.exhaustive and type(t.cl) is type(t.fix) is type(t.rows["cech"]) is type(t.sets) is list
             every = range(t.full + 1)
             assert _entries(t, every) == _entries(suite, every)
@@ -450,7 +573,7 @@ class TestComposedTables:
         # the end of the run, so only list-backed tables share it
         spec = SpaceFamilySpec(2, 16, scope_mode="sampled", seed=5, sample_count=24)
         result, built = _recorded_run(spec, monkeypatch)
-        above = [(rank3, t) for rank3, t in built if not t.exhaustive]
+        above = [(rank3, t) for (rank3, _), t in built if not t.exhaustive]
         below = [t for _, t in built if t.exhaustive]
         assert above and below and result.total_failures == 0
         (memo,) = {id(t.memo): t.memo for t in below}.values()
@@ -742,8 +865,11 @@ class TestSlicePairs:
     )
     def test_equals_full_scan(self, spec, spaces, sets, alpha_meets, monkeypatch):
         sliced, decided, full = _sliced_and_full(spec, monkeypatch)
-        assert decided["pairs"] == sliced.spaces_checked == spaces
-        assert _decided_everywhere(decided, spaces)
+        # each distinct space is decided once: seed 6 draws 16 in 20 (see TestSampledRepeats)
+        distinct = len({space for _, space in iter_family_spaces(spec)})
+        assert sliced.spaces_checked == spaces
+        assert decided["pairs"] == distinct
+        assert _decided_everywhere(decided, distinct)
         assert sliced.sets_per_space_max == sets
         assert (sliced.reports["alpha-meet-kuratowski"]["found"] > 0) == alpha_meets
         assert sliced.to_json_dict() == full.to_json_dict()
@@ -791,15 +917,19 @@ class TestSlicePairs:
         monkeypatch.setattr(harness, op, spills)
         spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20)
         sliced, decided, full = _sliced_and_full(spec, monkeypatch)
-        one_parameter = sum(m == 1 for (_, m, _), _ in iter_family_spaces(spec))
+        # the 20 draws hold 16 distinct spaces, 6 of them one-parameter
+        # spaces drawn 9 times; each distinct space is decided once
+        one_parameter = len({space for (_, m, _), space in iter_family_spaces(spec) if m == 1})
+        assert one_parameter == 6
+        assert sliced.spaces_checked == 20
         assert sliced.reports["alpha-meet-cech"]["found"] == found
         assert sliced.to_json_dict() == full.to_json_dict()
         if op == "kuratowski_closure":
             # no table calls the public fixpoint closure, so every space is
             # still decided by slices; kuratowski-fixpoint, which calls it on
             # every set, is scanned set by set and reports the leak
-            assert decided["pairs"] == 20 > one_parameter
-            assert _decided_everywhere(decided, 20)
+            assert decided["pairs"] == 16 > one_parameter
+            assert _decided_everywhere(decided, 16)
             assert sliced.laws["kuratowski-fixpoint"].failures > 0
             return
         assert decided["pairs"] == one_parameter < 20

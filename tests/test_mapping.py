@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from softaura import (
     CECH,
-    GENERATED,
     KURATOWSKI,
     TARGET_AMBIENT,
     TARGET_AURA,
@@ -224,7 +223,7 @@ def generated_spaces(draw, max_points: int = 3, max_params: int = 2) -> SoftAura
     """A space over a topology generated from a random subbasis, with a random admissible scope."""
     ctx = named_context(draw(st.integers(1, max_points)), draw(st.integers(1, max_params)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    topo = harness._sample_topology(ctx, GENERATED, rng)
+    topo = harness._sample_generated_topology(ctx, rng)
     return SoftAuraSpace(ctx, topo, harness._sample_scope(ctx, topo, rng))
 
 
