@@ -7,12 +7,13 @@ comparisons of those library-produced values.  Closure and interior are
 composed slice by slice from single-slice rows, and so is the fixpoint
 closure, from the closure table iterated on each single-slice set, as the
 paper builds it; the kuratowski-fixpoint law checks the public fixpoint
-closure against that table on every set.  The shape alone picks how
-the tables are held, for the suite and replay_witness alike: lists filled
-up front when every set of the shape is checked, their rows kept in one
-memo per run and shared by its spaces that have the same scope column;
-dicts filled on lookup above that (see _Tables).  The openness flags are
-kept once, as a six-flag tuple per set.  Each law is defined once, as a
+closure against that table on every set.  Every table of a space is built
+from that space's own single-slice entries, so a fault that reads another
+scope column is seen, and replayed, on the space it acts on.  The shape
+alone picks how the tables are held, for the suite and replay_witness
+alike: lists filled up front when every set of the shape is checked, dicts
+filled on lookup above that (see _Tables).  The openness flags are kept
+once, as a six-flag tuple per set.  Each law is defined once, as a
 predicate over the tables; replay_witness evaluates the same predicate on
 tables built for the witness space.  Pair laws, and the set laws read off
 the tables alone, are decided one parameter slice at a time wherever the
@@ -28,7 +29,7 @@ Literal per-element oracles for the closure and interior live here too; they
 work on name sets, never on bitmasks, so they share no code with the
 optimized operators they check.  The oracle tables are composed slice by
 slice like the closure's, from one name-set pass per single-slice set of
-each scope column.
+the space.
 """
 
 from __future__ import annotations
@@ -390,35 +391,24 @@ def _composed(rows: list, null: int, n: int) -> _Lazy:
     return _Lazy(fill)
 
 
-def _slicewise(tag: str, entry: Callable[[int], int], t, memo: dict):
+def _slicewise(entry: Callable[[int], int], t):
     """Packed table of a slicewise operator on the space of tables `t`, whose packed entry at a single-slice or null set g is `entry(g)`.
 
     The null set and each single-slice set get one `entry` call; any other
-    entry is the OR of its single-slice parts' entries.  On a single-slice
-    set a slicewise operator reads one scope column of the space, so per
-    parameter i the entries of the sets a << i*n, a != 0, form a row (0 at
-    0), kept in `memo` once per key: the operator's tag, the shape, the
-    parameter (which fix the sets asked) and that column.  A row that leaks
-    out of its slice is shared like any other; `_slice_decision` sees the
-    leak on every space that uses it.  On exhaustive tables the rows are
-    lists and the table is a list built as their product; otherwise both
-    are dicts filled on first lookup.
+    entry is the OR of its single-slice parts' entries.  Per parameter i
+    the entries of the sets a << i*n, a != 0, form a row (0 at 0).  The
+    rows come from this space's own calls: a row that leaks out of its
+    slice, or reads another scope column, is seen on the space whose
+    operator produced it (see `_slice_decision`).  On exhaustive tables
+    the rows are lists and the table is a list built as their product;
+    otherwise both are dicts filled on first lookup.
     """
-    space = t.space
-    n, m = space.context.n_points, space.context.n_params
-    rows = []
-    for i in range(m):
-        key = (tag, n, m, i, space.scope_columns[i])
-        row = memo.get(key)
-        if row is None:
-            if t.exhaustive:
-                row = [0] + [entry(a << (i * n)) for a in range(1, 1 << n)]
-            else:
-                row = _Lazy(lambda a, i=i: a and entry(a << (i * n)))
-            memo[key] = row
-        rows.append(row)
-    null = entry(0)
-    return _slice_product(rows, null) if t.exhaustive else _composed(rows, null, n)
+    n, m = t.space.context.n_points, t.space.context.n_params
+    if t.exhaustive:
+        rows = [[0] + [entry(a << (i * n)) for a in range(1, 1 << n)] for i in range(m)]
+        return _slice_product(rows, entry(0))
+    rows = [_Lazy(lambda a, i=i: a and entry(a << (i * n))) for i in range(m)]
+    return _composed(rows, entry(0), n)
 
 
 class _Tables:
@@ -428,23 +418,21 @@ class _Tables:
     unpacks; `cl`, `int_` and `fix` hold the packed one-step closure,
     interior and fixpoint closure; `rows[kind]` the six openness flags of
     each set under a closure kind, as one tuple per set.  All three and the
-    `oracle` tables are composed slice by slice (`_slicewise`): `cl` and
-    `int_` from public operator calls, `fix` from the `cl` table applied
-    |X| times, so no table calls `kuratowski_closure`, and the oracles from
-    name-set scans.  The shape alone picks the representation,
-    whoever builds the tables: with |X|*|E| <= EXHAUSTIVE_GUARD
-    (`exhaustive`) they are lists filled up front, above it dicts filled
-    on first lookup.  List-backed tables keep each context's unpacked sets
-    and the single-slice rows of each scope column in `memo`, which one
-    suite run shares across its spaces (a fresh one by default); `fix`
-    keeps its rows to itself.  Dict-backed tables keep theirs in a memo of
-    their own, freed with them: they fill with the entries one sampled
-    space reads, which other spaces seldom read, and a shared memo would
-    hold every space's until the run ends.  No stored function refers to
-    the instance, so reference counting frees the tables.
+    `oracle` tables are composed slice by slice (`_slicewise`), each from
+    this space's own single-slice entries: `cl` and `int_` from public
+    operator calls, `fix` from the `cl` table applied |X| times, so no
+    table calls `kuratowski_closure`, and the oracles from name-set scans.
+    The shape alone picks the representation, whoever builds the tables:
+    with |X|*|E| <= EXHAUSTIVE_GUARD (`exhaustive`) they are lists filled
+    up front, above it dicts filled on first lookup.  List-backed tables
+    take their context's unpacked sets from `unpacked` (context -> list,
+    which one suite run shares across its spaces; they make no operator
+    call), and keep them there.  Dict-backed tables unpack the sets they
+    read for themselves.  No stored function refers to the instance, so
+    reference counting frees the tables.
     """
 
-    def __init__(self, space: SoftAuraSpace, memo: dict | None = None):
+    def __init__(self, space: SoftAuraSpace, unpacked: dict | None = None):
         ctx = space.context
         n, m = ctx.n_points, ctx.n_params
         self.exhaustive = exhaustive = n * m <= EXHAUSTIVE_GUARD
@@ -454,10 +442,10 @@ class _Tables:
 
         self.space = space
         self.full = (1 << n * m) - 1
-        self.memo = memo = memo if exhaustive and memo is not None else {}
-        sets = memo.get(("sets", ctx))
+        shared = unpacked if exhaustive and unpacked is not None else {}
+        sets = shared.get(ctx)
         if sets is None:
-            sets = memo["sets", ctx] = table(lambda g: _unpack(ctx, g))
+            sets = shared[ctx] = table(lambda g: _unpack(ctx, g))
         self.sets = sets
 
         def called(op):
@@ -470,11 +458,9 @@ class _Tables:
                 g = cl[g]
             return g
 
-        self.cl = cl = _slicewise("cl", called(aura_closure), self, memo)
-        self.int_ = int_ = _slicewise("int", called(aura_interior), self, memo)
-        # a cl row that leaks out of its slice makes fix read other columns,
-        # so fix keeps its rows to itself: witnesses of such faults replay
-        self.fix = fix = _slicewise("fix", iterated, self, {})
+        self.cl = cl = _slicewise(called(aura_closure), self)
+        self.int_ = int_ = _slicewise(called(aura_interior), self)
+        self.fix = fix = _slicewise(iterated, self)
         self.rows = {
             kind: table(lambda g, c=c: _openness_row(c, int_, g))
             for kind, c in ((CECH, cl), (KURATOWSKI, fix))
@@ -508,10 +494,7 @@ class _Tables:
 
             return fill
 
-        return tuple(
-            _slicewise(tag, entry(interior), self, self.memo)
-            for tag, interior in (("oracle-cl", False), ("oracle-int", True))
-        )
+        return _slicewise(entry(False), self), _slicewise(entry(True), self)
 
 
 # -- law registry ------------------------------------------------------------
@@ -1046,8 +1029,8 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     }
     receivers.update((name, ((name, 1),)) for name in reports)
     strictness: dict[str, Witness | None] = {e: None for e in STRICTNESS_EDGES}
-    # unpacked sets and single-slice rows shared by this run's enumerable shapes
-    memo: dict = {}
+    # unpacked sets of each enumerable context, shared by this run's spaces
+    unpacked: dict = {}
     # sampled mode: each distinct enumerable space's set table and findings
     checked_spaces: dict[SoftAuraSpace, tuple] | None = {} if spec.scope_mode == "sampled" else None
     spaces_checked = 0
@@ -1069,8 +1052,8 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
 
     def check(space: SoftAuraSpace, rank3: tuple[int, ...]) -> tuple:
         """The set table, set count and _Findings of one space; the first strictness witnesses are recorded at once."""
-        t = _Tables(space, memo)
-        packed = range(t.full + 1) if t.exhaustive else _sampled_sets(space.context, spec.seed or 0, rank3)
+        t = _Tables(space, unpacked)
+        packed = range(t.full + 1) if t.exhaustive else _sampled_sets(space.context, spec.seed, rank3)
         size = len(packed)
         found = _Findings(receivers)
         add = found.add

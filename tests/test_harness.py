@@ -310,6 +310,7 @@ def test_faulty_report_bytes_pinned(laws, digest, monkeypatch):
     monkeypatch.setattr(harness, "aura_closure", _null_to_absolute(harness.aura_closure))
     result = run_law_suite(SpaceFamilySpec(2, 2), laws=laws)
     assert hashlib.sha256(result.to_json_bytes()).hexdigest() == digest
+    assert all(replay_witness(w) is True for row in result.laws.values() for w in row.witnesses)
 
 
 def test_sampled_sets_pinned():
@@ -329,6 +330,24 @@ def _spilling(real):
         return out
 
     return spills
+
+
+def _reversed_columns(real):
+    """A closure that reads the scope columns in reverse parameter order."""
+    return lambda space, g: SoftSet(space.context, tuple(map(operators._closure_slice, space.scope_columns[::-1], g.masks)))
+
+
+def _reads_x1_at_e2(real):
+    """A closure that, on a set at e1 alone, also marks the last point at e1 when x1's scope at e2 is absolute."""
+
+    def reads(space, g):
+        out = real(space, g)
+        ctx = space.context
+        if ctx.n_params > 1 and g.masks[0] and not any(g.masks[1:]) and space.scope_masks[0][1] == ctx.full_mask:
+            return SoftSet(ctx, (out.masks[0] | 1 << (ctx.n_points - 1), *out.masks[1:]))
+        return out
+
+    return reads
 
 
 def _widening(real):
@@ -490,8 +509,8 @@ def _recorded_run(spec, monkeypatch):
     built = []
 
     class Recording(harness._Tables):
-        def __init__(self, space, memo=None):
-            super().__init__(space, memo)
+        def __init__(self, space, unpacked=None):
+            super().__init__(space, unpacked)
             built.append(self)
 
     with monkeypatch.context() as patch:
@@ -527,31 +546,11 @@ class TestComposedTables:
                 assert t.cl[g] == harness._pack(aura_closure(t.space, s).masks, n)
                 assert t.int_[g] == harness._pack(aura_interior(t.space, s).masks, n)
 
-    @pytest.mark.parametrize("kind", ["discrete", "generated"])
-    def test_shared_slice_rows_equal_fresh_tables(self, kind):
-        # one memo across a sampled family, as run_law_suite shares it,
-        # against tables built for each space alone
-        spec = SpaceFamilySpec(3, 2, topology_kind=kind, scope_mode="sampled", seed=17, sample_count=60)
-        memo = {}
-        slices = 0
-        for _, space in iter_family_spaces(spec):
-            shared = harness._Tables(space, memo)
-            fresh = harness._Tables(space)
-            assert shared.exhaustive and fresh.exhaustive
-            every = range(shared.full + 1)
-            assert _entries(shared, every) == _entries(fresh, every)
-            slices += space.context.n_params
-        rows = [key for key in memo if key[0] == "cl"]
-        # the rows were shared: fewer (shape, parameter, column) keys than slices
-        assert 0 < len(rows) < slices
-        assert len(rows) == len({key for key in memo if key[0] == "oracle-int"})
-
     def test_representation_follows_the_shape(self, monkeypatch):
         # whoever builds the tables: a replayed 3 x 2 witness space gets the
-        # lists the suite filled through its shared memo, a 4 x 4 space dicts
+        # lists the suite filled, a 4 x 4 space dicts
         spec = SpaceFamilySpec(3, 2, scope_mode="sampled", seed=6, sample_count=20)
         result, built = _recorded_run(spec, monkeypatch)
-        assert len({id(t.memo) for _, t in built}) == 1
         witnesses = [w for w in result.strictness.values() if w is not None and w.rank[:2] == (3, 2)]
         assert witnesses
         tables = {rank3: suite for (rank3, _), suite in built}
@@ -568,19 +567,19 @@ class TestComposedTables:
         assert all(type(table) is harness._Lazy for table in (t.sets, t.cl, t.int_, t.fix, *t.rows.values()))
 
     def test_tables_above_the_guard_keep_their_rows_to_themselves(self, monkeypatch):
-        # dict-backed tables fill with what one sampled space reads; shared
-        # through the run's memo they would keep every space's entries to
-        # the end of the run, so only list-backed tables share it
+        # list-backed tables of one context share its unpacked sets, which
+        # make no operator call; dict-backed tables fill with what one
+        # sampled space reads, so they unpack their sets for themselves
         spec = SpaceFamilySpec(2, 16, scope_mode="sampled", seed=5, sample_count=24)
         result, built = _recorded_run(spec, monkeypatch)
         above = [(rank3, t) for (rank3, _), t in built if not t.exhaustive]
         below = [t for _, t in built if t.exhaustive]
         assert above and below and result.total_failures == 0
-        (memo,) = {id(t.memo): t.memo for t in below}.values()
-        assert all(key[1] * key[2] <= harness.EXHAUSTIVE_GUARD for key in memo if key[0] != "sets")
-        assert len({id(t.memo) for _, t in above} | {id(memo)}) == len(above) + 1
+        shared = {t.space.context: t.sets for t in below}
+        assert all(t.sets is shared[t.space.context] for t in below)
+        assert len({id(t.sets) for _, t in above}) == len(above)
         for rank3, t in above:
-            assert all(type(row) is harness._Lazy for key, row in t.memo.items() if key[0] == "cl")
+            assert type(t.sets) is harness._Lazy
             packed = harness._sampled_sets(t.space.context, spec.seed, rank3)
             assert _entries(t, packed) == _entries(harness._Tables(t.space), packed)
 
@@ -700,6 +699,29 @@ class TestComposedTables:
         monkeypatch.undo()
         assert not any(replay_witness(w) for w in witnesses)
 
+    @pytest.mark.parametrize(
+        "fault, failures, digest",
+        [
+            (_reversed_columns, 730, "f060912872550a204fd9bd8c587da9147b8aa5922858fa2931e046b4ce1c0f96"),
+            (_reads_x1_at_e2, 128, "ee92e4d31eac0387a7b8d51de1a374c0037741cc8263eb228ef63f9dc0bde8ed"),
+        ],
+        ids=["reversed-columns", "reads-x1-at-e2"],
+    )
+    def test_fault_reading_another_column_is_reported_on_its_own_space(self, fault, failures, digest, monkeypatch):
+        # each fault keeps its single-slice entries in their own slice but
+        # reads a scope column of another parameter; spaces with the same
+        # column at the set's parameter then disagree, so every space's
+        # tables must come from its own calls for the counts to be right
+        # and every witness to replay
+        monkeypatch.setattr(harness, "aura_closure", fault(harness.aura_closure))
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        assert result.total_failures == failures
+        assert hashlib.sha256(result.to_json_bytes()).hexdigest() == digest
+        witnesses = [w for row in result.laws.values() for w in row.witnesses]
+        assert witnesses and all(replay_witness(w) is True for w in witnesses)
+        monkeypatch.undo()
+        assert not any(replay_witness(w) for w in witnesses)
+
     def test_single_slice_fault_is_reported_by_the_oracle(self, monkeypatch):
         real = harness.aura_closure
 
@@ -749,28 +771,14 @@ class TestComposedTables:
 
         monkeypatch.setattr(harness, "oracle_scopes", scopes)
         monkeypatch.setattr(harness, "_oracle_scan", counting)
-        spec = SpaceFamilySpec(2, 2)
-        run_law_suite(spec)
+        run_law_suite(SpaceFamilySpec(2, 2))
         assert len(calls) == 22
-        seen = set()
         for space, slices in calls.items():
             # the null set once per space, so each parameter's null slice once;
-            # never a slice twice
-            assert len(slices) == len(set(slices))
-            assert sorted(i for i, names in slices if not names) == list(range(space.context.n_params))
-            for i, names in slices:
-                if names:
-                    column = tuple(s[i] for s in space.scope_masks)
-                    seen.add((space.context.n_params, i, column, names))
-        # each single-slice set of each (shape, parameter, scope column) reaches
-        # the oracle once per run: 1 + 2 + 4 * 3 + 8 * 3 sets over the family
-        keys = {
-            (n, m, i, tuple(s[i] for s in space.scope_masks))
-            for (n, m, _), space in iter_family_spaces(spec)
-            for i in range(m)
-        }
-        non_null = sum(len(slices) for slices in calls.values()) - sum(sp.context.n_params for sp in calls)
-        assert non_null == len(seen) == sum((1 << n) - 1 for n, *_ in keys) == 39
+            # each single-slice set of the space once, never a slice twice
+            n, m = space.context.n_points, space.context.n_params
+            assert len(slices) == len(set(slices)) == m << n
+            assert sorted(i for i, names in slices if not names) == list(range(m))
 
     @pytest.mark.parametrize(
         "spec, stride",
@@ -778,17 +786,16 @@ class TestComposedTables:
     )
     def test_oracle_entries_equal_whole_set_oracle_calls(self, spec, stride):
         # spec None: lazy tables of seeded 4 x 4 spaces, the shape the suite
-        # samples; one memo across each exhaustive family, as the suite shares
-        # it.  The r-th space checks the sets g = r (mod stride): with stride 8
-        # every 3 x 2 space and every 3 x 2 set is checked, in 1/8 of the
-        # family's 262,934 (space, set) pairs
+        # samples; each exhaustive family shares its unpacked sets, as the
+        # suite does.  The r-th space checks the sets g = r (mod stride): with
+        # stride 8 every 3 x 2 space and every 3 x 2 set is checked, in 1/8 of
+        # the family's 262,934 (space, set) pairs
         if spec is None:
             spaces = list(_lazy_spaces(4, 4, range(3)))
-            tables = [harness._Tables(space).oracle for space in spaces]
         else:
-            memo = {}
             spaces = [space for _, space in iter_family_spaces(spec)]
-            tables = [harness._Tables(space, memo).oracle for space in spaces]
+        unpacked = {}
+        tables = [harness._Tables(space, unpacked).oracle for space in spaces]
         for r, (space, (ocl, oint)) in enumerate(zip(spaces, tables)):
             ctx = space.context
             n = ctx.n_points
@@ -943,9 +950,8 @@ class TestSlicePairs:
 
     def test_witnesses_of_a_leaking_closure_replay(self, monkeypatch):
         # the closure of {x1} at e1 also marks x1 at e2, so the fixpoint
-        # table, which iterates it, reads the scope column at e2 too: a fix
-        # row shared by every space with the same column at e1 would hold
-        # another space's entries, and its witnesses would not replay
+        # table, which iterates it, reads the scope column at e2 too; each
+        # space's tables are built from its own calls, so the witnesses replay
         real = harness.aura_closure
 
         def spills(space, g):

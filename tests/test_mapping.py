@@ -684,10 +684,10 @@ class TestBasisPath:
     def test_classes_union_closed_on_exhaustive_family(self):
         # the basis reduction assumes every openness class holds the null set
         # and is closed under unions, under both closure kinds
-        memo: dict = {}
+        unpacked: dict = {}
         spaces = 0
         for _, space in iter_family_spaces(SpaceFamilySpec(3, 2)):
-            tables = harness._Tables(space, memo)
+            tables = harness._Tables(space, unpacked)
             assert [s.masks for s in tables.sets] == [s.masks for s in iter_all_soft_sets(space.context)]
             for kind in KINDS:
                 rows = tables.rows[kind]
