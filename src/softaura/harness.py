@@ -14,8 +14,11 @@ alone picks how the tables are held, for the suite and replay_witness
 alike: lists filled up front when every set of the shape is checked, dicts
 filled on lookup above that (see _Tables).  The openness flags are kept
 once, as a six-flag tuple per set.  Each law is defined once, as a
-predicate over the tables; replay_witness evaluates the same predicate on
-tables built for the witness space.  Pair laws, and the set laws read off
+predicate over the tables, and so is each report row, in a registry of
+its own beside the laws; the suite keeps both kinds of row alike, and
+replay_witness evaluates the same predicate, looked up in the registry of
+the witness's kind, on tables built for the witness space.  A row counts
+each set or pair that fails it once.  Pair laws, and the set laws read off
 the tables alone, are decided one parameter slice at a time wherever the
 tables are products of their single-slice entries, as the paper's
 operators are (see _slice_decision).  Set ranks, pair ranks, scope ranks
@@ -708,8 +711,8 @@ def _slice_decision(t, names) -> tuple[set[str], dict[str, int] | None]:
     does, and a set has an openness flag iff each of its single-slice parts
     has it.  So `_pair_row` runs on the pairs of single-slice sets at each
     parameter only; the counts are None, and the full scan is needed, when
-    one of those pairs fails a row named in `names`, and None unread when
-    `names` holds no pair law.  With A_i alpha-open
+    one of those pairs fails a law row named in `names`, and None unread
+    when `names` holds no pair row.  With A_i alpha-open
     single-slice sets at parameter i and Q_i ordered pairs of them whose
     meet is alpha-open, (prod A_i^2 - prod Q_i) / 2 is the scan's count of
     unordered failing pairs: failure is symmetric and never holds on the
@@ -732,17 +735,18 @@ def _slice_decision(t, names) -> tuple[set[str], dict[str, int] | None]:
     }
     if t.fix[t.full] != t.full:
         decided.discard("tau-infinity-in-tau")
-    if all(LAWS[name].arity != "pair" for name in names):
+    if all(_ROWS[name].arity != "pair" for name in names):
         return decided, None
     failed: set[str] = set()
     hit = lambda name, a, b: failed.add(name)
     for row in singles:
         for j, g in enumerate(row):
             _pair_row(t, g, row[j:], hit)
-    if not failed.isdisjoint(names):
+    # the alpha-meet reports fail on single-slice pairs too; they are counted below
+    if any(name in LAWS for name in failed.intersection(names)):
         return decided, None
     counts = {}
-    for name, kind in _PAIR_REPORT_ROWS.items():
+    for name, kind in _ALPHA_MEETS.items():
         flags = t.rows[kind]
         pairs = meets = 1
         for row in singles:
@@ -831,14 +835,21 @@ LAWS: dict[str, LawSpec] = {
 #: the suite checks it on every 7th set of a space only.
 _SET_STRIDE = {"classify-consistency": 7}
 
-#: Witness-producing findings (never build-blocking): alpha meets can fail
-#: under both closure kinds because the interior stays one-step, and the
-#: one-step closure can break the per-set alpha = semi+pre identity.
-#: The alpha-meet rows come from the pair scan and appear only when it ran.
-REPORT_ROWS = ("alpha-meet-cech", "alpha-meet-kuratowski", "decomposition-set-cech")
-_PAIR_REPORT_ROWS = dict(zip(REPORT_ROWS[:2], (CECH, KURATOWSKI)))
+#: Report rows: expected findings, never build-blocking, each keeping one
+#: witness.  Alpha meets can fail under both closure kinds because the
+#: interior stays one-step, and the one-step closure can break the per-set
+#: alpha = semi+pre identity.  The alpha-meet rows come from the pair scan,
+#: so they are scanned only with a pair law and reported only where it ran.
+_ALPHA_MEETS = {"alpha-meet-cech": CECH, "alpha-meet-kuratowski": KURATOWSKI}
+_REPORTS: dict[str, LawSpec] = {
+    "alpha-meet-cech": LawSpec("pair", _pair_law("alpha-meet-cech"), "alpha-open sets meet in an alpha-open set (one-step closure)"),
+    "alpha-meet-kuratowski": LawSpec("pair", _pair_law("alpha-meet-kuratowski"), "alpha-open sets meet in an alpha-open set (fixpoint closure)"),
+    "decomposition-set-cech": LawSpec("set", _alpha_decomposes(CECH), "alpha = semi and pre under the one-step closure"),
+}
+REPORT_ROWS = tuple(_REPORTS)
 
-_cech_decomposes = _alpha_decomposes(CECH)
+#: Every row of the suite, law rows first; the suite keeps them all alike.
+_ROWS = {**LAWS, **_REPORTS}
 
 #: Hierarchy edges, each witnessed by a set where the right class holds and
 #: the left does not: a condition on its flags (open, alpha, semi, pre, b, beta).
@@ -853,21 +864,20 @@ STRICTNESS_EDGES = tuple(_EDGE_CONDITIONS)
 
 
 def replay_witness(w: Witness) -> bool:
-    """Rebuild the witness space and re-evaluate its finding on that space's tables."""
+    """Rebuild the witness space and re-evaluate its finding on that space's tables.
+
+    ValueError when no row or edge of the witness's kind has its name.
+    """
+    registry = {"law": LAWS, "report": _REPORTS, "strictness": _EDGE_CONDITIONS}.get(w.kind, {})
+    if w.name not in registry:
+        raise ValueError(f"cannot replay witness kind {w.kind!r} name {w.name!r}")
     space = replay_space(w.space)
     ctx = space.context
     t = _Tables(space)
     gs = [_pack(SoftSet.from_slices(ctx, slices).masks, ctx.n_points) for slices in w.sets]
-    if w.kind == "law":
-        return not LAWS[w.name].evaluator(t, *gs)
-    if w.kind == "strictness" and w.name in _EDGE_CONDITIONS:
-        return _EDGE_CONDITIONS[w.name](*t.rows[CECH][gs[0]])
-    if w.kind == "report":
-        if w.name in ("alpha-meet-cech", "alpha-meet-kuratowski"):
-            return not _pair_law(w.name)(t, *gs)
-        if w.name == "decomposition-set-cech":
-            return not _cech_decomposes(t, gs[0])
-    raise ValueError(f"cannot replay witness kind {w.kind!r} name {w.name!r}")
+    if w.kind == "strictness":
+        return registry[w.name](*t.rows[CECH][gs[0]])
+    return not registry[w.name].evaluator(t, *gs)
 
 
 # -- suite engine ------------------------------------------------------------
@@ -951,40 +961,32 @@ class _Findings:
 
     `receivers[name]` lists the rows a finding of `name` counts in, each
     with the witnesses it keeps: a law row and the rough rows mirroring it
-    keep WITNESS_LIMIT, a report row its first.  `counts` holds each
-    receiving row's findings; `kept`, in scan order, only the findings some
-    receiving row can still take as a witness, as (name, rank suffix,
-    packed sets), and `unkept` per row the count of the rest.  So a space
-    is held in a few findings however many sets and pairs fail, and a
-    repeat of it replays them under its own rank.
+    keep WITNESS_LIMIT, a report row one.  `rows[row]` holds each receiving
+    row's [count, last rank suffix, first findings], the first findings in
+    scan order as (rank suffix, packed sets) up to the row's limit.  A
+    finding with its row's last suffix counts once: `_pair_row` reports a
+    pair to a rough row once per base row it fails, one after another.  So
+    a space is held in a few findings however many sets and pairs fail, and
+    a repeat of it replays them under its own rank.
     """
 
-    __slots__ = ("receivers", "counts", "kept", "unkept")
+    __slots__ = ("receivers", "rows")
 
     def __init__(self, receivers: Mapping[str, tuple[tuple[str, int], ...]]):
         self.receivers = receivers
-        self.counts: dict[str, int] = {}
-        self.kept: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-        self.unkept: dict[str, int] = {}
+        self.rows: dict[str, list] = {}
 
     def add(self, name: str, suffix: tuple[int, ...], gs: tuple[int, ...]) -> None:
-        counts = self.counts
-        rows = self.receivers[name]
-        keep = False
-        for row, limit in rows:
-            found = counts.get(row, 0)
-            keep = keep or found < limit
-            counts[row] = found + 1
-        if keep:
-            self.kept.append((name, suffix, gs))
-        else:
-            self.count(rows, 1)
-
-    def count(self, rows, found: int) -> None:
-        """Count `found` findings that no receiving row keeps in each of `rows`."""
-        unkept = self.unkept
-        for row, _ in rows:
-            unkept[row] = unkept.get(row, 0) + found
+        rows = self.rows
+        for row, limit in self.receivers[name]:
+            entry = rows.get(row)
+            if entry is None:
+                rows[row] = [1, suffix, [(suffix, gs)]]
+            elif entry[1] != suffix:
+                entry[0] += 1
+                entry[1] = suffix
+                if len(entry[2]) < limit:
+                    entry[2].append((suffix, gs))
 
 
 def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> SuiteResult:
@@ -997,37 +999,37 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     single-slice sets at each parameter where that is exact, and scanned
     one by one where it is not; so are the set laws read off the tables
     alone, on the single-slice sets (see _slice_decision).  Either way
-    gives the same counts and witnesses.  A rough pair row records each
-    finding of its base rows as its own.  Within a space, sets and pairs
-    are scanned in canonical order; a row keeps its first WITNESS_LIMIT
-    findings in family order, which in "all" mode is canonical order and
-    in sampled mode is draw order, not rank order.  A sampled family draws
-    small shapes again and again: each distinct space of a shape with
-    n*m <= 12 is checked once, and a repeated draw adds its counts and
-    replays its kept findings (see _Findings) under its own rank, so the
-    report is the one checking every draw gives.  Reports are
-    byte-reproducible.  The alpha-meet report rows are left out when no
-    space ran the pair scan (no pair law selected, or no shape with
-    n*m <= 12).
+    gives the same counts and witnesses.  A rough pair row counts each pair
+    its base rows fail once, as its own finding.  Within a space, sets and
+    pairs are scanned in canonical order; a row keeps its first
+    WITNESS_LIMIT findings in family order, which in "all" mode is
+    canonical order and in sampled mode is draw order, not rank order.  A
+    sampled family draws small shapes again and again: each distinct space
+    of a shape with n*m <= 12 is checked once, and a repeated draw adds its
+    counts and replays its first findings (see _Findings) under its own
+    rank, so the report is the one checking every draw gives.  Reports are
+    byte-reproducible.  Report rows are kept like law rows, with one
+    witness, and reported as their count and first witness; the alpha-meet
+    rows are left out when no space ran the pair scan (no pair law
+    selected, or no shape with n*m <= 12).
     """
     if laws is not None:
         require_known_laws(laws)
     selected = set(laws) if laws is not None else set(LAWS)
     # a mirrored rough row needs its base rows scanned, selected or not
     scanned = selected.union(*(_SHARED_ROUGH_PAIR_ROWS.get(name, ()) for name in selected))
+    paired = any(LAWS[name].arity == "pair" for name in scanned)
+    scanned.update(name for name, r in _REPORTS.items() if paired or r.arity != "pair")
 
-    results = {name: LawResult() for name in LAWS if name in scanned}
-    checks = [(name, LAWS[name]) for name in results if LAWS[name].arity != "pair"]
-    pair_rows = [name for name in results if LAWS[name].arity == "pair"]
-    reports: dict[str, dict] = {
-        name: {"found": 0, "first": None} for name in REPORT_ROWS
-    }
+    rows = {name: LawResult() for name in _ROWS if name in scanned}
+    checks = [(name, _ROWS[name]) for name in rows if _ROWS[name].arity != "pair"]
+    pair_rows = [name for name in rows if _ROWS[name].arity == "pair"]
+    limits = {name: 1 if name in _REPORTS else WITNESS_LIMIT for name in rows}
     # a rough witness carries its own name, so it replays through its own entry
     receivers = {
-        name: tuple((law, WITNESS_LIMIT) for law in (name, *_ROUGH_MIRRORS.get(name, ())) if law in results)
-        for name in LAWS
+        name: tuple((row, limits[row]) for row in (name, *_ROUGH_MIRRORS.get(name, ())) if row in rows)
+        for name in _ROWS
     }
-    receivers.update((name, ((name, 1),)) for name in reports)
     strictness: dict[str, Witness | None] = {e: None for e in STRICTNESS_EDGES}
     # unpacked sets of each enumerable context, shared by this run's spaces
     unpacked: dict = {}
@@ -1035,20 +1037,6 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     checked_spaces: dict[SoftAuraSpace, tuple] | None = {} if spec.scope_mode == "sampled" else None
     spaces_checked = 0
     sets_max = 0
-
-    def record(space: SoftAuraSpace, sets, name: str, rank: tuple[int, ...], gs: Sequence[int]) -> None:
-        """Count one finding in its receiving rows; keep the witnesses each row keeps."""
-        row = reports.get(name)
-        if row is not None:
-            row["found"] += 1
-            if row["first"] is None:
-                row["first"] = _witness("report", name, space, rank, [sets[g] for g in gs]).to_json_dict()
-            return
-        for law, _ in receivers[name]:
-            r = results[law]
-            r.failures += 1
-            if len(r.witnesses) < WITNESS_LIMIT:
-                r.witnesses.append(_witness("law", law, space, rank, [sets[g] for g in gs]))
 
     def check(space: SoftAuraSpace, rank3: tuple[int, ...]) -> tuple:
         """The set table, set count and _Findings of one space; the first strictness witnesses are recorded at once."""
@@ -1059,7 +1047,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         add = found.add
         # set laws that hold on every set per slice need no per-set scan,
         # and pair laws decided per slice no pair scan
-        decided, counts = _slice_decision(t, results)
+        decided, counts = _slice_decision(t, rows)
         for name, law in checks:
             holds = law.evaluator
             if law.arity == "space":
@@ -1079,9 +1067,6 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                         rank = rank3 + (i,)
                         strictness[edge] = _witness("strictness", edge, space, rank, (t.sets[g],))
                         break
-        for i, g in enumerate(packed):
-            if not _cech_decomposes(t, g):
-                add("decomposition-set-cech", (i,), (g,))
 
         # pair laws need the full set lattice: every union and meet is a row;
         # the full scan runs only where the slice check cannot vouch for it
@@ -1092,13 +1077,14 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                     _pair_row(t, g, range(g, size), hit)
             else:
                 for name, pairs in counts.items():
-                    # a report's first stays once taken, so no repeat needs a later one
-                    if pairs and reports[name]["first"] is None:
-                        # exhaustive: a set's rank is its packed value
-                        gs = _first_alpha_meet(t.rows[_PAIR_REPORT_ROWS[name]], size)
-                        add(name, gs, gs)
-                        pairs -= 1
-                    found.count(receivers[name], pairs)
+                    if pairs:
+                        firsts = []
+                        # a report keeps one witness, so once it is taken no repeat needs one
+                        if not rows[name].witnesses:
+                            # exhaustive: a set's rank is its packed value
+                            gs = _first_alpha_meet(t.rows[_ALPHA_MEETS[name]], size)
+                            firsts.append((gs, gs))
+                        found.rows[name] = [pairs, None, firsts]
         return t.sets, size, found
 
     for rank3, space in iter_family_spaces(spec):
@@ -1113,22 +1099,23 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         sets, size, found = entry
         sets_max = max(sets_max, size)
         for name, law in checks:
-            results[name].checked += 1 if law.arity == "space" else len(range(0, size, _SET_STRIDE.get(name, 1)))
+            rows[name].checked += 1 if law.arity == "space" else len(range(0, size, _SET_STRIDE.get(name, 1)))
         if exhaustive:
             for name in pair_rows:
-                results[name].checked += size * (size + 1) // 2
-        for name, suffix, gs in found.kept:
-            record(space, sets, name, rank3 + suffix, gs)
-        for row, count in found.unkept.items():
-            if row in reports:
-                reports[row]["found"] += count
-            else:
-                results[row].failures += count
+                rows[name].checked += size * (size + 1) // 2
+        for row, (count, _, firsts) in found.rows.items():
+            r = rows[row]
+            r.failures += count
+            kind = "report" if row in _REPORTS else "law"
+            for suffix, gs in firsts[: limits[row] - len(r.witnesses)]:
+                r.witnesses.append(_witness(kind, row, space, rank3 + suffix, [sets[g] for g in gs]))
 
-    if not any(results[name].checked for name in pair_rows):
-        reports = {name: r for name, r in reports.items() if name not in _PAIR_REPORT_ROWS}
-    results = {name: r for name, r in results.items() if name in selected}
-
+    reports = {
+        name: {"found": r.failures, "first": r.witnesses[0].to_json_dict() if r.witnesses else None}
+        for name, r in rows.items()
+        if name in _REPORTS and r.checked
+    }
+    results = {name: r for name, r in rows.items() if name in selected}
     return SuiteResult(spec, results, reports, strictness, spaces_checked, sets_max)
 
 

@@ -229,6 +229,10 @@ class TestLawSuite:
         assert list(full.reports) == list(REPORT_ROWS)
         assert full.reports["alpha-meet-kuratowski"]["found"] == 159
         assert res.reports["decomposition-set-cech"] == full.reports["decomposition-set-cech"]
+        # a report row's first witness replays through the report registry
+        firsts = [witness_from_json(row["first"]) for row in full.reports.values() if row["found"]]
+        assert [(w.kind, w.name) for w in firsts] == [("report", "alpha-meet-kuratowski"), ("report", "decomposition-set-cech")]
+        assert all(replay_witness(w) is True for w in firsts)
 
     def test_rough_pair_row_alone_is_scanned(self, small_suite):
         res = run_law_suite(SpaceFamilySpec(2, 2), laws=["rough-monotonicity"])
@@ -313,6 +317,37 @@ def test_faulty_report_bytes_pinned(laws, digest, monkeypatch):
     assert all(replay_witness(w) is True for row in result.laws.values() for w in row.witnesses)
 
 
+def _nulls_first_slice_full(real):
+    """An operator that sends the set with all of X at e1 and null slices elsewhere to the null set when |X| >= 2."""
+
+    def op(space, g):
+        ctx = space.context
+        if ctx.n_points > 1 and g.masks[0] == ctx.full_mask and not any(g.masks[1:]):
+            return SoftSet.null(ctx)
+        return real(space, g)
+
+    return op
+
+
+@pytest.mark.parametrize("shape, failures", [((2, 1), 8), ((2, 2), 296), ((3, 1), 392)], ids=["2x1", "2x2", "3x1"])
+def test_rough_row_counts_each_failing_pair_once(shape, failures, monkeypatch):
+    # closure and interior both break monotonicity on the same pairs, so
+    # rough-monotonicity hears of each such pair from both of its base rows
+    for name in ("aura_closure", "aura_interior"):
+        monkeypatch.setattr(harness, name, _nulls_first_slice_full(getattr(harness, name)))
+    spec = SpaceFamilySpec(*shape)
+    row = run_law_suite(spec, laws=["rough-monotonicity"]).laws["rough-monotonicity"]
+    law = LAWS["rough-monotonicity"].evaluator
+    failing = 0
+    for _, space in iter_family_spaces(spec):
+        t = harness._Tables(space)
+        failing += sum(not law(t, g, h) for g in range(t.full + 1) for h in range(g, t.full + 1))
+    assert row.failures == failing == failures
+    ranks = [w.rank for w in row.witnesses]
+    assert len(set(ranks)) == len(ranks) == harness.WITNESS_LIMIT
+    assert all(replay_witness(w) is True for w in row.witnesses)
+
+
 def test_sampled_sets_pinned():
     # explicit 64-bit mixing of the family seed and the space rank, so sampled
     # sets do not depend on the interpreter's tuple hash
@@ -393,8 +428,8 @@ class TestSampledRepeats:
         assert all(replay_witness(w) is True for w in witnesses)
 
     def test_kept_findings_are_bounded(self, monkeypatch):
-        # under a fault failing thousands of pairs a space keeps only the
-        # findings some receiving row can still take as a witness
+        # under a fault failing thousands of pairs each row of a space keeps
+        # only the findings it can take as a witness, counting the rest
         kept = []
 
         class Keeping(harness._Findings):
@@ -405,12 +440,11 @@ class TestSampledRepeats:
         monkeypatch.setattr(harness, "_Findings", Keeping)
         monkeypatch.setattr(harness, "aura_closure", _widening(harness.aura_closure))
         run_law_suite(self.REPEATING)
-        assert max(sum(f.counts.values()) for f in kept) > 100
+        assert max(sum(count for count, _, _ in f.rows.values()) for f in kept) > 100
         for found in kept:
-            per_row = collections.Counter(row for name, _, _ in found.kept for row, _ in found.receivers[name])
-            for name, _, _ in found.kept:
-                for row, limit in found.receivers[name]:
-                    assert per_row[row] <= limit == (1 if row in REPORT_ROWS else harness.WITNESS_LIMIT)
+            for row, (count, _, firsts) in found.rows.items():
+                limit = 1 if row in REPORT_ROWS else harness.WITNESS_LIMIT
+                assert len(firsts) <= min(count, limit)
 
     @pytest.mark.parametrize(
         "spec, tables",
@@ -484,6 +518,22 @@ class TestWitnessPlumbing:
         odd_space = witness_from_json({**w.to_json_dict(), "space": {**w.space, "topology": {"kind": "mystery"}}})
         with pytest.raises(DocumentError, match="unknown topology kind"):
             replay_witness(odd_space)
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("law", "no-such-law"),
+            ("law", "decomposition-set-cech"),
+            ("report", "no-such-report"),
+            ("report", "duality"),
+            ("strictness", "no-such-edge"),
+        ],
+    )
+    def test_replay_rejects_unknown_name(self, kind, name, small_suite):
+        w = small_suite.strictness["alpha=>pre"]
+        unknown = witness_from_json({**w.to_json_dict(), "kind": kind, "name": name})
+        with pytest.raises(ValueError, match="cannot replay"):
+            replay_witness(unknown)
 
 
 def _lazy_spaces(n: int, m: int, seeds):

@@ -1,9 +1,11 @@
 """The package namespace: exported names, resolved on first access."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +99,33 @@ def test_first_access_loads_only_the_defining_modules():
 
 def test_dir_lists_the_exported_names():
     assert set(EXPORTED) <= set(dir(softaura))
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether `from module import name` finds `name`: an attribute, or else a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_bench_imports_resolve():
+    # the benchmark scripts import the package by name; a removed or renamed
+    # name must fail here rather than in a benchmark run
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module == "softaura" or node.module.startswith("softaura."))
+        for alias in node.names
+    ]
+    assert {(file, module) for file, module, _ in imports} >= {("checks.py", "softaura"), ("workloads.py", "softaura")}
+    missing = [entry for entry in imports if not _resolves(entry[1], entry[2])]
+    assert missing == []
