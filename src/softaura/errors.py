@@ -142,7 +142,7 @@ class CapExceeded(SoftAuraError):
     """An enumeration would pass its cap; `family` names what it enumerates.
 
     Families: "aura topology", "ambient members", "witness search",
-    "scope functions", "topology generation", "soft sets".
+    "scope functions", "topology generation", "soft sets", "mappings".
     """
 
     def __init__(self, required: int, cap: int, family: str):

@@ -41,8 +41,9 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, getitem
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .documents import DecodedSpace, decode_space, encode_space
@@ -1182,20 +1183,17 @@ def _continuity_bits(space: SoftAuraSpace, g: SoftSet) -> int:
     return sum(flag << j for j, flag in enumerate(flags))
 
 
-def _survivor_bits(row: tuple[int, ...], family: tuple[int, ...], maps: list) -> int:
-    """Six bitsets over the point maps u of `maps`, flag j at bits j*len(maps) up.
+def _pull_back_column(row: tuple[int, ...], maps: list, spread: list[int]) -> list[int]:
+    """Per target slice mask v, the flags of row[u^-1(v)] over the point maps u of `maps`.
 
-    Bit r of bitset j is set when flag j of `row` holds on the pull-back
-    u^-1(V) of every slice V in `family`, u the r-th map.
+    Flag j of the r-th map u sits at bit j*len(maps) + r: spread[w] puts bit
+    j of the flag word w at bit j*len(maps).
     """
-    size = len(maps)
-    bits = 0
+    col = [0] * len(maps[0][1])
     for r, (_, pre, _) in enumerate(maps):
-        flags = reduce(and_, [row[pre[v]] for v in family])
-        for j in range(6):
-            if flags >> j & 1:
-                bits |= 1 << (j * size + r)
-    return bits
+        for v, s in enumerate(pre):
+            col[v] |= spread[row[s]] << r
+    return col
 
 
 def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64) -> MappingScanResult:
@@ -1213,11 +1211,14 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     a union of the reach sets R_k(y) there.  So (u, p) is in a class iff,
     for each source parameter e and V the null slice or a reach set at
     p(e), the set with u^-1(V) at e and null elsewhere is: only those sets
-    are classified (public classify()).  Per (source row, target basis
-    family) six bitsets over the point maps u hold which flags survive
-    every such pull-back (_survivor_bits), built once per pair of rows and
-    shapes; per parameter map p they are ANDed across the source
-    parameters, and the failures of every u are counted at once.
+    are classified (public classify()).  One column table per (|X|, |Y|,
+    source row) holds, for each target slice mask V, six bitsets over the
+    point maps u: which flags hold on the pull-back u^-1(V)
+    (_pull_back_column).  A target basis family's survivors are the AND of
+    its slices' columns; per parameter map p they are ANDed across the
+    source parameters, and the failures of every u are counted at once.
+    Before any classification, CapExceeded (family "mappings") is raised
+    when the selected pairs hold more than DEFAULT_CAP mappings.
 
     Preimages come from one slice table per (|X|, |Y|, u).  Counting
     (mapping, target aura-open set) pairs in scan order, every
@@ -1231,6 +1232,12 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     if per_shape < 2 or cross_check_every < 1:
         raise ValueError(f"need per_shape >= 2 and cross_check_every >= 1, got {per_shape}, {cross_check_every}")
     spaces = _family_space_selection(per_shape)
+    shapes = Counter((sp.context.n_points, sp.context.n_params) for sp in spaces)
+    total = sum(
+        a * b * ny**nx * nk**ne for (nx, ne), a in shapes.items() for (ny, nk), b in shapes.items()
+    )
+    if total > DEFAULT_CAP:
+        raise CapExceeded(total, DEFAULT_CAP, "mappings")
     # rows[ei][s]: flag bits of the source set with slice s at ei, null elsewhere
     source_rows = [
         [
@@ -1242,13 +1249,15 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
     ]
     # tau only feeds the preimage cross-check
     taus = [enumerate_aura_topology(sp) for sp in spaces]
-    bases = [[tuple(fam) for fam in _target_basis(sp, DEFAULT_CAP, TARGET_AURA)] for sp in spaces]
+    bases = [_target_basis(sp, DEFAULT_CAP, TARGET_AURA) for sp in spaces]
     # (|X|, |Y|) -> every point map u in scan order, with its slice preimage
-    # table and its point map; (|E|, |K|) -> every parameter map p in scan
-    # order, and their parameter maps (family contexts name by shape alone)
-    point_maps: dict[tuple[int, int], list] = {}
+    # table and its point map, and the spread table of that many maps;
+    # (|E|, |K|) -> every parameter map p in scan order, and their parameter
+    # maps (family contexts name by shape alone); (|Y|, row) -> its column,
+    # the row's length fixing |X|
+    point_maps: dict[tuple[int, int], tuple[list, list[int]]] = {}
     param_tables: dict[tuple[int, int], tuple[list, list]] = {}
-    survivors: dict[tuple, int] = {}
+    columns: dict[tuple, list[int]] = {}
     checked = evals = 0
     # per kind, fixpoint then one-step: failing mappings and the first one's description
     failures = [0, 0]
@@ -1258,23 +1267,27 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
         nx, ne = src.context.n_points, src.context.n_params
         for tgt, tau, basis in zip(spaces, taus, bases):
             ny, nk = tgt.context.n_points, tgt.context.n_params
-            maps = point_maps.get((nx, ny))
-            if maps is None:
-                maps = point_maps[nx, ny] = [
+            if (nx, ny) not in point_maps:
+                us = list(itertools.product(range(ny), repeat=nx))
+                point_maps[nx, ny] = [
                     (
                         u,
                         [sum(1 << xi for xi, y in enumerate(u) if s >> y & 1) for s in range(1 << ny)],
                         {x: tgt.context.universe[y] for x, y in zip(src.context.universe, u)},
                     )
-                    for u in itertools.product(range(ny), repeat=nx)
-                ]
+                    for u in us
+                ], [sum(1 << (j * len(us)) for j in range(6) if w >> j & 1) for w in range(64)]
+            maps, spread = point_maps[nx, ny]
+            per_param = []
             for row in rows:
-                for fam in basis:
-                    if (ny, row, fam) not in survivors:
-                        survivors[ny, row, fam] = _survivor_bits(row, fam, maps)
-            per_param = [[survivors[ny, row, fam] for fam in basis] for row in rows]
+                if (ny, row) not in columns:
+                    columns[ny, row] = _pull_back_column(row, maps, spread)
+                col = columns[ny, row]
+                per_param.append([reduce(and_, [col[v] for v in fam]) for fam in basis])
             size = len(maps)
             low = (1 << size) - 1
+            fixpoint = 3 * size
+            either = low | low << fixpoint
             if (ne, nk) not in param_tables:
                 ps = list(itertools.product(range(nk), repeat=ne))
                 param_tables[ne, nk] = ps, [
@@ -1285,14 +1298,18 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
             # per kind, the lowest (rank of u, p) failing in this pair
             lowest: list[tuple | None] = [None, None]
             for p in param_maps:
-                bits = reduce(and_, [per_param[ei][k] for ei, k in enumerate(p)])
-                # flags 0-2 one-step alpha, semi, pre; 3-5 the same under the fixpoint closure
-                f = [bits >> (j * size) & low for j in range(6)]
-                for kind, fails in enumerate((f[3] ^ (f[4] & f[5]), f[0] ^ (f[1] & f[2]))):
-                    failures[kind] += fails.bit_count()
-                    rank = (fails & -fails).bit_length() - 1
-                    if fails and (lowest[kind] is None or rank < lowest[kind][0]):
-                        lowest[kind] = (rank, p)
+                bits = reduce(and_, map(getitem, per_param, p))
+                # flags 0-2 one-step alpha, semi, pre; 3-5 the same under the
+                # fixpoint closure: alpha ^ (semi & pre) at bit 0 up and 3*size up
+                fails_both = bits ^ ((bits >> size) & (bits >> (2 * size)))
+                if not fails_both & either:
+                    continue
+                for kind, fails in enumerate((fails_both >> fixpoint & low, fails_both & low)):
+                    if fails:
+                        failures[kind] += fails.bit_count()
+                        rank = (fails & -fails).bit_length() - 1
+                        if lowest[kind] is None or rank < lowest[kind][0]:
+                            lowest[kind] = (rank, p)
             for kind, at in enumerate(lowest):
                 if firsts[kind] is None and at is not None:
                     firsts[kind] = _mapping_desc(src, tgt, maps[at[0]][0], at[1])
@@ -1310,11 +1327,6 @@ def decomposition_mapping_scan(per_shape: int = 10, cross_check_every: int = 64)
                     (_, pre, point_names), p = maps[r], param_maps[j]
                     mapping = SoftMapping(src, tgt, point_names, param_names[j])
                 v = tau[vi]
-                h = 0
-                for ei, k in enumerate(p):
-                    h |= pre[v.masks[k]] << (ei * nx)
-                if _pack(inverse_image(mapping, v).masks, nx) != h:
-                    raise AssertionError(
-                        "packed preimage kernel disagrees with inverse_image"
-                    )
+                if inverse_image(mapping, v).masks != tuple([pre[v.masks[k]] for k in p]):
+                    raise AssertionError("preimage table disagrees with inverse_image")
     return MappingScanResult(checked, failures[0], firsts[0], failures[1], firsts[1])

@@ -73,13 +73,15 @@ class SoftMapping(_Frozen):
         # _param_image[e]: the target parameter index of source parameter e.
         # Each is built while its map is checked; the first fault raised is the
         # one a check of the whole point map, then the whole parameter map, meets first.
+        points, params = tgt.point_index, tgt.param_index
         preimage = [0] * tgt.n_points
         for xi, x in enumerate(src.universe):
-            if x not in point_map:
+            y = point_map.get(x)
+            if y is None and x not in point_map:
                 raise ValueError(f"point map missing {x!r}")
-            yi = tgt.point_index.get(point_map[x])
+            yi = points.get(y)
             if yi is None:
-                raise UnknownPoint(point_map[x])
+                raise UnknownPoint(y)
             preimage[yi] |= 1 << xi
         if len(point_map) != src.n_points:
             for x in point_map:
@@ -87,11 +89,12 @@ class SoftMapping(_Frozen):
                     raise UnknownPoint(x)
         image = []
         for e in src.parameters:
-            if e not in param_map:
+            k = param_map.get(e)
+            if k is None and e not in param_map:
                 raise ValueError(f"parameter map missing {e!r}")
-            ki = tgt.param_index.get(param_map[e])
+            ki = params.get(k)
             if ki is None:
-                raise UnknownParameter(param_map[e])
+                raise UnknownParameter(k)
             image.append(ki)
         if len(param_map) != src.n_params:
             for e in param_map:
@@ -122,9 +125,17 @@ def inverse_image(m: SoftMapping, g: SoftSet) -> SoftSet:
     ctx = m.target.context
     if g.context is not ctx and g.context != ctx:
         raise ContextMismatch("inverse image argument must live over the target context")
-    return _trusted(
-        m.source.context, tuple(m._slice_preimage(g.masks[ki]) for ki in m._param_image)
-    )
+    pre, masks = m._point_preimage, g.masks
+    out = []
+    for ki in m._param_image:
+        # as _slice_preimage, inline: the OR of the preimages of the points of g at p(e)
+        s, acc = masks[ki], 0
+        while s:
+            low = s & -s
+            acc |= pre[low.bit_length() - 1]
+            s ^= low
+        out.append(acc)
+    return _trusted(m.source.context, tuple(out))
 
 
 def _target_basis(space: SoftAuraSpace, cap: int, target_family: str) -> list[list[int]]:

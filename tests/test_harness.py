@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 import types
 import weakref
 
@@ -1180,6 +1181,12 @@ SCAN_CROSS_CHECKS = [
 ]
 
 
+#: sha256 of the repr of the default scan's public inverse_image calls, in
+#: order: (source index, target index) in _family_space_selection(10), the
+#: point map's and parameter map's items, and the checked set's masks.
+SCAN_CROSS_CHECK_SHA256 = "cd1891005cfb31229499970b95d79adc0f54480a25a5f8b7a2d3ecaaaf7be5a7"
+
+
 def _counting_inverse_image(monkeypatch) -> list:
     calls = []
     real = mapping.inverse_image
@@ -1212,6 +1219,35 @@ class TestMappingScan:
         # parameter maps that merge and that swap parameters are both cross-checked
         assert {("e1", "e1"), ("e2", "e1")} <= {(pm["e1"], pm["e2"]) for pm in calls if len(pm) == 2}
 
+    def test_default_cross_checks_pinned_by_value(self, monkeypatch):
+        # which (mapping, set) pairs are checked, not only how many
+        index = {sp: i for i, sp in enumerate(harness._family_space_selection(10))}
+        real = mapping.inverse_image
+        calls = []
+
+        def recording(m, g):
+            maps = tuple(m.point_map.items()), tuple(m.param_map.items())
+            calls.append((index[m.source], index[m.target], *maps, g.masks))
+            return real(m, g)
+
+        monkeypatch.setattr(mapping, "inverse_image", recording)
+        decomposition_mapping_scan()
+        assert len(calls) == 6758
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == SCAN_CROSS_CHECK_SHA256
+
+    @pytest.mark.parametrize("per_shape, total", [(100, 1866256), (10**6, 1838295988)])
+    def test_mapping_cap_raised_before_any_classification(self, per_shape, total, monkeypatch):
+        # 10**6 selects every scope of every shape: 4,182 spaces
+        def refuse(*args):
+            raise AssertionError("classified before the mapping cap was checked")
+
+        monkeypatch.setattr(harness, "classify", refuse)
+        began = time.perf_counter()
+        with pytest.raises(CapExceeded, match="mappings") as info:
+            decomposition_mapping_scan(per_shape=per_shape)
+        assert time.perf_counter() - began < 1.0
+        assert (info.value.required, info.value.cap, info.value.family) == (total, harness.DEFAULT_CAP, "mappings")
+
     @pytest.mark.parametrize("per_shape", [3, 4])
     def test_equals_product_scan_with_failures_under_both_kinds(self, per_shape, monkeypatch):
         # alpha-open sets that have no slice equal to {x2}: still decided
@@ -1231,6 +1267,24 @@ class TestMappingScan:
         res = decomposition_mapping_scan(per_shape=per_shape)
         assert res.kuratowski_failures > 0 and res.cech_mismatches > 0
         assert res == reference_mapping_scan(per_shape)
+
+    def test_equals_product_scan_with_fixpoint_failures_alone(self, monkeypatch):
+        # the scan skips a parameter map's counting when neither kind fails;
+        # alpha dropped on slices equal to {x2} under the fixpoint closure
+        # only makes mappings that fail that kind alone
+        real = harness.classify
+
+        def no_x2_fixpoint_slice(space, g, kind):
+            p = real(space, g, kind)
+            if kind != "kuratowski" or 2 not in g.masks:
+                return p
+            return OpennessProfile(p.a_open, False, p.semi_open, p.pre_open, p.b_open, p.beta_open, p.closure_kind)
+
+        monkeypatch.setattr(harness, "classify", no_x2_fixpoint_slice)
+        monkeypatch.setitem(globals(), "classify", no_x2_fixpoint_slice)
+        res = decomposition_mapping_scan(per_shape=3)
+        assert res.kuratowski_failures > res.cech_mismatches
+        assert res == reference_mapping_scan(3)
 
     def test_every_cross_check_reads_its_own_set(self, monkeypatch):
         # with cross_check_every=1 each (mapping, target aura-open set) pair

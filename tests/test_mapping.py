@@ -370,6 +370,30 @@ class TestInverseImage:
         )
         assert inverse_image(m, g.complement()) == inverse_image(m, g).complement()
 
+    def test_equals_name_level_definition_on_scan_family(self):
+        # every mapping between every pair of spaces of the scan's
+        # per_shape=2 family, every target soft set: the slice at e is
+        # {x : point_map[x] in g(param_map[e])}, decided on names
+        spaces = harness._family_space_selection(2)
+        checked = 0
+        for src, tgt in itertools.product(spaces, repeat=2):
+            sc, tc = src.context, tgt.context
+            targets = [(g, g.as_dict()) for g in iter_all_soft_sets(tc)]
+            for ys in itertools.product(tc.universe, repeat=sc.n_points):
+                point_map = dict(zip(sc.universe, ys))
+                for ks in itertools.product(tc.parameters, repeat=sc.n_params):
+                    param_map = dict(zip(sc.parameters, ks))
+                    m = SoftMapping(src, tgt, point_map, param_map)
+                    assert (m.point_map, m.param_map) == (point_map, param_map)
+                    for g, slices in targets:
+                        want = {
+                            e: tuple(x for x in sc.universe if point_map[x] in slices[param_map[e]])
+                            for e in sc.parameters
+                        }
+                        assert inverse_image(m, g).as_dict() == want
+                        checked += 1
+        assert checked == 65548
+
 
 class TestContinuity:
     def test_constant_to_closed_point_is_continuous(self, chain):
