@@ -18,15 +18,16 @@ predicate over the tables, and so is each report row, in a registry of
 its own beside the laws; the suite keeps both kinds of row alike, and
 replay_witness evaluates the same predicate, looked up in the registry of
 the witness's kind, on tables built for the witness space.  A row counts
-each set or pair that fails it once.  Pair laws, and the set laws read off
-the tables alone, are decided one parameter slice at a time wherever the
-tables are products of their single-slice entries, as the paper's
-operators are (see _slice_decision).  Set ranks, pair ranks, scope ranks
-and shape ranks are all canonical.  A row keeps its first witnesses in
-family order: canonical order when every scope is enumerated, draw order
-in a sampled family, where a space drawn again is checked once and its
-findings replayed under the later draw's rank.  Every report is
-byte-reproducible.
+each set or pair that fails it once: `_pair_row` hits every pair row, the
+rough pair rows too, at most once per pair.  Pair laws, and the set laws
+read off the tables alone, are decided one parameter slice at a time
+wherever the tables are products of their single-slice entries, as the
+paper's operators are (see _slice_decision).  Set ranks, pair ranks,
+scope ranks and shape ranks are all canonical.  A row keeps its first
+witnesses in family order: canonical order when every scope is
+enumerated, draw order in a sampled family, where a space drawn again is
+checked once and its findings replayed under the later draw's rank.
+Every report is byte-reproducible.
 
 Literal per-element oracles for the closure and interior live here too; they
 work on name sets, never on bitmasks, so they share no code with the
@@ -634,9 +635,12 @@ def _oracle_equivalence(t, g):
 def _pair_row(t, g: int, hs, hit: Callable) -> None:
     """Every pair law and alpha-meet report on the pairs (g, h), h in hs.
 
-    `hit(name, a, b)` receives each failing law and each report finding,
-    with (a, b) in witness order.  The suite calls this once per g with
-    hs = range(g, size), so the body below is the innermost loop of a run.
+    `hit(name, a, b)` receives each failing row once per pair, with (a, b)
+    in witness order.  Given rough delegation, a rough pair row is hit
+    beside the rows whose comparison it shares: rough-upper-join with
+    closure-additivity, rough-lower-meet with interior-meet, and
+    rough-monotonicity with either monotonicity row.  The suite calls this
+    once per g with hs = range(g, size): the innermost loop of a run.
     """
     cl, int_, fix = t.cl, t.int_, t.fix
     rows, rows_k = t.rows[CECH], t.rows[KURATOWSKI]
@@ -649,20 +653,28 @@ def _pair_row(t, g: int, hs, hit: Callable) -> None:
         rh = rows[h]
         if cl[u] != clg | cl[h]:
             hit("closure-additivity", g, h)
+            hit("rough-upper-join", g, h)
         if int_[w] != ing & int_[h]:
             hit("interior-meet", g, h)
+            hit("rough-lower-meet", g, h)
         if fix[u] != fixg | fix[h]:
             hit("kuratowski-additivity", g, h)
         if g & ~h == 0:
-            if clg & ~cl[h]:
+            up, down = clg & ~cl[h], ing & ~int_[h]
+            if up:
                 hit("closure-monotonicity", g, h)
-            if ing & ~int_[h]:
+            if down:
                 hit("interior-monotonicity", g, h)
+            if up or down:
+                hit("rough-monotonicity", g, h)
         elif h & ~g == 0:
-            if cl[h] & ~clg:
+            up, down = cl[h] & ~clg, int_[h] & ~ing
+            if up:
                 hit("closure-monotonicity", h, g)
-            if int_[h] & ~ing:
+            if down:
                 hit("interior-monotonicity", h, g)
+            if up or down:
+                hit("rough-monotonicity", h, g)
         if sg and rh[2] and not rows[u][2]:
             hit("union-closure-semi", g, h)
         if pg and rh[3] and not rows[u][3]:
@@ -768,26 +780,15 @@ def _first_alpha_meet(flags, size: int) -> tuple[int, int] | None:
     return None
 
 
-def _pair_law(*names: str):
-    """The pair predicate: `_pair_row` on the one pair (g, h) flags none of `names`."""
+def _pair_law(name: str):
+    """The pair predicate: `_pair_row` on the one pair (g, h) does not hit `name`."""
 
     def law(t, g, h):
         found: set[str] = set()
-        _pair_row(t, g, (h,), lambda name, a, b: found.add(name))
-        return found.isdisjoint(names)
+        _pair_row(t, g, (h,), lambda row, a, b: found.add(row))
+        return name not in found
 
     return law
-
-
-#: Rows whose pair evaluations coincide extensionally with a base row given
-#: rough delegation; the engine shares the evaluations and records each
-#: base row's finding in its rough row too (see _ROUGH_MIRRORS).
-_SHARED_ROUGH_PAIR_ROWS = {
-    "rough-monotonicity": ("closure-monotonicity", "interior-monotonicity"),
-    "rough-upper-join": ("closure-additivity",),
-    "rough-lower-meet": ("interior-meet",),
-}
-_ROUGH_MIRRORS = {base: (rough,) for rough, bases in _SHARED_ROUGH_PAIR_ROWS.items() for base in bases}
 
 
 class LawSpec(_Frozen):
@@ -825,9 +826,9 @@ LAWS: dict[str, LawSpec] = {
     "rough-sandwich": LawSpec("set", _rough_sandwich, "lower inside target inside upper"),
     "rough-fixed-points": LawSpec("space", _rough_fixed_points, "null and absolute approximate to themselves"),
     "rough-duality": LawSpec("set", _duality, "approximations are complement-dual"),
-    "rough-monotonicity": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-monotonicity"]), "approximations are monotone"),
-    "rough-upper-join": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-upper-join"]), "upper approximation distributes over union"),
-    "rough-lower-meet": LawSpec("pair", _pair_law(*_SHARED_ROUGH_PAIR_ROWS["rough-lower-meet"]), "lower approximation distributes over intersection"),
+    "rough-monotonicity": LawSpec("pair", _pair_law("rough-monotonicity"), "approximations are monotone"),
+    "rough-upper-join": LawSpec("pair", _pair_law("rough-upper-join"), "upper approximation distributes over union"),
+    "rough-lower-meet": LawSpec("pair", _pair_law("rough-lower-meet"), "lower approximation distributes over intersection"),
     "rough-accuracy": LawSpec("set", _rough_accuracy, "accuracy counts the lower and upper approximations; convention flagged on null upper"),
     "oracle-equivalence": LawSpec("set", _oracle_equivalence, "bitmask operators equal the literal oracles"),
 }
@@ -867,11 +868,16 @@ STRICTNESS_EDGES = tuple(_EDGE_CONDITIONS)
 def replay_witness(w: Witness) -> bool:
     """Rebuild the witness space and re-evaluate its finding on that space's tables.
 
-    ValueError when no row or edge of the witness's kind has its name.
+    ValueError when no row or edge of the witness's kind has its name, or
+    when the witness holds other than that row's number of sets (0 for a
+    space row, 1 for a set row or a strictness edge, 2 for a pair row).
     """
     registry = {"law": LAWS, "report": _REPORTS, "strictness": _EDGE_CONDITIONS}.get(w.kind, {})
     if w.name not in registry:
         raise ValueError(f"cannot replay witness kind {w.kind!r} name {w.name!r}")
+    want = 1 if w.kind == "strictness" else ("space", "set", "pair").index(registry[w.name].arity)
+    if len(w.sets) != want:
+        raise ValueError(f"cannot replay witness {w.name!r} with {len(w.sets)} sets, its row takes {want}")
     space = replay_space(w.space)
     ctx = space.context
     t = _Tables(space)
@@ -957,37 +963,26 @@ def require_known_laws(laws: Sequence[str]) -> None:
         raise ValueError(f"unknown laws: {unknown}")
 
 
-class _Findings:
+class _Findings(dict):
     """The findings of checking one space, as the suite records them.
 
-    `receivers[name]` lists the rows a finding of `name` counts in, each
-    with the witnesses it keeps: a law row and the rough rows mirroring it
-    keep WITNESS_LIMIT, a report row one.  `rows[row]` holds each receiving
-    row's [count, last rank suffix, first findings], the first findings in
-    scan order as (rank suffix, packed sets) up to the row's limit.  A
-    finding with its row's last suffix counts once: `_pair_row` reports a
-    pair to a rough row once per base row it fails, one after another.  So
-    a space is held in a few findings however many sets and pairs fail, and
-    a repeat of it replays them under its own rank.
+    `self[row]` holds a row's [count, first findings], the first findings in
+    scan order as (rank suffix, packed sets) up to the row's limit in
+    `limits`, a row not in `limits` being left out.  So a space is held in
+    a few findings however many sets and pairs fail, and a repeat of it
+    replays them under its own rank.
     """
 
-    __slots__ = ("receivers", "rows")
-
-    def __init__(self, receivers: Mapping[str, tuple[tuple[str, int], ...]]):
-        self.receivers = receivers
-        self.rows: dict[str, list] = {}
+    def __init__(self, limits: Mapping[str, int]):
+        super().__init__()
+        self.limits = limits
 
     def add(self, name: str, suffix: tuple[int, ...], gs: tuple[int, ...]) -> None:
-        rows = self.rows
-        for row, limit in self.receivers[name]:
-            entry = rows.get(row)
-            if entry is None:
-                rows[row] = [1, suffix, [(suffix, gs)]]
-            elif entry[1] != suffix:
-                entry[0] += 1
-                entry[1] = suffix
-                if len(entry[2]) < limit:
-                    entry[2].append((suffix, gs))
+        if name in self.limits:
+            entry = self.setdefault(name, [0, []])
+            entry[0] += 1
+            if len(entry[1]) < self.limits[name]:
+                entry[1].append((suffix, gs))
 
 
 def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> SuiteResult:
@@ -1000,15 +995,16 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     single-slice sets at each parameter where that is exact, and scanned
     one by one where it is not; so are the set laws read off the tables
     alone, on the single-slice sets (see _slice_decision).  Either way
-    gives the same counts and witnesses.  A rough pair row counts each pair
-    its base rows fail once, as its own finding.  Within a space, sets and
-    pairs are scanned in canonical order; a row keeps its first
-    WITNESS_LIMIT findings in family order, which in "all" mode is
-    canonical order and in sampled mode is draw order, not rank order.  A
-    sampled family draws small shapes again and again: each distinct space
-    of a shape with n*m <= 12 is checked once, and a repeated draw adds its
-    counts and replays its first findings (see _Findings) under its own
-    rank, so the report is the one checking every draw gives.  Reports are
+    gives the same counts and witnesses.  A rough pair row is a pair row
+    like any other, hit by _pair_row under its own name, so selecting it
+    scans no other law.  Within a space, sets and pairs are scanned in
+    canonical order; a row keeps its first WITNESS_LIMIT findings in
+    family order, which in "all" mode is canonical order and in sampled
+    mode is draw order, not rank order.  A sampled family draws small
+    shapes again and again: each distinct space of a shape with n*m <= 12
+    is checked once, and a repeated draw adds its counts and replays its
+    first findings (see _Findings) under its own rank, so the report is
+    the one checking every draw gives.  Reports are
     byte-reproducible.  Report rows are kept like law rows, with one
     witness, and reported as their count and first witness; the alpha-meet
     rows are left out when no space ran the pair scan (no pair law
@@ -1016,21 +1012,16 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     """
     if laws is not None:
         require_known_laws(laws)
-    selected = set(laws) if laws is not None else set(LAWS)
-    # a mirrored rough row needs its base rows scanned, selected or not
-    scanned = selected.union(*(_SHARED_ROUGH_PAIR_ROWS.get(name, ()) for name in selected))
-    paired = any(LAWS[name].arity == "pair" for name in scanned)
-    scanned.update(name for name, r in _REPORTS.items() if paired or r.arity != "pair")
-
-    rows = {name: LawResult() for name in _ROWS if name in scanned}
+    selected = set(LAWS if laws is None else laws)
+    paired = any(LAWS[name].arity == "pair" for name in selected)
+    rows = {
+        name: LawResult()
+        for name, row in _ROWS.items()
+        if name in selected or name in _REPORTS and (paired or row.arity != "pair")
+    }
     checks = [(name, _ROWS[name]) for name in rows if _ROWS[name].arity != "pair"]
     pair_rows = [name for name in rows if _ROWS[name].arity == "pair"]
     limits = {name: 1 if name in _REPORTS else WITNESS_LIMIT for name in rows}
-    # a rough witness carries its own name, so it replays through its own entry
-    receivers = {
-        name: tuple((row, limits[row]) for row in (name, *_ROUGH_MIRRORS.get(name, ())) if row in rows)
-        for name in _ROWS
-    }
     strictness: dict[str, Witness | None] = {e: None for e in STRICTNESS_EDGES}
     # unpacked sets of each enumerable context, shared by this run's spaces
     unpacked: dict = {}
@@ -1044,7 +1035,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         t = _Tables(space, unpacked)
         packed = range(t.full + 1) if t.exhaustive else _sampled_sets(space.context, spec.seed, rank3)
         size = len(packed)
-        found = _Findings(receivers)
+        found = _Findings(limits)
         add = found.add
         # set laws that hold on every set per slice need no per-set scan,
         # and pair laws decided per slice no pair scan
@@ -1085,7 +1076,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                             # exhaustive: a set's rank is its packed value
                             gs = _first_alpha_meet(t.rows[_ALPHA_MEETS[name]], size)
                             firsts.append((gs, gs))
-                        found.rows[name] = [pairs, None, firsts]
+                        found[name] = [pairs, firsts]
         return t.sets, size, found
 
     for rank3, space in iter_family_spaces(spec):
@@ -1104,7 +1095,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         if exhaustive:
             for name in pair_rows:
                 rows[name].checked += size * (size + 1) // 2
-        for row, (count, _, firsts) in found.rows.items():
+        for row, (count, firsts) in found.items():
             r = rows[row]
             r.failures += count
             kind = "report" if row in _REPORTS else "law"

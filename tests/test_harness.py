@@ -301,8 +301,8 @@ def _null_to_absolute(real):
 
 
 #: sha256 of the exhaustive 2 x 2 report under `_null_to_absolute` for every
-#: law, a rough pair row alone and a rough pair row beside its base row: a
-#: rough row counts and witnesses what its base rows fail
+#: law, a rough pair row alone and a rough pair row beside the row it shares
+#: a comparison with: a rough row counts and witnesses what that row fails
 FAULTY_REPORT_SHA256 = [
     (None, "d203e8a0e6e997c52cdb507a5d46fc011319bcc755e85ee5b684b155076160a8"),
     (["rough-monotonicity"], "e741fdc7e050eada512d2f5baf6fed9f7e6e05da37bde75b1a2fa73334ce452a"),
@@ -330,22 +330,33 @@ def _nulls_first_slice_full(real):
     return op
 
 
-@pytest.mark.parametrize("shape, failures", [((2, 1), 8), ((2, 2), 296), ((3, 1), 392)], ids=["2x1", "2x2", "3x1"])
-def test_rough_row_counts_each_failing_pair_once(shape, failures, monkeypatch):
-    # closure and interior both break monotonicity on the same pairs, so
-    # rough-monotonicity hears of each such pair from both of its base rows
-    for name in ("aura_closure", "aura_interior"):
-        monkeypatch.setattr(harness, name, _nulls_first_slice_full(getattr(harness, name)))
+#: Operators `_nulls_first_slice_full` breaks in each fault case
+_ROUGH_FAULTS = {"both": ("aura_closure", "aura_interior"), "closure": ("aura_closure",), "interior": ("aura_interior",)}
+ROUGH_PAIR_ROWS = ("rough-monotonicity", "rough-upper-join", "rough-lower-meet")
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)], ids=["2x1", "2x2", "3x1"])
+@pytest.mark.parametrize("fault", list(_ROUGH_FAULTS))
+@pytest.mark.parametrize("name", ROUGH_PAIR_ROWS)
+def test_rough_row_counts_each_failing_pair_once(name, fault, shape, monkeypatch):
+    # with both operators broken, monotonicity fails on pairs where the
+    # closure and the interior both break it, and the pair counts once
+    for op in _ROUGH_FAULTS[fault]:
+        monkeypatch.setattr(harness, op, _nulls_first_slice_full(getattr(harness, op)))
     spec = SpaceFamilySpec(*shape)
-    row = run_law_suite(spec, laws=["rough-monotonicity"]).laws["rough-monotonicity"]
-    law = LAWS["rough-monotonicity"].evaluator
+    row = run_law_suite(spec, laws=[name]).laws[name]
+    law = LAWS[name].evaluator
     failing = 0
     for _, space in iter_family_spaces(spec):
         t = harness._Tables(space)
         failing += sum(not law(t, g, h) for g in range(t.full + 1) for h in range(g, t.full + 1))
-    assert row.failures == failing == failures
+    assert row.failures == failing
+    # the closure alone breaks no meet of interiors, the interior no join of closures
+    assert (failing == 0) == ((name, fault) in {("rough-upper-join", "interior"), ("rough-lower-meet", "closure")})
+    if (name, fault) == ("rough-monotonicity", "both"):
+        assert failing == {(2, 1): 8, (2, 2): 296, (3, 1): 392}[shape]
     ranks = [w.rank for w in row.witnesses]
-    assert len(set(ranks)) == len(ranks) == harness.WITNESS_LIMIT
+    assert len(set(ranks)) == len(ranks) == min(failing, harness.WITNESS_LIMIT)
     assert all(replay_witness(w) is True for w in row.witnesses)
 
 
@@ -400,6 +411,29 @@ def _odd_subbasis_null(real):
     )
 
 
+@pytest.mark.parametrize(
+    "faults, rows",
+    [
+        ((("aura_closure", _widening),), {"closure-additivity", "rough-upper-join"}),
+        ((("aura_closure", _nulls_first_slice_full), ("aura_interior", _nulls_first_slice_full)), set(ROUGH_PAIR_ROWS)),
+    ],
+    ids=["widening", "nulls-first-slice-full"],
+)
+def test_pair_scan_hits_each_row_once_per_pair(faults, rows, monkeypatch):
+    # the suite counts every hit of `_pair_row`, so no row may be hit twice
+    # on one pair, rough rows included
+    for op, fault in faults:
+        monkeypatch.setattr(harness, op, fault(getattr(harness, op)))
+    hits = collections.Counter()
+    for rank3, space in iter_family_spaces(SpaceFamilySpec(2, 2)):
+        t = harness._Tables(space)
+        size = t.full + 1
+        for g in range(size):
+            harness._pair_row(t, g, range(g, size), lambda name, a, b: hits.update([(rank3, name, a, b)]))
+    assert rows <= {name for _, name, _, _ in hits}
+    assert max(hits.values()) == 1
+
+
 class TestSampledRepeats:
     """A space drawn again in a sampled family is checked once and replayed; the report is unchanged."""
 
@@ -434,16 +468,16 @@ class TestSampledRepeats:
         kept = []
 
         class Keeping(harness._Findings):
-            def __init__(self, receivers):
-                super().__init__(receivers)
+            def __init__(self, limits):
+                super().__init__(limits)
                 kept.append(self)
 
         monkeypatch.setattr(harness, "_Findings", Keeping)
         monkeypatch.setattr(harness, "aura_closure", _widening(harness.aura_closure))
         run_law_suite(self.REPEATING)
-        assert max(sum(count for count, _, _ in f.rows.values()) for f in kept) > 100
+        assert max(sum(count for count, _ in f.values()) for f in kept) > 100
         for found in kept:
-            for row, (count, _, firsts) in found.rows.items():
+            for row, (count, firsts) in found.items():
                 limit = 1 if row in REPORT_ROWS else harness.WITNESS_LIMIT
                 assert len(firsts) <= min(count, limit)
 
@@ -501,7 +535,7 @@ class TestWitnessPlumbing:
             assert result.laws[name].failures > 0, name
         witnesses = [w for row in result.laws.values() for w in row.witnesses]
         assert {LAWS[w.name].arity for w in witnesses} == {"space", "set", "pair"}
-        # mirrored rough rows carry their own name and replay through their own entry
+        # rough pair rows carry their own name and replay through their own entry
         for name in ("rough-monotonicity", "rough-upper-join"):
             row = result.laws[name]
             assert row.failures > 0, name
@@ -535,6 +569,26 @@ class TestWitnessPlumbing:
         unknown = witness_from_json({**w.to_json_dict(), "kind": kind, "name": name})
         with pytest.raises(ValueError, match="cannot replay"):
             replay_witness(unknown)
+
+    @pytest.mark.parametrize(
+        "kind, name, sets",
+        [
+            ("law", "closure-grounding", 1),
+            ("law", "duality", 0),
+            ("law", "duality", 2),
+            ("law", "closure-monotonicity", 1),
+            ("law", "rough-monotonicity", 3),
+            ("report", "alpha-meet-cech", 1),
+            ("strictness", "alpha=>pre", 0),
+            ("strictness", "alpha=>pre", 2),
+        ],
+    )
+    def test_replay_rejects_a_wrong_number_of_sets(self, kind, name, sets, small_suite):
+        # the row's number of sets is checked before the (here empty) space document is read
+        doc = small_suite.strictness["alpha=>pre"].to_json_dict()
+        odd = witness_from_json({**doc, "kind": kind, "name": name, "sets": doc["sets"] * sets, "space": {}})
+        with pytest.raises(ValueError, match="cannot replay"):
+            replay_witness(odd)
 
 
 def _lazy_spaces(n: int, m: int, seeds):
