@@ -17,7 +17,9 @@ referenced.  Explicit topologies list only their proper members; null and
 absolute are implied.
 
 Scope entries are either inline slice tables or a name referencing
-namedSets, a topology member, or a reserved set.
+namedSets, a topology member, a subbasis set of a generated topology, or a
+reserved set.  A subbasis name that no member carries (generation names a
+member by the first name its set has) still resolves to its own set.
 
 Structural problems (wrong types, missing or unknown keys, bad names,
 reserved-name declarations) raise DocumentError.  Mathematically invalid
@@ -97,12 +99,15 @@ def _decode_named_sets(context: Context, section, where: str) -> dict[str, SoftS
 def _lookup_set(
     named_sets: Mapping[str, SoftSet], topology: SoftTopology, name: str
 ) -> SoftSet | None:
-    """namedSets, then topology members, then the reserved sets; None if unknown."""
+    """namedSets, then topology members, then subbasis sets, then the reserved sets; None if unknown."""
     if name in named_sets:
         return named_sets[name]
     member = topology.member_named(name)
     if member is not None:
         return member
+    for declared, s in topology.subbasis or ():
+        if declared == name:
+            return s
     if name == NULL_NAME:
         return SoftSet.null(topology.context)
     if name == ABSOLUTE_NAME:
@@ -116,7 +121,7 @@ class DecodedSpace(_Frozen):
     __slots__ = ("space", "named_sets", "scope_refs")
 
     def resolve(self, name: str) -> SoftSet:
-        """Look up a set name: namedSets, then topology members, then reserved."""
+        """Look up a set name: namedSets, then topology members, then subbasis sets, then reserved."""
         found = _lookup_set(self.named_sets, self.space.topology, name)
         if found is None:
             raise ValueError(f"unknown set name {name!r}")
@@ -171,10 +176,11 @@ def decode_space(doc, cap: int = DEFAULT_CAP) -> DecodedSpace:
         if "namedSets" in doc
         else {}
     )
-    member_names = {name for name, _ in topology} if topology.is_extensional else set()
-    clash = set(named_sets) & member_names
+    topology_names = {name for name, _ in topology} if topology.is_extensional else set()
+    topology_names.update(name for name, _ in topology.subbasis or ())
+    clash = set(named_sets) & topology_names
     if clash:
-        raise DocumentError(f"namedSets reuse topology member names: {sorted(clash)}")
+        raise DocumentError(f"namedSets reuse topology member or subbasis names: {sorted(clash)}")
 
     scope_doc = _require_dict(doc["scope"], "scope")
     if set(scope_doc) != set(universe):

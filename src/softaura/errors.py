@@ -2,76 +2,47 @@
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 #: Sets a field of a frozen record; only a record's own __init__ calls it.
 _setfield = object.__setattr__
 
 
-class _Record:
-    """Field-wise repr and equality for the package's slotted record types.
+class _Frozen:
+    """Base of the package's slotted records: values fixed at construction.
 
     A record's fields are its `__slots__`, in order, unless the class lists
-    them in `_fields`.  A record class that defines no __init__ gets one
-    taking exactly its fields, generated once per class the way
-    collections.namedtuple generates __new__; a base class such as _Frozen
-    passes base=True to skip both.  Records of different types never
-    compare equal.  A _Record is assignable and unhashable.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, base: bool = False):
-        super().__init_subclass__()
-        if base or "__slots__" not in cls.__dict__:
-            return
-        if "_fields" not in cls.__dict__:
-            cls._fields = cls.__slots__
-        cls._key = attrgetter(*cls._fields)
-        if "__init__" not in cls.__dict__:
-            namespace = {"_freeze": _freeze}
-            exec(f"def __init__(self, {', '.join(cls._fields)}):\n    {cls._init_body(cls._fields)}\n", namespace)
-            init = cls.__init__ = namespace["__init__"]
-            init.__qualname__ = f"{cls.__qualname__}.__init__"
-            init.__module__ = cls.__module__
-
-    @staticmethod
-    def _init_body(fields) -> str:
-        """The statement a generated __init__ runs: assign each field."""
-        return "; ".join(f"self.{name} = {name}" for name in fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-
-class _Frozen(_Record, base=True):
-    """A record fixed at construction: hashable, and never reassigned.
-
-    Every __init__ ends with one call, `_freeze(self, *values)`, the values
-    in `_fields` order; a hand-written one validates its arguments first.
-    _freeze sets each field slot and keeps the same values as the tuple
-    `_values`, which equality and hashing read instead of every field.
-    Only derived slots outside `_fields` are set with _setfield.  Later
-    assignment raises AttributeError.
+    them in `_fields`.  Records have field-wise repr, equality and hashing;
+    records of different types never compare equal.  Every __init__ ends
+    with one call, `_freeze(self, *values)`, the values in `_fields` order;
+    a hand-written one validates its arguments first.  A record class that
+    defines no __init__ gets one taking exactly its fields, generated once
+    per class the way collections.namedtuple generates __new__.  _freeze
+    sets each field slot and keeps the same values as the tuple `_values`,
+    which equality and hashing read instead of every field.  Only derived
+    slots outside `_fields` are set with _setfield.  Later assignment
+    raises AttributeError.
     """
 
     __slots__ = ("_values",)
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        if "__slots__" in cls.__dict__:
-            # each field slot's own setter, resolved once per class
-            cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        if "__slots__" not in cls.__dict__:
+            return
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+        # each field slot's own setter, resolved once per class
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        if "__init__" not in cls.__dict__:
+            fields = ", ".join(cls._fields)
+            namespace = {"_freeze": _freeze}
+            exec(f"def __init__(self, {fields}):\n    _freeze(self, {fields})\n", namespace)
+            init = cls.__init__ = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__module__ = cls.__module__
 
-    @staticmethod
-    def _init_body(fields) -> str:
-        return f"_freeze(self, {', '.join(fields)})"
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

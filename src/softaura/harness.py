@@ -48,7 +48,7 @@ from operator import and_, getitem
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .documents import DecodedSpace, decode_space, encode_space
-from .errors import CapExceeded, SizeGuard, _Frozen, _Record, _freeze
+from .errors import CapExceeded, SizeGuard, _Frozen, _freeze
 from .genopen import classify
 from .operators import (
     CECH,
@@ -890,16 +890,14 @@ def replay_witness(w: Witness) -> bool:
 # -- suite engine ------------------------------------------------------------
 
 
-class LawResult(_Record):
+class LawResult(_Frozen):
     __slots__ = ("checked", "failures", "witnesses")
 
     def __init__(self, checked: int = 0, failures: int = 0, witnesses: list[Witness] | None = None):
-        self.checked = checked
-        self.failures = failures
-        self.witnesses = [] if witnesses is None else witnesses
+        _freeze(self, checked, failures, [] if witnesses is None else witnesses)
 
 
-class SuiteResult(_Record):
+class SuiteResult(_Frozen):
     """Outcome of one law-suite run; serialises to a deterministic JSON report."""
 
     __slots__ = ("spec", "laws", "reports", "strictness", "spaces_checked", "sets_per_space_max")
@@ -1014,14 +1012,18 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         require_known_laws(laws)
     selected = set(LAWS if laws is None else laws)
     paired = any(LAWS[name].arity == "pair" for name in selected)
-    rows = {
-        name: LawResult()
+    rows = [
+        name
         for name, row in _ROWS.items()
         if name in selected or name in _REPORTS and (paired or row.arity != "pair")
-    }
+    ]
     checks = [(name, _ROWS[name]) for name in rows if _ROWS[name].arity != "pair"]
     pair_rows = [name for name in rows if _ROWS[name].arity == "pair"]
     limits = {name: 1 if name in _REPORTS else WITNESS_LIMIT for name in rows}
+    # each row's counts and kept witnesses; its LawResult is built at the end
+    checked = dict.fromkeys(rows, 0)
+    failures = dict.fromkeys(rows, 0)
+    witnesses: dict[str, list[Witness]] = {name: [] for name in rows}
     strictness: dict[str, Witness | None] = {e: None for e in STRICTNESS_EDGES}
     # unpacked sets of each enumerable context, shared by this run's spaces
     unpacked: dict = {}
@@ -1072,7 +1074,7 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
                     if pairs:
                         firsts = []
                         # a report keeps one witness, so once it is taken no repeat needs one
-                        if not rows[name].witnesses:
+                        if not witnesses[name]:
                             # exhaustive: a set's rank is its packed value
                             gs = _first_alpha_meet(t.rows[_ALPHA_MEETS[name]], size)
                             firsts.append((gs, gs))
@@ -1091,23 +1093,23 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         sets, size, found = entry
         sets_max = max(sets_max, size)
         for name, law in checks:
-            rows[name].checked += 1 if law.arity == "space" else len(range(0, size, _SET_STRIDE.get(name, 1)))
+            checked[name] += 1 if law.arity == "space" else len(range(0, size, _SET_STRIDE.get(name, 1)))
         if exhaustive:
             for name in pair_rows:
-                rows[name].checked += size * (size + 1) // 2
+                checked[name] += size * (size + 1) // 2
         for row, (count, firsts) in found.items():
-            r = rows[row]
-            r.failures += count
+            failures[row] += count
+            kept = witnesses[row]
             kind = "report" if row in _REPORTS else "law"
-            for suffix, gs in firsts[: limits[row] - len(r.witnesses)]:
-                r.witnesses.append(_witness(kind, row, space, rank3 + suffix, [sets[g] for g in gs]))
+            for suffix, gs in firsts[: limits[row] - len(kept)]:
+                kept.append(_witness(kind, row, space, rank3 + suffix, [sets[g] for g in gs]))
 
     reports = {
-        name: {"found": r.failures, "first": r.witnesses[0].to_json_dict() if r.witnesses else None}
-        for name, r in rows.items()
-        if name in _REPORTS and r.checked
+        name: {"found": failures[name], "first": witnesses[name][0].to_json_dict() if witnesses[name] else None}
+        for name in rows
+        if name in _REPORTS and checked[name]
     }
-    results = {name: r for name, r in rows.items() if name in selected}
+    results = {name: LawResult(checked[name], failures[name], witnesses[name]) for name in rows if name in selected}
     return SuiteResult(spec, results, reports, strictness, spaces_checked, sets_max)
 
 

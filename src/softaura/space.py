@@ -206,8 +206,9 @@ def generate_topology(context: Context, subbasis, cap: int = DEFAULT_CAP) -> Sof
     null, absolute and subbasis masks, CapExceeded is raised after about
     that many times n*m set operations.
 
-    Derived members are named G1, G2, ... in canonical bitmask order; the
-    result keeps the subbasis for round-tripping.
+    Derived members are named G1, G2, ... in canonical bitmask order,
+    skipping subbasis names so that none is shadowed; the result keeps the
+    subbasis for round-tripping.
     """
     sub_items = _as_named_members(subbasis)
     for _, s in sub_items:
@@ -226,8 +227,9 @@ def generate_topology(context: Context, subbasis, cap: int = DEFAULT_CAP) -> Sof
     family = _unions(_least_opens(packed, n * m), limit)
     if family is None:
         raise CapExceeded(limit + 1, cap, "topology generation")
-    counter = itertools.count(1)
-    members = tuple((named.get(s.masks) or f"G{next(counter)}", s) for s in (_unpack(context, g) for g in family))
+    declared = {name for name, _ in sub_items}
+    fresh = (name for name in (f"G{i}" for i in itertools.count(1)) if name not in declared)
+    members = tuple((named.get(s.masks) or next(fresh), s) for s in (_unpack(context, g) for g in family))
     return SoftTopology(context, GENERATED, members, subbasis=tuple(sub_items))
 
 

@@ -22,6 +22,8 @@ from softaura import (
     resolve_target_set,
 )
 
+from softaura.cli import main
+
 from conftest import fixture_path, load_fixture_doc
 
 
@@ -71,6 +73,57 @@ class TestDecodeSpace:
         decoded = decode_space(doc)
         assert decoded.space.topology.kind == "generated"
         assert len(decoded.space.topology) == 4
+
+
+def generated(subbasis: dict, scope: dict) -> dict:
+    return {
+        "universe": ["a", "b"],
+        "parameters": ["e"],
+        "topology": {"kind": "generated", "subbasis": subbasis},
+        "scope": scope,
+    }
+
+
+#: Generated spaces with a subbasis name that names no member: generation
+#: names a member by the first name its set has, after null and absolute.
+UNNAMED_SUBBASIS = {
+    # T's set is S's, so the member is named S
+    "repeated": (generated({"S": {"e": ["a"]}, "T": {"e": ["a"]}}, {"a": "T", "b": "absolute"}), "T"),
+    # S is the absolute set, so the member is named absolute
+    "absolute": (generated({"S": {"e": ["a", "b"]}}, {"a": "absolute", "b": "absolute"}), "S"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNNAMED_SUBBASIS))
+class TestSubbasisNames:
+    def test_every_subbasis_name_resolves_to_its_set(self, case):
+        doc, name = UNNAMED_SUBBASIS[case]
+        decoded = decode_space(doc)
+        assert decoded.space.topology.member_named(name) is None
+        ctx = decoded.space.context
+        for declared, slices in doc["topology"]["subbasis"].items():
+            assert decoded.resolve(declared) == SoftSet.from_slices(ctx, slices)
+        assert decoded.scope_refs == doc["scope"]
+
+    def test_round_trip_keeps_the_reference(self, case):
+        doc, _ = UNNAMED_SUBBASIS[case]
+        once = encode_space(decode_space(doc))
+        assert once == doc
+        assert decode_space(once) == decode_space(doc)
+
+    def test_named_sets_cannot_reuse_it(self, case):
+        doc, name = UNNAMED_SUBBASIS[case]
+        doc = dict(doc, namedSets={name: {"e": []}})
+        with pytest.raises(DocumentError, match=rf"\['{name}'\]"):
+            decode_space(doc)
+
+    def test_cli_resolves_it(self, case, tmp_path, capsys):
+        doc, name = UNNAMED_SUBBASIS[case]
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert main(["classify", str(path), "--set", name]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReadmeExamples:

@@ -1,10 +1,12 @@
 """Family enumeration, the law suite engine, and the mapping scan."""
 
 import collections
+import copy
 import functools
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 import time
 import types
@@ -248,6 +250,16 @@ class TestLawSuite:
     def test_json_deterministic(self, small_suite):
         again = run_law_suite(SpaceFamilySpec(2, 2))
         assert again.to_json_bytes() == small_suite.to_json_bytes()
+
+    def test_result_is_a_value(self, small_suite):
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        for record in (result, *result.laws.values()):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+        assert result == small_suite
+        for again in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+            assert again == result and again.to_json_bytes() == result.to_json_bytes()
 
     def test_json_shape(self, small_suite):
         doc = small_suite.to_json_dict()

@@ -45,7 +45,7 @@ from softaura import (
     SuiteResult,
     Witness,
 )
-from softaura.errors import _Record
+from softaura.errors import _Frozen
 from softaura.harness import LawResult, LawSpec
 
 CTX_REPR = "Context(universe=('x', 'y'), parameters=('e',))"
@@ -151,14 +151,14 @@ CASES = [
     (LawSpec, lambda: dict(arity="set", evaluator=len, description="sizes"),
      "LawSpec(arity='set', evaluator=<built-in function len>, description='sizes')", True, True),
     (LawResult, lambda: dict(checked=3, failures=1, witnesses=[]),
-     "LawResult(checked=3, failures=1, witnesses=[])", False, False),
+     "LawResult(checked=3, failures=1, witnesses=[])", False, True),
     (SuiteResult,
      lambda: dict(spec=spec(), laws={"duality": LawResult(checked=2)}, reports={}, strictness={"b=>beta": None},
                   spaces_checked=1, sets_per_space_max=2),
      "SuiteResult(spec=SpaceFamilySpec(max_universe=2, max_params=2, topology_kind='discrete', "
      "scope_mode='sampled', seed=3, sample_count=4), laws={'duality': LawResult(checked=2, failures=0, "
      "witnesses=[])}, reports={}, strictness={'b=>beta': None}, spaces_checked=1, sets_per_space_max=2)",
-     False, False),
+     False, True),
     (MappingScanResult,
      lambda: dict(mappings_checked=10, kuratowski_failures=0, kuratowski_first_failure=None,
                   cech_mismatches=1, cech_first_mismatch={"rank": [1]}),
@@ -243,13 +243,11 @@ def test_no_record_spells_out_a_store_only_init():
 
 def test_store_only_guard_sees_both_bases():
     frozen = 'class A(_Frozen):\n    def __init__(self, x, y):\n        """doc"""\n        _freeze(self, x, y)\n'
-    mutable = "class B(_Record):\n    def __init__(self, x, y):\n        self.x = x\n        self.y = y\n"
     kept = [
         "class C(_Frozen):\n    def __init__(self, x, y=None):\n        _freeze(self, x, y)\n",
         "class D(_Frozen):\n    def __init__(self, x, y):\n        _freeze(self, y, x)\n",
-        "class E(_Record):\n    def __init__(self, x):\n        self.x = [] if x is None else x\n",
     ]
-    assert store_only_inits(frozen + mutable) == ["A", "B"]
+    assert store_only_inits(frozen) == ["A"]
     assert store_only_inits("".join(kept)) == []
 
 
@@ -257,7 +255,7 @@ def test_every_record_type_has_a_case():
     for info in pkgutil.iter_modules(softaura.__path__):
         if info.name != "__main__":  # importing it runs the CLI
             importlib.import_module(f"softaura.{info.name}")
-    found, todo = set(), [_Record]
+    found, todo = set(), [_Frozen]
     while todo:
         for sub in todo.pop().__subclasses__():
             todo.append(sub)

@@ -1,5 +1,8 @@
 """Separation axioms: deciders, witnesses, and the T1 characterizations."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 
@@ -200,6 +203,34 @@ class TestEquivalences:
         from softaura import aura_interior
 
         assert aura_interior(space, comp) == comp
+
+
+class TestT0T1GapCounts:
+    """The abstract's wider T0-T1 gap in the soft setting, as counts.
+
+    A pair of points fails T0 iff, at every parameter, each lies in the
+    other's scope slice.  In the discrete family a point's slice holds the
+    point and any subset of the others, so each (pair, parameter) takes the
+    four membership patterns independently, one of them "both ways": T0
+    holds on (4^m - 1)^C(n, 2) of the 4^(m C(n, 2)) spaces of shape (n, m),
+    and T1 on one, whose scope slices are all singletons.
+    """
+
+    def test_exhaustive_family(self):
+        spaces, t0, t1 = Counter(), Counter(), Counter()
+        for (n, m, _), space in iter_family_spaces(SpaceFamilySpec(3, 2)):
+            report = separation_report(space)
+            spaces[n, m] += 1
+            t0[n, m] += report.t0
+            if report.t1:
+                t1[n, m] += 1
+                assert space.scope_masks == tuple((1 << i,) * m for i in range(n))
+        assert set(spaces) == {(n, m) for n in (1, 2, 3) for m in (1, 2)}
+        for (n, m), count in spaces.items():
+            assert count == 4 ** (m * comb(n, 2))
+            assert t0[n, m] == (4**m - 1) ** comb(n, 2)
+            assert t1[n, m] == 1
+        assert [t0[shape] for shape in ((2, 1), (2, 2), (3, 1), (3, 2))] == [3, 15, 27, 3375]
 
 
 class TestRegularityAgainstReference:

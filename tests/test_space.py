@@ -262,6 +262,14 @@ class TestGenerateTopology:
         assert len(topo) == 4
         assert sorted(n for n, _ in topo) == ["A", "B", "absolute", "null"]
 
+    def test_derived_names_skip_subbasis_names(self):
+        ctx = named_context(3, 1)
+        a, b = SoftSet.point(ctx, "x1"), SoftSet.point(ctx, "x2")
+        topo = generate_topology(ctx, [("G1", a), ("S", b)])
+        assert [n for n, _ in topo] == ["null", "G1", "S", "G2", "absolute"]
+        assert topo.member_named("G2") == a.union(b)
+        validate_topology(ctx, list(topo))
+
     def test_cap_enforced(self):
         ctx = named_context(4, 2)
         subbasis = [
