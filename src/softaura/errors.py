@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import cache
+from types import CodeType, FunctionType
+
 #: Sets a field of a frozen record; only a record's own __init__ calls it.
 _setfield = object.__setattr__
 
@@ -11,15 +14,15 @@ class _Frozen:
 
     A record's fields are its `__slots__`, in order, unless the class lists
     them in `_fields`.  Records have field-wise repr, equality and hashing;
-    records of different types never compare equal.  Every __init__ ends
-    with one call, `_freeze(self, *values)`, the values in `_fields` order;
-    a hand-written one validates its arguments first.  A record class that
-    defines no __init__ gets one taking exactly its fields, generated once
-    per class the way collections.namedtuple generates __new__.  _freeze
-    sets each field slot and keeps the same values as the tuple `_values`,
-    which equality and hashing read instead of every field.  Only derived
-    slots outside `_fields` are set with _setfield.  Later assignment
-    raises AttributeError.
+    records of different types never compare equal.  Each record class
+    gets one store, `_store(self, *fields)`, taking exactly its fields in
+    straight-line code: it sets each field slot through that slot's own
+    setter and keeps the same values as the tuple `_values`, which equality
+    and hashing read instead of every field.  A class that defines no
+    __init__ takes the store as its __init__, the way collections.namedtuple
+    generates __new__; a hand-written one validates its arguments, then
+    ends with `self._store(...)`.  Only derived slots outside `_fields` are
+    set with _setfield.  Later assignment raises AttributeError.
     """
 
     __slots__ = ("_values",)
@@ -30,15 +33,15 @@ class _Frozen:
             return
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
-        # each field slot's own setter, resolved once per class
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
-        if "__init__" not in cls.__dict__:
-            fields = ", ".join(cls._fields)
-            namespace = {"_freeze": _freeze}
-            exec(f"def __init__(self, {fields}):\n    _freeze(self, {fields})\n", namespace)
-            init = cls.__init__ = namespace["__init__"]
-            init.__qualname__ = f"{cls.__qualname__}.__init__"
-            init.__module__ = cls.__module__
+        # the store's globals: each field slot's own setter, resolved once per class
+        namespace = {"_setvalues": _setvalues, **{f"_set{i}": getattr(cls, f).__set__ for i, f in enumerate(cls._fields)}}
+        code = _store_code(len(cls._fields)).replace(co_varnames=("self", *cls._fields))
+        generated = "__init__" not in cls.__dict__
+        store = cls._store = FunctionType(code, namespace, "__init__" if generated else "_store")
+        store.__qualname__ = f"{cls.__qualname__}.{store.__name__}"
+        store.__module__ = cls.__module__
+        if generated:
+            cls.__init__ = store
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -64,15 +67,16 @@ class _Frozen:
             _setfield(self, name, value)
 
 
-#: Sets `_values` of a frozen record; only _freeze calls it.
+#: Sets `_values` of a frozen record; only a record's `_store` calls it.
 _setvalues = _Frozen._values.__set__
 
 
-def _freeze(record: _Frozen, *values) -> None:
-    """Set the fields of `record`, given in `_fields` order, then its `_values`."""
-    for setter, value in zip(record._setters, values):
-        setter(record, value)
-    _setvalues(record, values)
+@cache
+def _store_code(n: int) -> CodeType:
+    """The store of n fields a0, ...: each through its setter _set{i}, then the tuple; compiled once per count."""
+    fields = "".join(f"a{i}, " for i in range(n))
+    stores = "".join(f"    _set{i}(self, a{i})\n" for i in range(n))
+    return compile(f"def _store(self, {fields}):\n{stores}    _setvalues(self, ({fields}))\n", "<record>", "exec").co_consts[0]
 
 
 class SoftAuraError(Exception):

@@ -1,39 +1,29 @@
 """Exhaustive and sampled verification over small space families.
 
 The engine enumerates every scope function over the discrete topology for
-each universe/parameter shape up to the requested bounds, builds per-space
-lookup tables from public operator calls, and then evaluates every law as
-comparisons of those library-produced values.  Closure and interior are
-composed slice by slice from single-slice rows, and so is the fixpoint
-closure, from the closure table iterated on each single-slice set, as the
-paper builds it; the kuratowski-fixpoint law checks the public fixpoint
-closure against that table on every set.  Every table of a space is built
-from that space's own single-slice entries, so a fault that reads another
-scope column is seen, and replayed, on the space it acts on.  The shape
-alone picks how the tables are held, for the suite and replay_witness
-alike: lists filled up front when every set of the shape is checked, dicts
-filled on lookup above that (see _Tables).  The openness flags are kept
-once, as a six-flag tuple per set.  Each law is defined once, as a
-predicate over the tables, and so is each report row, in a registry of
-its own beside the laws; the suite keeps both kinds of row alike, and
-replay_witness evaluates the same predicate, looked up in the registry of
-the witness's kind, on tables built for the witness space.  A row counts
-each set or pair that fails it once: `_pair_row` hits every pair row, the
-rough pair rows too, at most once per pair.  Pair laws, and the set laws
-read off the tables alone, are decided one parameter slice at a time
-wherever the tables are products of their single-slice entries, as the
-paper's operators are (see _slice_decision).  Set ranks, pair ranks,
-scope ranks and shape ranks are all canonical.  A row keeps its first
-witnesses in family order: canonical order when every scope is
-enumerated, draw order in a sampled family, where a space drawn again is
-checked once and its findings replayed under the later draw's rank.
-Every report is byte-reproducible.
+each universe/parameter shape up to the requested bounds, or draws a seeded
+sample, builds per-space lookup tables from public operator calls (see
+_Tables), and evaluates every law as comparisons of those library-produced
+values.  Closure, interior and the fixpoint closure (the closure iterated,
+as the paper builds it) are composed slice by slice from the space's own
+single-slice entries, so a fault that reads another scope column is seen,
+and replayed, on the space it acts on.
+
+Each law, and each report row, is defined once over the tables: a space
+law is a predicate on the tables and a pair law one on a packed pair,
+while a set law is a filter over packed sets giving the positions of those
+that fail it, so its body runs once per space.  The suite and
+replay_witness evaluate the same definition, and a row counts each set or
+pair that fails it once.  Pair laws, and the set laws read off the tables
+alone, are decided one parameter slice at a time where that is exact (see
+_slice_decision).  All ranks are canonical, and a row keeps its first
+witnesses in family order (see run_law_suite).  Every report is
+byte-reproducible.
 
 Literal per-element oracles for the closure and interior live here too; they
 work on name sets, never on bitmasks, so they share no code with the
 optimized operators they check.  The oracle tables are composed slice by
-slice like the closure's, from one name-set pass per single-slice set of
-the space.
+slice like the closure's, from one name-set pass per single-slice set.
 """
 
 from __future__ import annotations
@@ -43,12 +33,13 @@ import json
 import math
 import random
 from collections import Counter
-from functools import cached_property, reduce
-from operator import and_, getitem
+from functools import cached_property, partial, reduce
+from operator import and_, attrgetter, getitem
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .documents import DecodedSpace, decode_space, encode_space
-from .errors import CapExceeded, SizeGuard, _Frozen, _freeze
+from .errors import CapExceeded, SizeGuard, _Frozen
 from .genopen import classify
 from .operators import (
     CECH,
@@ -124,7 +115,7 @@ class SpaceFamilySpec(_Frozen):
                 raise ValueError("seed must fit in 64 bits")
         else:
             raise ValueError(f"unknown scope mode {scope_mode!r}")
-        _freeze(self, max_universe, max_params, topology_kind, scope_mode, seed, sample_count)
+        self._store(max_universe, max_params, topology_kind, scope_mode, seed, sample_count)
 
 
 def _family_context(n: int, m: int) -> Context:
@@ -450,7 +441,7 @@ class _Tables:
         shared = unpacked if exhaustive and unpacked is not None else {}
         sets = shared.get(ctx)
         if sets is None:
-            sets = shared[ctx] = table(lambda g: _unpack(ctx, g))
+            sets = shared[ctx] = table(partial(_unpack, ctx))
         self.sets = sets
 
         def called(op):
@@ -466,10 +457,7 @@ class _Tables:
         self.cl = cl = _slicewise(called(aura_closure), self)
         self.int_ = int_ = _slicewise(called(aura_interior), self)
         self.fix = fix = _slicewise(iterated, self)
-        self.rows = {
-            kind: table(lambda g, c=c: _openness_row(c, int_, g))
-            for kind, c in ((CECH, cl), (KURATOWSKI, fix))
-        }
+        self.rows = {kind: table(partial(_openness_row, c, int_)) for kind, c in ((CECH, cl), (KURATOWSKI, fix))}
 
     @cached_property
     def separation(self):
@@ -503,10 +491,6 @@ class _Tables:
 
 
 # -- law registry ------------------------------------------------------------
-#
-# Every law is one predicate over the tables of a space: space laws take the
-# tables alone, set laws one packed set, pair laws a packed pair.  The suite
-# and replay_witness evaluate the same predicate.
 
 
 def _closure_grounding(t):
@@ -543,93 +527,99 @@ def _t1_singleton_closure(t):
     return t1_singleton_closure(t.space).holds
 
 
-def _closure_enlargement(t, g):
-    return g & ~t.cl[g] == 0
+def _closure_enlargement(t, gs):
+    cl = t.cl
+    return [j for j, g in enumerate(gs) if g & ~cl[g]]
 
 
-def _interior_contraction(t, g):
-    return t.int_[g] & ~g == 0
+def _interior_contraction(t, gs):
+    int_ = t.int_
+    return [j for j, g in enumerate(gs) if int_[g] & ~g]
 
 
-def _duality(t, g):
-    comp = t.full & ~g
-    return t.cl[comp] == t.full & ~t.int_[g] and t.int_[comp] == t.full & ~t.cl[g]
+def _duality(t, gs):
+    cl, int_, full = t.cl, t.int_, t.full
+    return [j for j, g in enumerate(gs) if cl[full & ~g] != full & ~int_[g] or int_[full & ~g] != full & ~cl[g]]
 
 
-def _kuratowski_fixpoint(t, g):
-    k = t.fix[g]
-    n = t.space.context.n_points
-    public = kuratowski_closure(t.space, t.sets[g])
-    return (
-        t.cl[g] & ~k == 0
-        and g & ~k == 0
-        and t.fix[k] == k
-        and t.cl[k] == k
-        and public.closure.masks == t.sets[k].masks
-        and all(1 <= it <= n for it in public.iterations.values())
-    )
+def _kuratowski_fixpoint(t, gs):
+    space, sets, cl, fix = t.space, t.sets, t.cl, t.fix
+    n = space.context.n_points
+    failing = []
+    for j, g in enumerate(gs):
+        k = fix[g]
+        public = kuratowski_closure(space, sets[g])
+        stable = all(1 <= it <= n for it in public.iterations.values())
+        if cl[g] & ~k or g & ~k or fix[k] != k or cl[k] != k or public.closure.masks != sets[k].masks or not stable:
+            failing.append(j)
+    return failing
 
 
-def _tau_infinity_in_tau(t, g):
-    comp = t.full & ~g
-    return t.fix[comp] != comp or t.int_[g] == g
+def _tau_infinity_in_tau(t, gs):
+    fix, int_, full = t.fix, t.int_, t.full
+    return [j for j, g in enumerate(gs) if fix[full & ~g] == full & ~g and int_[g] != g]
 
 
-def _hierarchy(kind: str):
-    def law(t, g):
-        opn, alpha, semi, pre, b, beta = t.rows[kind][g]
-        return (
-            (not opn or alpha)
-            and (not alpha or (semi and pre))
-            and (not (semi or pre) or b)
-            and (not b or beta)
-        )
+def _flag_filter(kind: str, condition: Callable[..., bool]):
+    """The filter of sets whose openness flags under `kind` meet condition(open, alpha, semi, pre, b, beta)."""
+    kept = frozenset(flags for flags in itertools.product((False, True), repeat=6) if condition(*flags))
 
-    return law
-
-
-def _classify_consistency(t, g):
-    for kind in (CECH, KURATOWSKI):
-        p = classify(t.space, t.sets[g], kind)
-        flags = (p.a_open, p.alpha_open, p.semi_open, p.pre_open, p.b_open, p.beta_open)
-        if flags != t.rows[kind][g]:
-            return False
-    return True
-
-
-def _alpha_decomposes(kind: str):
-    def law(t, g):
-        _, alpha, semi, pre, _, _ = t.rows[kind][g]
-        return alpha == (semi and pre)
+    def law(t, gs):
+        rows = t.rows[kind]
+        return [j for j, g in enumerate(gs) if rows[g] in kept]
 
     return law
 
 
-def _rough_delegation(t, g):
-    s = t.sets[g]
-    return (
-        lower_approx(t.space, s).masks == t.sets[t.int_[g]].masks
-        and upper_approx(t.space, s).masks == t.sets[t.cl[g]].masks
-    )
+def _hierarchy_fails(opn, alpha, semi, pre, b, beta):
+    return (opn and not alpha) or (alpha and not (semi and pre)) or ((semi or pre) and not b) or (b and not beta)
 
 
-def _rough_sandwich(t, g):
-    return t.int_[g] & ~g == 0 and g & ~t.cl[g] == 0
+def _decomposition_fails(opn, alpha, semi, pre, b, beta):
+    return alpha != (semi and pre)
 
 
-def _rough_accuracy(t, g):
-    try:
-        acc = accuracy(t.space, t.sets[g])
-    except ValueError:
-        # counts that no pair of approximations has; Accuracy refuses them
-        return False
-    # Accuracy ties convention_applied to a null upper count
-    return acc.lower_total == t.int_[g].bit_count() and acc.upper_total == t.cl[g].bit_count()
+def _classify_consistency(t, gs):
+    space, sets, rows = t.space, t.sets, t.rows
+    flags = attrgetter("a_open", "alpha_open", "semi_open", "pre_open", "b_open", "beta_open")
+    return [
+        j for j, g in enumerate(gs)
+        if any(flags(classify(space, sets[g], kind)) != rows[kind][g] for kind in (CECH, KURATOWSKI))
+    ]
 
 
-def _oracle_equivalence(t, g):
-    ocl, oint = t.oracle
-    return ocl[g] == t.cl[g] and oint[g] == t.int_[g]
+def _rough_delegation(t, gs):
+    space, sets, cl, int_ = t.space, t.sets, t.cl, t.int_
+    return [
+        j for j, g in enumerate(gs)
+        if lower_approx(space, sets[g]).masks != sets[int_[g]].masks
+        or upper_approx(space, sets[g]).masks != sets[cl[g]].masks
+    ]
+
+
+def _rough_sandwich(t, gs):
+    cl, int_ = t.cl, t.int_
+    return [j for j, g in enumerate(gs) if int_[g] & ~g or g & ~cl[g]]
+
+
+def _rough_accuracy(t, gs):
+    space, sets, cl, int_ = t.space, t.sets, t.cl, t.int_
+    failing = []
+    for j, g in enumerate(gs):
+        try:
+            acc = accuracy(space, sets[g])
+        except ValueError:
+            # counts that no pair of approximations has; Accuracy refuses them
+            acc = None
+        # Accuracy ties convention_applied to a null upper count
+        if acc is None or acc.lower_total != int_[g].bit_count() or acc.upper_total != cl[g].bit_count():
+            failing.append(j)
+    return failing
+
+
+def _oracle_equivalence(t, gs):
+    (ocl, oint), cl, int_ = t.oracle, t.cl, t.int_
+    return [j for j, g in enumerate(gs) if ocl[g] != cl[g] or oint[g] != int_[g]]
 
 
 def _pair_row(t, g: int, hs, hit: Callable) -> None:
@@ -741,11 +731,7 @@ def _slice_decision(t, names) -> tuple[set[str], dict[str, int] | None]:
         if any(table[g] & outside for table in (t.cl, t.int_) for g in row):
             return set(), None
     every = [g for row in singles for g in row]
-    decided = {
-        name
-        for name in names
-        if name in _SLICEWISE_SET_LAWS and all(map(LAWS[name].evaluator, itertools.repeat(t), every))
-    }
+    decided = {name for name in names if name in _SLICEWISE_SET_LAWS and not LAWS[name].evaluator(t, every)}
     if t.fix[t.full] != t.full:
         decided.discard("tau-infinity-in-tau")
     if all(_ROWS[name].arity != "pair" for name in names):
@@ -792,7 +778,11 @@ def _pair_law(name: str):
 
 
 class LawSpec(_Frozen):
-    """arity is "space", "set" or "pair"; evaluator(tables, *packed sets) is True when the law holds."""
+    """arity is "space", "set" or "pair"; evaluator(tables) and evaluator(tables, g, h) are True when the law holds.
+
+    A set law is a filter over sets: evaluator(tables, gs) gives the
+    positions in gs of the packed sets that fail it, in order.
+    """
 
     __slots__ = ("arity", "evaluator", "description")
 
@@ -811,10 +801,10 @@ LAWS: dict[str, LawSpec] = {
     "kuratowski-fixpoint": LawSpec("set", _kuratowski_fixpoint, "public fixpoint closure is the iterated one-step closure: idempotent, contains it, stabilises within |X| steps"),
     "kuratowski-additivity": LawSpec("pair", _pair_law("kuratowski-additivity"), "fixpoint closure is additive"),
     "tau-infinity-in-tau": LawSpec("set", _tau_infinity_in_tau, "complements of fixpoint-closed sets are aura-open"),
-    "hierarchy-cech": LawSpec("set", _hierarchy(CECH), "open => alpha => semi,pre => b => beta (one-step closure)"),
-    "hierarchy-kuratowski": LawSpec("set", _hierarchy(KURATOWSKI), "open => alpha => semi,pre => b => beta (fixpoint closure)"),
+    "hierarchy-cech": LawSpec("set", _flag_filter(CECH, _hierarchy_fails), "open => alpha => semi,pre => b => beta (one-step closure)"),
+    "hierarchy-kuratowski": LawSpec("set", _flag_filter(KURATOWSKI, _hierarchy_fails), "open => alpha => semi,pre => b => beta (fixpoint closure)"),
     "classify-consistency": LawSpec("set", _classify_consistency, "classify flags match direct operator composition"),
-    "decomposition-set-kuratowski": LawSpec("set", _alpha_decomposes(KURATOWSKI), "alpha = semi and pre under the fixpoint closure"),
+    "decomposition-set-kuratowski": LawSpec("set", _flag_filter(KURATOWSKI, _decomposition_fails), "alpha = semi and pre under the fixpoint closure"),
     "union-closure-semi": LawSpec("pair", _pair_law("union-closure-semi"), "semi-open sets are union-closed"),
     "union-closure-pre": LawSpec("pair", _pair_law("union-closure-pre"), "pre-open sets are union-closed"),
     "union-closure-beta": LawSpec("pair", _pair_law("union-closure-beta"), "beta-open sets are union-closed"),
@@ -846,23 +836,27 @@ _ALPHA_MEETS = {"alpha-meet-cech": CECH, "alpha-meet-kuratowski": KURATOWSKI}
 _REPORTS: dict[str, LawSpec] = {
     "alpha-meet-cech": LawSpec("pair", _pair_law("alpha-meet-cech"), "alpha-open sets meet in an alpha-open set (one-step closure)"),
     "alpha-meet-kuratowski": LawSpec("pair", _pair_law("alpha-meet-kuratowski"), "alpha-open sets meet in an alpha-open set (fixpoint closure)"),
-    "decomposition-set-cech": LawSpec("set", _alpha_decomposes(CECH), "alpha = semi and pre under the one-step closure"),
+    "decomposition-set-cech": LawSpec("set", _flag_filter(CECH, _decomposition_fails), "alpha = semi and pre under the one-step closure"),
 }
 REPORT_ROWS = tuple(_REPORTS)
 
 #: Every row of the suite, law rows first; the suite keeps them all alike.
 _ROWS = {**LAWS, **_REPORTS}
 
-#: Hierarchy edges, each witnessed by a set where the right class holds and
-#: the left does not: a condition on its flags (open, alpha, semi, pre, b, beta).
-_EDGE_CONDITIONS = {
-    "open=>alpha": lambda opn, alpha, semi, pre, b, beta: alpha and not opn,
-    "alpha=>semi": lambda opn, alpha, semi, pre, b, beta: semi and not alpha,
-    "alpha=>pre": lambda opn, alpha, semi, pre, b, beta: pre and not alpha,
-    "semi|pre=>b": lambda opn, alpha, semi, pre, b, beta: b and not (semi or pre),
-    "b=>beta": lambda opn, alpha, semi, pre, b, beta: beta and not b,
+
+#: Hierarchy edges as set rows over the one-step flags: a set the filter keeps
+#: is in the right class and not the left, a witness that the edge is strict.
+_EDGES = {
+    edge: LawSpec("set", _flag_filter(CECH, condition), f"{edge} is strict")
+    for edge, condition in {
+        "open=>alpha": lambda opn, alpha, semi, pre, b, beta: alpha and not opn,
+        "alpha=>semi": lambda opn, alpha, semi, pre, b, beta: semi and not alpha,
+        "alpha=>pre": lambda opn, alpha, semi, pre, b, beta: pre and not alpha,
+        "semi|pre=>b": lambda opn, alpha, semi, pre, b, beta: b and not (semi or pre),
+        "b=>beta": lambda opn, alpha, semi, pre, b, beta: beta and not b,
+    }.items()
 }
-STRICTNESS_EDGES = tuple(_EDGE_CONDITIONS)
+STRICTNESS_EDGES = tuple(_EDGES)
 
 
 def replay_witness(w: Witness) -> bool:
@@ -871,36 +865,52 @@ def replay_witness(w: Witness) -> bool:
     ValueError when no row or edge of the witness's kind has its name, or
     when the witness holds other than that row's number of sets (0 for a
     space row, 1 for a set row or a strictness edge, 2 for a pair row).
+    A set row or edge replays as its filter on the one set.
     """
-    registry = {"law": LAWS, "report": _REPORTS, "strictness": _EDGE_CONDITIONS}.get(w.kind, {})
-    if w.name not in registry:
+    row = {"law": LAWS, "report": _REPORTS, "strictness": _EDGES}.get(w.kind, {}).get(w.name)
+    if row is None:
         raise ValueError(f"cannot replay witness kind {w.kind!r} name {w.name!r}")
-    want = 1 if w.kind == "strictness" else ("space", "set", "pair").index(registry[w.name].arity)
+    want = ("space", "set", "pair").index(row.arity)
     if len(w.sets) != want:
         raise ValueError(f"cannot replay witness {w.name!r} with {len(w.sets)} sets, its row takes {want}")
     space = replay_space(w.space)
     ctx = space.context
     t = _Tables(space)
     gs = [_pack(SoftSet.from_slices(ctx, slices).masks, ctx.n_points) for slices in w.sets]
-    if w.kind == "strictness":
-        return registry[w.name](*t.rows[CECH][gs[0]])
-    return not registry[w.name].evaluator(t, *gs)
+    if row.arity == "set":
+        return bool(row.evaluator(t, gs))
+    return not row.evaluator(t, *gs)
 
 
 # -- suite engine ------------------------------------------------------------
 
 
 class LawResult(_Frozen):
+    """One row's count of checked instances and of failures, with its first witnesses as a tuple."""
+
     __slots__ = ("checked", "failures", "witnesses")
 
-    def __init__(self, checked: int = 0, failures: int = 0, witnesses: list[Witness] | None = None):
-        _freeze(self, checked, failures, [] if witnesses is None else witnesses)
+    def __init__(self, checked: int = 0, failures: int = 0, witnesses: Sequence[Witness] = ()):
+        self._store(checked, failures, tuple(witnesses))
 
 
 class SuiteResult(_Frozen):
-    """Outcome of one law-suite run; serialises to a deterministic JSON report."""
+    """Outcome of one law-suite run; serialises to a deterministic JSON report, built fresh per call.
+
+    `laws`, `reports` (each report too) and `strictness` are read-only views of copies of the mappings given.
+    """
 
     __slots__ = ("spec", "laws", "reports", "strictness", "spaces_checked", "sets_per_space_max")
+
+    def __init__(self, spec, laws, reports, strictness, spaces_checked, sets_per_space_max):
+        reports = {name: MappingProxyType(dict(report)) for name, report in reports.items()}
+        laws, reports, strictness = (MappingProxyType(dict(m)) for m in (laws, reports, strictness))
+        self._store(spec, laws, reports, strictness, spaces_checked, sets_per_space_max)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record from plain dicts: views do not pickle
+        spec, laws, reports, strictness, *counts = self._values
+        return type(self), (spec, dict(laws), {name: dict(r) for name, r in reports.items()}, dict(strictness), *counts)
 
     @property
     def total_failures(self) -> int:
@@ -928,17 +938,12 @@ class SuiteResult(_Frozen):
                 }
                 for name, r in self.laws.items()
             },
-            "reports": self.reports,
-            "strictness": {
-                edge: (w.to_json_dict() if w is not None else None)
-                for edge, w in self.strictness.items()
-            },
+            "reports": {name: dict(report) for name, report in self.reports.items()},
+            "strictness": {edge: None if w is None else w.to_json_dict() for edge, w in self.strictness.items()},
         }
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n").encode(
-            "utf-8"
-        )
+        return (json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n").encode()
 
 
 def _sampled_sets(ctx: Context, seed: int, rank3: tuple[int, ...]) -> list[int]:
@@ -989,24 +994,22 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
     Per space, the operator tables are filled by public operator calls; law
     checks are then comparisons of those library-produced values.  Shapes
     with n*m <= 12 check every soft set and every pair; larger shapes check
-    256 seeded sets and no pairs.  Pairs are decided on the pairs of
-    single-slice sets at each parameter where that is exact, and scanned
-    one by one where it is not; so are the set laws read off the tables
-    alone, on the single-slice sets (see _slice_decision).  Either way
-    gives the same counts and witnesses.  A rough pair row is a pair row
-    like any other, hit by _pair_row under its own name, so selecting it
-    scans no other law.  Within a space, sets and pairs are scanned in
-    canonical order; a row keeps its first WITNESS_LIMIT findings in
-    family order, which in "all" mode is canonical order and in sampled
-    mode is draw order, not rank order.  A sampled family draws small
-    shapes again and again: each distinct space of a shape with n*m <= 12
-    is checked once, and a repeated draw adds its counts and replays its
-    first findings (see _Findings) under its own rank, so the report is
-    the one checking every draw gives.  Reports are
-    byte-reproducible.  Report rows are kept like law rows, with one
-    witness, and reported as their count and first witness; the alpha-meet
-    rows are left out when no space ran the pair scan (no pair law
-    selected, or no shape with n*m <= 12).
+    256 seeded sets and no pairs.  Each set law's filter runs once per
+    space, over its sets (every 7th for classify-consistency).  Pairs, and
+    the set laws read off the tables alone, are decided on single-slice
+    sets where that is exact and scanned where it is not (see
+    _slice_decision), with the same counts and witnesses.  A rough pair row
+    is hit by _pair_row under its own name, so selecting it scans no other
+    law.  Sets and pairs are scanned in canonical order; a row keeps its
+    first WITNESS_LIMIT findings in family order: canonical order in "all"
+    mode, draw order in sampled mode.  A sampled family checks each
+    distinct space of a shape with n*m <= 12 once, and a repeated draw
+    adds its counts and replays its first findings (see _Findings) under
+    its own rank, so the report is the one checking every draw gives.
+    Report rows are kept like law rows, with one witness, and reported as
+    their count and first witness; the alpha-meet rows are left out when
+    no space ran the pair scan (no pair law selected, or no shape with
+    n*m <= 12).  Reports are byte-reproducible.
     """
     if laws is not None:
         require_known_laws(laws)
@@ -1043,24 +1046,19 @@ def run_law_suite(spec: SpaceFamilySpec, laws: Sequence[str] | None = None) -> S
         # and pair laws decided per slice no pair scan
         decided, counts = _slice_decision(t, rows)
         for name, law in checks:
-            holds = law.evaluator
             if law.arity == "space":
-                if not holds(t):
+                if not law.evaluator(t):
                     add(name, (), ())
             elif name not in decided:
-                for i in range(0, size, _SET_STRIDE.get(name, 1)):
-                    if not holds(t, packed[i]):
-                        add(name, (i,), (packed[i],))
+                stride = _SET_STRIDE.get(name, 1)
+                for j in law.evaluator(t, packed[::stride]):
+                    add(name, (j * stride,), (packed[j * stride],))
 
         # a repeat of the space cannot witness an edge its first draw did not
-        cech = t.rows[CECH]
-        for edge, condition in _EDGE_CONDITIONS.items():
+        for edge, row in _EDGES.items():
             if strictness[edge] is None:
-                for i, g in enumerate(packed):
-                    if condition(*cech[g]):
-                        rank = rank3 + (i,)
-                        strictness[edge] = _witness("strictness", edge, space, rank, (t.sets[g],))
-                        break
+                for i in row.evaluator(t, packed)[:1]:
+                    strictness[edge] = _witness("strictness", edge, space, rank3 + (i,), (t.sets[packed[i]],))
 
         # pair laws need the full set lattice: every union and meet is a row;
         # the full scan runs only where the slice check cannot vouch for it

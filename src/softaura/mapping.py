@@ -28,7 +28,6 @@ from .errors import (
     UnknownParameter,
     UnknownPoint,
     _Frozen,
-    _freeze,
     _setfield,
 )
 from .genopen import classify
@@ -100,7 +99,7 @@ class SoftMapping(_Frozen):
             for e in param_map:
                 if e not in src.param_index:
                     raise UnknownParameter(e)
-        _freeze(self, source, target, point_map, param_map)
+        self._store(source, target, point_map, param_map)
         _setfield(self, "_point_preimage", tuple(preimage))
         _setfield(self, "_param_image", tuple(image))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InvalidPartition, _Frozen, _freeze
+from .errors import InvalidPartition, _Frozen
 from .operators import _closure_slice, aura_closure, aura_interior
 from .softset import Context, SoftSet, _require_same_context, _trusted
 from .space import ScopeFunction, SoftAuraSpace, discrete_topology
@@ -55,7 +55,7 @@ class Accuracy(_Frozen):
             raise ValueError(
                 f"accuracy counts {lower_total}/{upper_total} do not fit convention_applied={convention_applied}"
             )
-        _freeze(self, lower_total, upper_total, convention_applied)
+        self._store(lower_total, upper_total, convention_applied)
         if value is not None and value != self.value:
             raise ValueError(f"accuracy value {value!r} is not {lower_total}/{upper_total}")
 
@@ -135,7 +135,7 @@ class PawlakPartition(_Frozen):
         if len(seen) != context.n_points:
             missing = [x for x in context.universe if x not in seen]
             raise InvalidPartition(f"points not covered: {missing}")
-        _freeze(self, context, blocks)
+        self._store(context, blocks)
 
     def block_of(self, x: str) -> tuple[str, ...]:
         for block in self.blocks:

@@ -20,7 +20,7 @@ that order.
 
 from __future__ import annotations
 
-from .errors import _Frozen, _freeze
+from .errors import _Frozen
 from .operators import _reach_masks, aura_closure
 from .softset import SoftSet
 from .space import SoftAuraSpace
@@ -32,7 +32,7 @@ class PairWitness(_Frozen):
     __slots__ = ("x", "y", "param")
 
     def __init__(self, x: str, y: str, param: str | None = None):
-        _freeze(self, x, y, param)
+        self._store(x, y, param)
 
 
 class RegularityWitness(_Frozen):

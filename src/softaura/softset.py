@@ -17,7 +17,6 @@ from .errors import (
     MissingParameter,
     UnknownPoint,
     _Frozen,
-    _freeze,
     _setfield,
 )
 
@@ -58,7 +57,7 @@ class Context(_Frozen):
                 f"universe has {len(universe)} points, limit is {limit}; "
                 "pass Context(..., limit=...) to raise it deliberately"
             )
-        _freeze(self, universe, parameters)
+        self._store(universe, parameters)
         _setfield(self, "limit", limit)
         _setfield(self, "point_index", {x: i for i, x in enumerate(universe)})
         _setfield(self, "param_index", {e: i for i, e in enumerate(parameters)})

@@ -24,7 +24,6 @@ from .errors import (
     ScopeViolations,
     TopologyViolation,
     _Frozen,
-    _freeze,
     _setfield,
 )
 from .softset import Context, SoftSet, _pack, _require_same_context, _unpack
@@ -67,7 +66,7 @@ class SoftTopology(_Frozen):
         else:
             if members is None:
                 raise ValueError(f"{kind} topology requires members")
-        _freeze(self, context, kind, members, subbasis)
+        self._store(context, kind, members, subbasis)
         _setfield(self, "_member_masks", frozenset(s.masks for _, s in members or ()))
 
     @property
@@ -241,7 +240,7 @@ class ScopeFunction(_Frozen):
     def __init__(self, context: Context, assignment: tuple[SoftSet, ...]):
         if len(assignment) != context.n_points:
             raise ValueError("assignment must be total on the universe")
-        _freeze(self, context, assignment)
+        self._store(context, assignment)
 
     def of(self, x: str) -> SoftSet:
         return self.assignment[self.context.point_index[x]]
@@ -307,7 +306,7 @@ class SoftAuraSpace(_Frozen):
         if topology.context != context or scope.context != context:
             raise ContextMismatch("topology and scope must share the space context")
         _check_scope(context, topology, scope.assignment)
-        _freeze(self, context, topology, scope)
+        self._store(context, topology, scope)
         masks = tuple(s.masks for s in scope.assignment)
         _setfield(self, "scope_masks", masks)
         bits = [1 << xi for xi in range(context.n_points)]

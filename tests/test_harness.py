@@ -192,7 +192,7 @@ class TestLawSuite:
         for name, row in small_suite.laws.items():
             assert row.checked > 0, name
             assert row.failures == 0, name
-            assert row.witnesses == []
+            assert row.witnesses == ()
         assert small_suite.total_failures == 0
 
     def test_family_shape(self, small_suite):
@@ -260,6 +260,26 @@ class TestLawSuite:
         assert result == small_suite
         for again in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
             assert again == result and again.to_json_bytes() == result.to_json_bytes()
+
+    def test_result_containers_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(harness, "aura_closure", _null_to_absolute(harness.aura_closure))
+        result = run_law_suite(SpaceFamilySpec(2, 2))
+        before = result.to_json_bytes()
+        row = result.laws["duality"]
+        assert row.failures and type(row.witnesses) is tuple
+        with pytest.raises(AttributeError):
+            result.laws.pop("duality")
+        for mapping, key in ((result.laws, "duality"), (result.reports, "decomposition-set-cech"), (result.strictness, "b=>beta")):
+            with pytest.raises(TypeError):
+                mapping[key] = None
+        with pytest.raises(TypeError):
+            result.reports["decomposition-set-cech"]["found"] = 1
+        # the JSON form is built fresh on every call
+        doc = result.to_json_dict()
+        doc["laws"].clear()
+        doc["reports"]["decomposition-set-cech"]["found"] = 1
+        doc["strictness"].clear()
+        assert result.to_json_bytes() == before
 
     def test_json_shape(self, small_suite):
         doc = small_suite.to_json_dict()
@@ -1131,12 +1151,13 @@ class TestSliceSets:
             assert sliced.to_json_dict() == full.to_json_dict()
 
     def test_set_law_reads_single_slice_sets_only(self, monkeypatch):
+        # the filter is handed every set it reads, so count the sets
         calls = [0]
         real = LAWS["duality"]
 
-        def counting(t, g):
-            calls[0] += 1
-            return real.evaluator(t, g)
+        def counting(t, gs):
+            calls[0] += len(gs)
+            return real.evaluator(t, gs)
 
         monkeypatch.setitem(LAWS, "duality", harness.LawSpec("set", counting, real.description))
         result = run_law_suite(SpaceFamilySpec(2, 2))
@@ -1182,6 +1203,68 @@ class TestSliceSets:
         assert sliced.laws["hierarchy-cech"].failures > 0
         assert sliced.reports["decomposition-set-cech"]["found"] > 0
         assert sliced.to_json_dict() == full.to_json_dict()
+
+
+#: Every row a set is checked against: the set laws, the set report row and
+#: the strictness edges, with the witness kind each is replayed under
+SET_ROWS = [
+    *(("law", name, row) for name, row in LAWS.items() if row.arity == "set"),
+    ("report", "decomposition-set-cech", harness._REPORTS["decomposition-set-cech"]),
+    *(("strictness", edge, row) for edge, row in harness._EDGES.items()),
+]
+
+
+class TestSetFilters:
+    """A set law is a filter over sets that keeps exactly the sets its single-set form fails."""
+
+    @pytest.mark.parametrize("fault", [None, _null_to_absolute], ids=["fault-free", "null-to-absolute"])
+    def test_filter_equals_single_set_predicate(self, fault, monkeypatch):
+        if fault is not None:
+            monkeypatch.setattr(harness, "aura_closure", fault(harness.aura_closure))
+        spaces = [(rank3, space) for spec in (SpaceFamilySpec(2, 2), SpaceFamilySpec(3, 1)) for rank3, space in iter_family_spaces(spec)]
+        # one 7 x 2 space, the shape the suite samples: dict-backed tables over 256 seeded sets
+        spaces += [((7, 2, 0), space) for space in _lazy_spaces(7, 2, [4])]
+        failing = collections.Counter()
+        for rank3, space in spaces:
+            t = harness._Tables(space)
+            assert t.exhaustive == (rank3[:2] != (7, 2))
+            # every set, in reverse so that no position is the packed set itself
+            gs = range(t.full, -1, -1) if t.exhaustive else harness._sampled_sets(space.context, 9, rank3)
+            for kind, name, row in SET_ROWS:
+                kept = row.evaluator(t, gs)
+                assert kept == [j for j, g in enumerate(gs) if row.evaluator(t, [g])], (rank3, name)
+                failing[kind, name, t.exhaustive] += len(kept)
+                for j in kept:
+                    witness = harness._witness(kind, name, space, rank3 + (j,), [t.sets[gs[j]]])
+                    assert replay_witness(witness) is True, (rank3, name, j)
+        laws_failing = {name for (kind, name, _), count in failing.items() if kind == "law" and count}
+        if fault is None:
+            assert not laws_failing
+        else:
+            assert {"duality", "kuratowski-fixpoint", "hierarchy-cech", "rough-delegation", "rough-accuracy"} <= laws_failing
+            # the dict-backed filters are exercised on failing sets too
+            assert sum(count for (kind, _, exhaustive), count in failing.items() if kind == "law" and not exhaustive)
+        assert failing["report", "decomposition-set-cech", True] and failing["strictness", "alpha=>pre", True]
+
+    def test_set_laws_make_the_same_public_calls(self, monkeypatch):
+        # kuratowski-fixpoint and rough-accuracy call once per set (278),
+        # rough-delegation lower then upper per set and rough-fixed-points
+        # each twice per space (22 spaces), classify-consistency both kinds
+        # on every 7th set (54 sets): the counts of the per-set scan
+        calls = collections.Counter()
+
+        def counting(name, real):
+            def op(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return op
+
+        names = ("kuratowski_closure", "lower_approx", "upper_approx", "accuracy", "classify")
+        for name in names:
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        run_law_suite(SpaceFamilySpec(2, 2))
+        assert calls == {"kuratowski_closure": 278, "lower_approx": 322, "upper_approx": 322, "accuracy": 278, "classify": 108}
 
 
 def reference_mapping_scan(per_shape: int) -> harness.MappingScanResult:

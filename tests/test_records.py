@@ -151,13 +151,14 @@ CASES = [
     (LawSpec, lambda: dict(arity="set", evaluator=len, description="sizes"),
      "LawSpec(arity='set', evaluator=<built-in function len>, description='sizes')", True, True),
     (LawResult, lambda: dict(checked=3, failures=1, witnesses=[]),
-     "LawResult(checked=3, failures=1, witnesses=[])", False, True),
+     "LawResult(checked=3, failures=1, witnesses=())", True, True),
     (SuiteResult,
      lambda: dict(spec=spec(), laws={"duality": LawResult(checked=2)}, reports={}, strictness={"b=>beta": None},
                   spaces_checked=1, sets_per_space_max=2),
      "SuiteResult(spec=SpaceFamilySpec(max_universe=2, max_params=2, topology_kind='discrete', "
-     "scope_mode='sampled', seed=3, sample_count=4), laws={'duality': LawResult(checked=2, failures=0, "
-     "witnesses=[])}, reports={}, strictness={'b=>beta': None}, spaces_checked=1, sets_per_space_max=2)",
+     "scope_mode='sampled', seed=3, sample_count=4), laws=mappingproxy({'duality': LawResult(checked=2, failures=0, "
+     "witnesses=())}), reports=mappingproxy({}), strictness=mappingproxy({'b=>beta': None}), spaces_checked=1, "
+     "sets_per_space_max=2)",
      False, True),
     (MappingScanResult,
      lambda: dict(mappings_checked=10, kuratowski_failures=0, kuratowski_first_failure=None,
@@ -215,13 +216,28 @@ def test_constructor_takes_the_fields(cls, kwargs, text, hashable, frozen):
             cls(**given)
 
 
+#: Every case but SoftSet, which sets its two slots itself and keeps no `_values`
+STORED = [case[:2] for case in CASES if case[0] is not SoftSet]
+
+
+@pytest.mark.parametrize("cls, kwargs", STORED, ids=[case[0].__name__ for case in STORED])
+def test_every_record_has_one_store(cls, kwargs):
+    # the straight-line store takes exactly the fields, in order, and sets
+    # each of them and `_values`, as every record's construction does
+    assert tuple(inspect.signature(cls._store).parameters) == ("self", *cls._fields)
+    record = cls(**kwargs())
+    blank = object.__new__(cls)
+    cls._store(blank, *record._values)
+    assert blank == record and tuple(getattr(blank, name) for name in cls._fields) == record._values
+
+
 def stores_only(init: ast.FunctionDef) -> bool:
     """True when an __init__ without defaults only stores its parameters, in order."""
     if init.args.defaults or init.args.kwonlyargs:
         return False
     params = [a.arg for a in init.args.args[1:]]
     body = [ast.unparse(s) for s in init.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
-    return body in ([f"_freeze(self, {', '.join(params)})"], [f"self.{p} = {p}" for p in params])
+    return body in ([f"self._store({', '.join(params)})"], [f"self.{p} = {p}" for p in params])
 
 
 def store_only_inits(source: str) -> list[str]:
@@ -242,10 +258,10 @@ def test_no_record_spells_out_a_store_only_init():
 
 
 def test_store_only_guard_sees_both_bases():
-    frozen = 'class A(_Frozen):\n    def __init__(self, x, y):\n        """doc"""\n        _freeze(self, x, y)\n'
+    frozen = 'class A(_Frozen):\n    def __init__(self, x, y):\n        """doc"""\n        self._store(x, y)\n'
     kept = [
-        "class C(_Frozen):\n    def __init__(self, x, y=None):\n        _freeze(self, x, y)\n",
-        "class D(_Frozen):\n    def __init__(self, x, y):\n        _freeze(self, y, x)\n",
+        "class C(_Frozen):\n    def __init__(self, x, y=None):\n        self._store(x, y)\n",
+        "class D(_Frozen):\n    def __init__(self, x, y):\n        self._store(y, x)\n",
     ]
     assert store_only_inits(frozen) == ["A"]
     assert store_only_inits("".join(kept)) == []
@@ -289,10 +305,16 @@ def test_context_limit_is_neither_shown_nor_compared():
 
 
 def test_law_result_defaults_are_fresh():
+    # witnesses are kept as a tuple: a list passed in is copied, and no
+    # record shares anything that can be edited
     first, second = LawResult(), LawResult()
-    assert first == second == LawResult(0, 0, [])
-    first.witnesses.append(None)
-    assert second.witnesses == []
+    assert first == second == LawResult(0, 0, []) == LawResult(0, 0, ())
+    kept = [None]
+    row = LawResult(1, 1, kept)
+    kept.append(None)
+    assert row.witnesses == (None,) and first.witnesses == second.witnesses == ()
+    with pytest.raises(AttributeError):
+        first.witnesses.append(None)
 
 
 def test_construction_validates_both_ways():
